@@ -70,10 +70,10 @@ def _write(args, text):
         sys.stdout.write(text)
 
 
-def _build_base(args, need_T=True):
+def _build_base(args):
     action = _load_action(args.group)
-    T = _parse_T(args.T) if need_T else []
-    if args.T is not None and need_T:
+    if args.T is not None:
+        T = _parse_T(args.T)
         poset = build_subposet(args.n, action, T, max_elements=args.max_elements)
     else:
         poset = build_dowling(args.n, action, max_elements=args.max_elements)
@@ -116,20 +116,18 @@ def cmd_verify_el(args):
 
 
 def cmd_count_chains(args):
-    action, poset = _build_base(args, need_T=False)
-    phat = adjoin_top(poset)
-    rep = labeling.verify_el(phat, _labeling_fn(args.labeling),
-                             with_witness_chains=False)
+    action, poset = _build_base(args)
+    count = len(labeling.decreasing_chains(adjoin_top(poset), _labeling_fn(args.labeling)))
     try:
         formula = sphere_count_formula(args.n, action.group.order, action.set_size)
     except DegenerateCase:
         formula = None
     _emit(args, {
-        "decreasing": rep.decreasing_chain_count,
+        "decreasing": count,
         "formula": formula,
-        "match": formula is not None and rep.decreasing_chain_count == formula,
+        "match": formula is not None and count == formula,
     })
-    return 0 if rep.decreasing_chain_count == formula else 1
+    return 0 if count == formula else 1
 
 
 def cmd_charpoly(args):
@@ -163,29 +161,19 @@ def cmd_trees(args):
 
 
 def cmd_bijection(args):
-    action, poset = _build_base(args, need_T=False)
+    action, poset = _build_base(args)
     phat = adjoin_top(poset)
-    rep = labeling.verify_el(phat, labeling.label_lambda)
-    chains = [[phat.elements[i] for i in c] for c in rep.decreasing_chains]
-    images = set()
-    ok = True
-    for chain in chains:
-        t = trees.psi(chain, action)
-        images.add(t)
-        ok = ok and trees.psi_inv(t, args.n, action) == chain
-    m, g = action.set_size, action.group.order
-    if m >= 2:
-        allt = set(trees.enumerate_blooming(args.n + 1, m - 2, g - 2))
-    else:
-        allt = set(trees.enumerate_blooming(args.n, g - 2, g - 2,
-                                            labels=range(1, args.n + 1)))
-    ok = ok and images == allt
+    chains = [
+        [phat.elements[i] for i in c]
+        for c in labeling.decreasing_chains(phat, labeling.label_lambda)
+    ]
+    tree_count, messages = trees.bijection_failures(chains, args.n, action)
     _emit(args, {
         "chains": len(chains),
-        "trees": len(allt),
-        "bijective": ok,
+        "trees": tree_count,
+        "bijective": not messages,
     })
-    return 0 if ok else 1
+    return 1 if messages else 0
 
 
 def cmd_homology(args):
@@ -239,25 +227,20 @@ def cmd_reduce(args):
 # Argument plumbing.
 
 
-def _add_common(sub, with_poset=True, poset_required=True):
+def _add_common(sub, with_poset=True, with_T=True, poset_required=True):
     if with_poset:
         sub.add_argument("--group", required=poset_required,
                          help="action JSON file, or builtin NAME:m[:ACTION] "
                               "(e.g. Z2:2:swap)")
         sub.add_argument("--n", type=int, required=poset_required,
                          help="ground set size")
-        sub.add_argument("--T", default=None,
-                         help="invariant color subset i,j,... (selects the subposet)")
-    sub.add_argument("--labeling", choices=("lambda", "mu"), default="lambda")
-    sub.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS)
-    sub.add_argument("--max-faces", type=int, default=DEFAULT_MAX_FACES)
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="worker count; all values give identical output")
-    sub.add_argument("--seed-order", choices=("index",), default="index",
-                     help="total order used on group elements and colors")
+        if with_T:
+            sub.add_argument("--T", default=None,
+                             help="invariant color subset i,j,... (selects the subposet)")
+        else:
+            sub.set_defaults(T=None)
+        sub.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS)
     sub.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    sub.add_argument("--ascii", action="store_true",
-                     help="ASCII-only element notation")
     sub.add_argument("--out", default=None, help="write output here instead of stdout")
 
 
@@ -270,17 +253,20 @@ def build_parser():
 
     p = subs.add_parser("build", help="build the poset and dump JSON or DOT")
     _add_common(p)
+    p.add_argument("--ascii", action="store_true", help="ASCII-only element notation")
     p.add_argument("--hat", action="store_true", help="adjoin a top element")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     p.set_defaults(fn=cmd_build)
 
     p = subs.add_parser("verify-el", help="check the EL-labeling condition")
     _add_common(p)
+    p.add_argument("--labeling", choices=("lambda", "mu"), default="lambda")
     p.set_defaults(fn=cmd_verify_el)
 
     p = subs.add_parser("count-chains",
                         help="count decreasing chains against the closed form")
-    _add_common(p)
+    _add_common(p, with_T=False)
+    p.add_argument("--labeling", choices=("lambda", "mu"), default="lambda")
     p.set_defaults(fn=cmd_count_chains)
 
     p = subs.add_parser("charpoly", help="characteristic polynomial coefficients")
@@ -302,15 +288,17 @@ def build_parser():
 
     p = subs.add_parser("bijection",
                         help="round-trip the chain/tree bijection exhaustively")
-    _add_common(p)
+    _add_common(p, with_T=False)
     p.set_defaults(fn=cmd_bijection)
 
     p = subs.add_parser("homology", help="reduced homology of the proper part")
     _add_common(p)
+    p.add_argument("--max-faces", type=int, default=DEFAULT_MAX_FACES)
     p.set_defaults(fn=cmd_homology)
 
     p = subs.add_parser("certify", help="certify a wedge-of-spheres profile")
     _add_common(p, poset_required=False)
+    p.add_argument("--max-faces", type=int, default=DEFAULT_MAX_FACES)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--paper-suite", action="store_true",
@@ -319,6 +307,7 @@ def build_parser():
 
     p = subs.add_parser("reduce", help="apply and verify the orbit reduction")
     _add_common(p)
+    p.add_argument("--ascii", action="store_true", help="ASCII-only element notation")
     p.add_argument("--orbit", type=int, required=True,
                    help="minimum color of the free orbit to remove")
     p.set_defaults(fn=cmd_reduce)

@@ -10,13 +10,12 @@ from .elements import (
     DowlingElement,
     bracket_notation,
     bottom_element,
-    canonical_key,
     element_to_json,
     make_element,
     top_element,
 )
 from .errors import AlreadyBounded, NonInvariantT, SizeLimitExceeded
-from .poset import RankedPoset
+from .poset import RankedPoset, induced_covers
 
 DEFAULT_MAX_ELEMENTS = 5_000_000
 
@@ -50,26 +49,25 @@ def covers_of(element, action):
 
 def build_dowling(n, action, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     """Full poset on {1..n} for the given action, generated breadth-first
-    from the bottom element and deduplicated by canonical key."""
+    from the bottom element and deduplicated by canonical element."""
     if n < 1:
         raise ValueError("n must be >= 1")
     bottom = bottom_element(n)
-    index = {canonical_key(bottom): 0}
+    index = {bottom: 0}
     elements = [bottom]
     edges = set()
     queue = deque([0])
     while queue:
         xi = queue.popleft()
         for y in covers_of(elements[xi], action):
-            key = canonical_key(y)
-            yi = index.get(key)
+            yi = index.get(y)
             if yi is None:
                 yi = len(elements)
                 if yi >= max_elements:
                     raise SizeLimitExceeded(
                         f"element count exceeded the cap of {max_elements}"
                     )
-                index[key] = yi
+                index[y] = yi
                 elements.append(y)
                 queue.append(yi)
             edges.add((xi, yi))
@@ -123,33 +121,11 @@ def build_subposet(n, action, T, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPos
         if passes_subposet_filter(el, action, T)
     ]
     new_index = {old: new for new, old in enumerate(kept)}
-    kept_mask = 0
-    for i in kept:
-        kept_mask |= 1 << i
-    edges = []
-    for xi in kept:
-        above, below = ambient._reach()
-        up_mask = above[xi] & kept_mask & ~(1 << xi)
-        candidates = _bits(up_mask)
-        for yi in candidates:
-            between = above[xi] & below[yi] & kept_mask & ~(1 << xi) & ~(1 << yi)
-            if between == 0:
-                edges.append((new_index[xi], new_index[yi]))
+    edges = [(new_index[x], new_index[y]) for x, y in induced_covers(ambient, kept)]
     elements = [ambient.elements[i] for i in kept]
     ranks = [ambient.rank[i] for i in kept]
     bottom = new_index[0]
     return RankedPoset(elements, edges, ranks, bottom=bottom, top=None)
-
-
-def _bits(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

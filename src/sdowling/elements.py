@@ -24,9 +24,6 @@ class DowlingElement:
             raise ValueError("the adjoined top has no partition rank")
         return self.n - len(self.blocks)
 
-    def zero_map(self):
-        return dict(self.zero)
-
     def zero_image(self):
         """Set of colors used on the zero block."""
         return {s for _, s in self.zero}
@@ -59,13 +56,6 @@ def bottom_element(n):
     return DowlingElement(
         n=n, blocks=tuple(((i,), (0,)) for i in range(1, n + 1)), zero=()
     )
-
-
-def canonical_key(element) -> bytes:
-    """Stable injective key for canonical elements."""
-    if element.is_top:
-        return b"T" + str(element.n).encode()
-    return repr((element.n, element.blocks, element.zero)).encode()
 
 
 # ---------------------------------------------------------------------------

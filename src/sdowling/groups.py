@@ -32,11 +32,6 @@ class FiniteGroup:
     def inv(self, g):
         return self.inverse[g]
 
-    @property
-    def nonidentity(self):
-        """Elements of G \\ {e} in their fixed total order."""
-        return range(1, self.order)
-
 
 def validate_group(table) -> FiniteGroup:
     """Check the group axioms on a multiplication table.
@@ -193,7 +188,6 @@ def klein_four_group():
 
 def action_from_permutations(group, perms) -> GroupAction:
     """Action defined by one permutation of the color set per group element."""
-    m = len(perms[0]) if perms else 0
     act = [list(p) for p in perms]
     return validate_action(group, act)
 

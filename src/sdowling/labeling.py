@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import NotACover, NotBounded
+from .poset import bits, saturated_chains
 
 NO_THIRD = -1
 
@@ -58,7 +59,7 @@ def classify_cover(x, y) -> EdgeType:
     return EdgeType("colored", min_b=min_b, color=color)
 
 
-def label_lambda_elements(x, y, action) -> EdgeLabel:
+def label_lambda_elements(x, y) -> EdgeLabel:
     """The labeling of the full bounded poset."""
     et = classify_cover(x, y)
     if et.kind == "top":
@@ -71,11 +72,11 @@ def label_lambda_elements(x, y, action) -> EdgeLabel:
     return EdgeLabel(1, et.color + 1)
 
 
-def label_mu_elements(x, y, action) -> EdgeLabel:
+def label_mu_elements(x, y) -> EdgeLabel:
     """Subposet labeling: favors zero-block colors already present in x."""
     et = classify_cover(x, y)
     if et.kind != "colored":
-        return label_lambda_elements(x, y, action)
+        return label_lambda_elements(x, y)
     s = et.color
     used = x.zero_image()
     if s in used:
@@ -93,14 +94,14 @@ def classify_edge(poset, xi, yi) -> EdgeType:
     return classify_cover(poset.elements[xi], poset.elements[yi])
 
 
-def label_lambda(poset, xi, yi, action=None) -> EdgeLabel:
+def label_lambda(poset, xi, yi) -> EdgeLabel:
     _check_cover(poset, xi, yi)
-    return label_lambda_elements(poset.elements[xi], poset.elements[yi], action)
+    return label_lambda_elements(poset.elements[xi], poset.elements[yi])
 
 
-def label_mu(poset, xi, yi, action=None) -> EdgeLabel:
+def label_mu(poset, xi, yi) -> EdgeLabel:
     _check_cover(poset, xi, yi)
-    return label_mu_elements(poset.elements[xi], poset.elements[yi], action)
+    return label_mu_elements(poset.elements[xi], poset.elements[yi])
 
 
 # ---------------------------------------------------------------------------
@@ -127,31 +128,17 @@ def edge_labels(poset, labeling):
     return {(x, y): labeling(poset, x, y) for x, y in poset.cover_edges()}
 
 
-def _interval_chains(poset, labels, x, y, mask):
-    """Yield (chain, word) for every maximal chain of [x, y]."""
-    stack = [(x, (x,), ())]
-    while stack:
-        node, chain, word = stack.pop()
-        if node == y:
-            yield chain, word
-            continue
-        for nxt in reversed(poset.up[node]):
-            if mask >> nxt & 1:
-                stack.append((nxt, chain + (nxt,), word + (labels[(node, nxt)],)))
-
-
 def _is_strictly_increasing(word):
     return all(word[i] < word[i + 1] for i in range(len(word) - 1))
 
 
 def check_interval(poset, labels, x, y):
     """Check the EL condition on one closed interval; None if it holds."""
-    mask = poset.interval_mask(x, y)
     inc = []
     min_word = None
     min_count = 0
     min_chain = None
-    for chain, word in _interval_chains(poset, labels, x, y, mask):
+    for chain, word in saturated_chains(poset, x, y, labels):
         if _is_strictly_increasing(word):
             if len(inc) < 2:
                 inc.append(chain)
@@ -176,18 +163,8 @@ def decreasing_chains(poset, labeling, labels=None):
         raise NotBounded("decreasing chains require a bounded poset")
     if labels is None:
         labels = edge_labels(poset, labeling)
-    out = []
-    stack = [(poset.bottom, (poset.bottom,), None)]
-    while stack:
-        node, chain, last = stack.pop()
-        if node == poset.top:
-            out.append(chain)
-            continue
-        for nxt in reversed(poset.up[node]):
-            lab = labels[(node, nxt)]
-            if last is None or lab <= last:
-                stack.append((nxt, chain + (nxt,), lab))
-    return sorted(out)
+    walk = saturated_chains(poset, poset.bottom, poset.top, labels, decreasing=True)
+    return [chain for chain, _ in walk]
 
 
 def verify_el(poset, labeling, with_witness_chains=True) -> ELReport:
@@ -204,18 +181,13 @@ def verify_el(poset, labeling, with_witness_chains=True) -> ELReport:
     above, _ = poset._reach()
     n = len(poset.elements)
     for x in range(n):
-        mask = above[x]
-        y = 0
-        m = mask
-        while m:
-            if m & 1 and poset.rank[y] - poset.rank[x] >= 2:
+        for y in bits(above[x]):
+            if poset.rank[y] - poset.rank[x] >= 2:
                 fail = check_interval(poset, labels, x, y)
                 if fail is not None:
                     if not with_witness_chains:
                         fail.witnesses = []
                     failures.append(fail)
-            m >>= 1
-            y += 1
     failures.sort(key=lambda f: (f.x, f.y))
     dec = decreasing_chains(poset, labeling, labels=labels)
     return ELReport(

@@ -75,15 +75,7 @@ class RankedPoset:
         return above[x] & below[y]
 
     def interval_members(self, x, y):
-        mask = self.interval_mask(x, y)
-        out = []
-        i = 0
-        while mask:
-            if mask & 1:
-                out.append(i)
-            mask >>= 1
-            i += 1
-        return out
+        return list(bits(self.interval_mask(x, y)))
 
     def is_bounded(self):
         return self.bottom is not None and self.top is not None
@@ -108,6 +100,55 @@ def hasse_violations(poset):
     return bad
 
 
+def bits(mask):
+    """Indices of the set bits of a nonnegative integer, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def induced_covers(poset, kept):
+    """Cover pairs (x, y) of the subposet induced on the indices in `kept`:
+    x < y in the poset and no other kept element lies between them."""
+    above, below = poset._reach()
+    kept_mask = 0
+    for i in kept:
+        kept_mask |= 1 << i
+    covers = []
+    for x in kept:
+        strictly_above = above[x] & kept_mask & ~(1 << x)
+        for y in bits(strictly_above):
+            if not strictly_above & below[y] & ~(1 << y):
+                covers.append((x, y))
+    return covers
+
+
+def saturated_chains(poset, x, y, labels=None, decreasing=False):
+    """Yield (chain, word) for every saturated chain from x to y, in
+    lexicographic order of the index sequences.
+
+    `chain` is the index sequence (x, ..., y) and `word` the labels of its
+    cover edges, looked up in `labels` (empty words when labels is None).
+    With `decreasing`, only chains whose word is weakly decreasing are
+    walked: a step whose label exceeds the previous one is pruned.
+    """
+    mask = poset.interval_mask(x, y)
+    stack = [(x, (x,), ())]
+    while stack:
+        node, chain, word = stack.pop()
+        if node == y:
+            yield chain, word
+            continue
+        for nxt in reversed(poset.up[node]):
+            if not mask >> nxt & 1:
+                continue
+            step = () if labels is None else (labels[(node, nxt)],)
+            if decreasing and word and step[0] > word[-1]:
+                continue
+            stack.append((nxt, chain + (nxt,), word + step))
+
+
 def maximal_chains(poset, x, y):
     """All saturated chains from x to y, in lexicographic order of indices.
 
@@ -116,35 +157,7 @@ def maximal_chains(poset, x, y):
     """
     if not poset.leq(x, y):
         raise NotComparable(f"elements {x} and {y} are not comparable")
-    mask = poset.interval_mask(x, y)
-    out = []
-    stack = [(x, (x,))]
-    while stack:
-        node, chain = stack.pop()
-        if node == y:
-            out.append(chain)
-            continue
-        for nxt in reversed(poset.up[node]):
-            if mask >> nxt & 1:
-                stack.append((nxt, chain + (nxt,)))
-    out.reverse()
-    return sorted(out)
-
-
-def iter_maximal_chains(poset, x, y):
-    """Generator variant of maximal_chains (deterministic lexicographic order)."""
-    if not poset.leq(x, y):
-        raise NotComparable(f"elements {x} and {y} are not comparable")
-    mask = poset.interval_mask(x, y)
-    stack = [(x, (x,))]
-    while stack:
-        node, chain = stack.pop()
-        if node == y:
-            yield chain
-            continue
-        for nxt in reversed(poset.up[node]):
-            if mask >> nxt & 1:
-                stack.append((nxt, chain + (nxt,)))
+    return [chain for chain, _ in saturated_chains(poset, x, y)]
 
 
 def moebius(poset, x, y):
@@ -216,6 +229,12 @@ def sphere_count_formula(n, size_g, size_s):
         raise ValueError("need n >= 1, size_g >= 1, size_s >= 0")
     if (n, size_g, size_s) == (1, 1, 0):
         raise DegenerateCase("the proper part is empty for n=1, trivial group, no colors")
+    return sphere_product(n, size_g, size_s)
+
+
+def sphere_product(n, size_g, size_s):
+    """The product behind sphere_count_formula, without its checks: at the
+    degenerate n=1, trivial group, no colors it is 1, the chain bottom < top."""
     eps = 1 if size_s == 0 else 0
     prod = 1
     for i in range(n):

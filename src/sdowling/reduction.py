@@ -7,9 +7,10 @@ from dataclasses import dataclass, field
 
 from . import groups
 from .dowling import build_subposet
-from .elements import canonical_key, make_element
+from .elements import make_element
 from .errors import InvalidSpec
-from .poset import RankedPoset
+from .labeling import classify_cover
+from .poset import induced_covers
 
 
 @dataclass(frozen=True)
@@ -55,12 +56,11 @@ def closure_f(x, spec, action):
 
 
 def reduce_poset(n, action, T, spec, max_elements=None):
-    """Poset of the closure operator's image, together with the element map.
+    """Poset of the closure operator's image, together with the closure report.
 
     The image is rebuilt as the independently constructed subposet on the
-    surviving colors; `mapping[i]` gives the reduced index of the image of
-    element i of the input subposet.  Raises InvalidSpec when the spec does
-    not match the parameters.
+    surviving colors.  Raises InvalidSpec when the image is not isomorphic to
+    that subposet.
     """
     poset, reduced, report = reduce_and_verify(n, action, T, spec, max_elements)
     if not report.isomorphic:
@@ -98,13 +98,13 @@ def reduce_and_verify(n, action, T, spec, max_elements=None):
     kwargs = {} if max_elements is None else {"max_elements": max_elements}
     poset = build_subposet(n, action, T, **kwargs)
     group = action.group
-    index = {canonical_key(el): i for i, el in enumerate(poset.elements)}
+    index = {el: i for i, el in enumerate(poset.elements)}
     violations = []
 
     f_of = []
     for i, el in enumerate(poset.elements):
         fx = closure_f(el, spec, action)
-        j = index.get(canonical_key(fx))
+        j = index.get(fx)
         if j is None:
             violations.append(f"f(element {i}) left the subposet")
             j = i
@@ -130,8 +130,6 @@ def reduce_and_verify(n, action, T, spec, max_elements=None):
     image = sorted(set(f_of))
 
     # edge-by-edge case analysis from the orbit-reduction argument
-    from .labeling import classify_cover  # local import avoids a cycle
-
     orbit = set(spec.orbit)
     for x, y in poset.cover_edges():
         fx, fy = f_of[x], f_of[y]
@@ -152,13 +150,13 @@ def reduce_and_verify(n, action, T, spec, max_elements=None):
     small_action, color_map = groups.restrict_action(action, keep)
     small_T = sorted(color_map[t] for t in T)
     reduced = build_subposet(n, small_action, small_T, **kwargs)
-    reduced_index = {canonical_key(el): i for i, el in enumerate(reduced.elements)}
+    reduced_index = {el: i for i, el in enumerate(reduced.elements)}
 
     iso = len(image) == len(reduced.elements)
     image_map = {}
     for i in image:
         relabeled = _relabel_zero(poset.elements[i], color_map, group)
-        j = reduced_index.get(canonical_key(relabeled))
+        j = reduced_index.get(relabeled)
         if j is None:
             iso = False
             violations.append(f"image element {i} has no counterpart in the reduced poset")
@@ -166,16 +164,7 @@ def reduce_and_verify(n, action, T, spec, max_elements=None):
             image_map[i] = j
     if iso:
         # compare induced cover relations on the image with the reduced poset
-        image_set = set(image)
-        induced = set()
-        for x in image:
-            for y in image_set:
-                if x != y and poset.leq(x, y):
-                    if not any(
-                        z in image_set and z not in (x, y) and poset.leq(x, z) and poset.leq(z, y)
-                        for z in image_set
-                    ):
-                        induced.add((image_map[x], image_map[y]))
+        induced = {(image_map[x], image_map[y]) for x, y in induced_covers(poset, image)}
         if induced != set(reduced.cover_edges()):
             iso = False
             violations.append("induced covers on the image differ from the reduced poset")
@@ -192,8 +181,6 @@ def reduce_and_verify(n, action, T, spec, max_elements=None):
 
 
 def _is_cover_kind(poset, x, y, kind):
-    from .labeling import classify_cover
-
     if y not in poset.up[x]:
         return False
     et = classify_cover(poset.elements[x], poset.elements[y])

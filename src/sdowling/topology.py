@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import gcd
 
 from .errors import EmptyPosetWarning, SizeLimitExceeded
+from .poset import bits
 
 DEFAULT_MAX_FACES = 2_000_000
 
@@ -70,13 +70,8 @@ def order_complex(poset, strip_bounds=True, max_faces=DEFAULT_MAX_FACES):
     while stack:
         chain, mask = stack.pop()
         record(chain)
-        m = mask
-        w = 0
-        while m:
-            if m & 1:
-                stack.append((chain + (w,), (mask & above[w]) & ~(1 << w)))
-            m >>= 1
-            w += 1
+        for w in bits(mask):
+            stack.append((chain + (w,), (mask & above[w]) & ~(1 << w)))
     for fs in faces:
         fs.sort()
     return SimplicialComplex(vertices=vertices, faces=faces)

@@ -28,10 +28,6 @@ def tree_label(tree):
     return tree[0]
 
 
-def tree_children(tree):
-    return tree[1]
-
-
 def count_blooming(nodes, q, r):
     """Number of blooming trees on the given node count: the insertion count."""
     if nodes < 1:
@@ -131,9 +127,9 @@ def tree_from_json(data):
 # The chain <-> tree bijection.
 
 
-def _chain_labels(chain, action):
+def _chain_labels(chain):
     return [
-        label_lambda_elements(chain[i], chain[i + 1], action)
+        label_lambda_elements(chain[i], chain[i + 1])
         for i in range(len(chain) - 1)
     ]
 
@@ -155,7 +151,7 @@ def psi(chain, action):
     `chain` is a list of canonical elements ending at the top sentinel.
     """
     m, k = _check_params(action)
-    words = _chain_labels(chain, action)
+    words = _chain_labels(chain)
     if not all(words[i + 1] <= words[i] for i in range(len(words) - 1)):
         raise NotDecreasing("label word is not weakly decreasing")
     n = chain[0].n
@@ -269,3 +265,33 @@ def psi_inv(tree, n, action):
         chain.append(y)
     chain.append(top_element(n))
     return chain
+
+
+def bijection_failures(chains, n, action):
+    """Round-trip psi and psi_inv both ways between the decreasing maximal
+    chains and the blooming trees they should biject with.
+
+    `chains` lists every decreasing chain of the bounded poset as elements
+    from the bottom to the adjoined top.  Returns (tree_count, messages);
+    no messages means psi is a bijection and psi_inv its inverse.
+    """
+    m, _ = _check_params(action)
+    messages = []
+    images = set()
+    for chain in chains:
+        t = psi(chain, action)
+        images.add(t)
+        if psi_inv(t, n, action) != chain:
+            messages.append("psi_inv(psi(chain)) != chain")
+    g = action.group.order
+    if m >= 2:
+        all_trees = set(enumerate_blooming(n + 1, m - 2, g - 2))
+    else:
+        all_trees = set(enumerate_blooming(n, g - 2, g - 2, labels=range(1, n + 1)))
+    if images != all_trees:
+        messages.append("psi is not onto the blooming trees")
+    for t in all_trees:
+        if psi(psi_inv(t, n, action), action) != t:
+            messages.append("psi(psi_inv(tree)) != tree")
+            break
+    return len(all_trees), messages

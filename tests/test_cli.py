@@ -63,12 +63,51 @@ def test_build_json_deterministic(capsys):
     assert data["size"] == 9
 
 
-def test_jobs_flag_does_not_change_output(capsys):
+def test_removed_jobs_flag_is_rejected(capsys):
     base = ("homology", "--group", "Z2:2:swap", "--n", "2", "--T", "")
-    _, out1, _ = run(capsys, *base)
-    _, out2, _ = run(capsys, *base, "--jobs", "4")
-    assert out1 == out2
-    assert json.loads(out1)["betti"] == [1, 0]
+    code, out, _ = run(capsys, *base)
+    assert code == 0
+    assert json.loads(out)["betti"] == [1, 0]
+    code, out, _ = run(capsys, *base, "--jobs", "4")
+    assert code == 2
+    assert out == ""
+
+
+def test_options_are_rejected_where_they_would_be_ignored(capsys):
+    code, out, _ = run(capsys, "count-chains", "--group", "Z2:2:swap", "--n", "2",
+                       "--T", "")
+    assert code == 2
+    assert out == ""
+    code, out, _ = run(capsys, "trees", "--nodes", "3", "--q", "2", "--r", "1",
+                       "--labeling", "mu")
+    assert code == 2
+    assert out == ""
+
+
+def _registered_options(parser):
+    subs = next(a for a in parser._actions if a.dest == "command").choices
+    return {
+        name: {opt for a in sub._actions if a.dest != "help" for opt in a.option_strings}
+        for name, sub in subs.items()
+    }
+
+
+def test_each_subcommand_registers_only_the_options_it_reads():
+    poset = {"--group", "--n", "--max-elements", "--pretty", "--out"}
+    expected = {
+        "build": poset | {"--T", "--ascii", "--hat", "--dot"},
+        "verify-el": poset | {"--T", "--labeling"},
+        "count-chains": poset | {"--labeling"},
+        "charpoly": poset | {"--T"},
+        "moebius": poset | {"--T"},
+        "trees": {"--nodes", "--q", "--r", "--count-only", "--max-trees",
+                  "--pretty", "--out"},
+        "bijection": poset,
+        "homology": poset | {"--T", "--max-faces"},
+        "certify": poset | {"--T", "--max-faces", "--dim", "--count", "--paper-suite"},
+        "reduce": poset | {"--T", "--ascii", "--orbit"},
+    }
+    assert _registered_options(cli.build_parser()) == expected
 
 
 def test_charpoly_and_moebius(capsys):
@@ -110,6 +149,11 @@ def test_bijection_subcommand(capsys):
     code, out, _ = run(capsys, "bijection", "--group", "Z3:2", "--n", "2")
     assert code == 0
     assert json.loads(out)["bijective"] is True
+    # one color: no decreasing chains, and a case the bijection does not cover
+    code, out, err = run(capsys, "bijection", "--group", "Z2:1", "--n", "2")
+    assert code == 1
+    assert out == ""
+    assert "the bijection covers" in err
 
 
 def test_group_file_loading(capsys, tmp_path):

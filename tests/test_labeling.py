@@ -1,11 +1,11 @@
 import pytest
 
-from sdowling import groups, labeling
+from sdowling import catalog, groups, labeling
 from sdowling.dowling import adjoin_top, build_dowling, build_subposet
 from sdowling.elements import bottom_element, make_element, top_element
 from sdowling.errors import NotACover, NotBounded
 from sdowling.labeling import EdgeLabel
-from sdowling.poset import moebius
+from sdowling.poset import maximal_chains, moebius
 
 Z2 = groups.cyclic_group(2)
 Z3 = groups.cyclic_group(3)
@@ -34,35 +34,33 @@ def test_classify_cover_rejects_non_covers():
 
 
 def test_lambda_labels():
-    action = groups.trivial_action(Z2, 2)
     x = bottom_element(2)
     coherent = make_element(Z2, 2, [((1, 2), (0, 0))], [])
     noncoh = make_element(Z2, 2, [((1, 2), (0, 1))], [])
     colored = make_element(Z2, 2, [((2,), (0,))], [(1, 1)])
-    assert labeling.label_lambda_elements(x, coherent, action) == EdgeLabel(0, 2)
-    assert labeling.label_lambda_elements(x, noncoh, action) == EdgeLabel(2, 1, 1)
-    assert labeling.label_lambda_elements(x, colored, action) == EdgeLabel(1, 2)
-    assert labeling.label_lambda_elements(x, top_element(2), action) == EdgeLabel(1, 2)
+    assert labeling.label_lambda_elements(x, coherent) == EdgeLabel(0, 2)
+    assert labeling.label_lambda_elements(x, noncoh) == EdgeLabel(2, 1, 1)
+    assert labeling.label_lambda_elements(x, colored) == EdgeLabel(1, 2)
+    assert labeling.label_lambda_elements(x, top_element(2)) == EdgeLabel(1, 2)
 
 
 def test_mu_labels_favor_present_colors():
-    action = groups.trivial_action(Z2, 3)
     # zero block already uses color s3; coloring with s3 ranks it inside S(x)
     x = make_element(Z2, 2, [((1,), (0,))], [(2, 2)])
     again = make_element(Z2, 2, [], [(1, 2), (2, 2)])
     fresh = make_element(Z2, 2, [], [(1, 0), (2, 2)])
-    assert labeling.label_mu_elements(x, again, action) == EdgeLabel(1, 1)
+    assert labeling.label_mu_elements(x, again) == EdgeLabel(1, 1)
     # s1 is new: counted after itself plus the greater used color s3
-    assert labeling.label_mu_elements(x, fresh, action) == EdgeLabel(1, 2)
+    assert labeling.label_mu_elements(x, fresh) == EdgeLabel(1, 2)
     # lambda ignores S(x) entirely
-    assert labeling.label_lambda_elements(x, again, action) == EdgeLabel(1, 3)
+    assert labeling.label_lambda_elements(x, again) == EdgeLabel(1, 3)
 
 
 def test_label_wrappers_check_covers():
     action = groups.trivial_action(Z2, 1)
     phat = adjoin_top(build_dowling(2, action))
     with pytest.raises(NotACover):
-        labeling.label_lambda(phat, phat.bottom, phat.top, action)
+        labeling.label_lambda(phat, phat.bottom, phat.top)
 
 
 def test_verify_el_passes_small_full_poset():
@@ -134,3 +132,22 @@ def test_mu_counterexample_with_nontrivial_action_on_all_colors():
     assert not rep.passed
     assert len(rep.failures) == 6
     assert any(f.reason == "NoIncreasing" for f in rep.failures)
+
+
+def test_decreasing_chains_match_brute_force_on_grid():
+    # oracle: every maximal chain of the bounded poset, kept when its label
+    # word is weakly decreasing
+    for key, n, action in catalog.dowling_grid():
+        posets = [adjoin_top(build_dowling(n, action))] + [
+            adjoin_top(build_subposet(n, action, list(T)))
+            for T in catalog.invariant_subsets(action)
+        ]
+        for phat in posets:
+            for fn in (labeling.label_lambda, labeling.label_mu):
+                labels = labeling.edge_labels(phat, fn)
+                expected = []
+                for chain in maximal_chains(phat, phat.bottom, phat.top):
+                    word = [labels[e] for e in zip(chain, chain[1:])]
+                    if all(a >= b for a, b in zip(word, word[1:])):
+                        expected.append(chain)
+                assert labeling.decreasing_chains(phat, fn) == expected, key

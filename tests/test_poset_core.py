@@ -1,11 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from sdowling.errors import DegenerateCase, NotComparable, NotGraded
 from sdowling.poset import (
     Polynomial,
     RankedPoset,
+    bits,
     characteristic_polynomial,
     hasse_violations,
     is_graded,
@@ -106,3 +108,11 @@ def test_sphere_count_formula_values():
         sphere_count_formula(1, 1, 0)
     with pytest.raises(ValueError):
         sphere_count_formula(0, 1, 1)
+
+
+@given(st.integers(min_value=0, max_value=1 << 1500))
+@example(0)
+@example((1 << 1200) | 1)
+def test_bits_matches_naive_scan(mask):
+    naive = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    assert list(bits(mask)) == naive

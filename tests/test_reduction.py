@@ -1,9 +1,10 @@
 import pytest
 
-from sdowling import groups, reduction, topology
+from sdowling import acceptance, groups, reduction, topology
 from sdowling.dowling import build_subposet
 from sdowling.elements import make_element, top_element
 from sdowling.errors import InvalidSpec
+from sdowling.poset import induced_covers
 
 Z2 = groups.cyclic_group(2)
 Z3 = groups.cyclic_group(3)
@@ -88,3 +89,25 @@ def test_reduce_poset_returns_restricted_subposet():
     assert len(reduced.elements) == len(expected.elements)
     assert sorted(reduced.cover_edges()) == sorted(expected.cover_edges())
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "n,action,T,orbit_min",
+    [pytest.param(*c[1:5], id=c[0]) for c in acceptance._closure_configs()],
+)
+def test_image_covers_match_transitive_reduction(n, action, T, orbit_min):
+    spec = reduction.make_spec(action, T, orbit_min)
+    poset, reduced, rep = reduction.reduce_and_verify(n, action, T, spec)
+    index = {el: i for i, el in enumerate(poset.elements)}
+    image = sorted({index[reduction.closure_f(el, spec, action)] for el in poset.elements})
+    # oracle: x < y in the image with no image element strictly between
+    expected = {
+        (x, y)
+        for x in image
+        for y in image
+        if x != y and poset.leq(x, y)
+        and not any(z not in (x, y) and poset.leq(x, z) and poset.leq(z, y) for z in image)
+    }
+    assert set(induced_covers(poset, image)) == expected
+    assert rep.isomorphic and rep.image_size == len(image)
+    assert len(expected) == len(list(reduced.cover_edges()))
