@@ -69,7 +69,7 @@ def dowling_grid(ns=(1, 2, 3), group_names=GROUP_NAMES, set_sizes=(0, 1, 2, 3)):
                     yield key, n, action
 
 
-def invariant_subsets(action, limit=4):
+def invariant_subsets(action):
     """Representative invariant color subsets T with the action trivial on
     the complement, smallest first."""
     orbs = groups.orbits(action)
@@ -85,4 +85,4 @@ def invariant_subsets(action, limit=4):
     for T in candidates:
         if T not in seen:
             seen.append(T)
-    return seen[:limit]
+    return seen

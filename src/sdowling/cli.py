@@ -21,8 +21,8 @@ from .dowling import (
     poset_to_dot,
     poset_to_json,
 )
-from .errors import DegenerateCase, InputFormatError, InvalidSpec, SDowlingError
-from .poset import characteristic_polynomial, moebius, sphere_count_formula
+from .errors import InputFormatError, InvalidSpec, SDowlingError
+from .poset import characteristic_polynomial, moebius, sphere_product
 from .topology import DEFAULT_MAX_FACES
 
 
@@ -118,14 +118,11 @@ def cmd_verify_el(args):
 def cmd_count_chains(args):
     action, poset = _build_base(args)
     count = len(labeling.decreasing_chains(adjoin_top(poset), _labeling_fn(args.labeling)))
-    try:
-        formula = sphere_count_formula(args.n, action.group.order, action.set_size)
-    except DegenerateCase:
-        formula = None
+    formula = sphere_product(args.n, action.group.order, action.set_size)
     _emit(args, {
         "decreasing": count,
         "formula": formula,
-        "match": formula is not None and count == formula,
+        "match": count == formula,
     })
     return 0 if count == formula else 1
 
@@ -190,14 +187,22 @@ def cmd_homology(args):
 
 def cmd_certify(args):
     if args.paper_suite:
+        # certify registers these with default None, so a value means "given"
+        given = [opt for opt in ("--group", "--n", "--T", "--dim", "--count",
+                                 "--max-elements", "--max-faces")
+                 if getattr(args, opt[2:].replace("-", "_")) is not None]
+        if given:
+            raise InputFormatError(f"--paper-suite runs a fixed battery; drop {' '.join(given)}")
         return _run_suite(args)
     if args.group is None or args.n is None or args.dim is None or args.count is None:
         raise InputFormatError(
             "certify needs --group, --n, --dim, and --count (or --paper-suite)"
         )
+    if args.max_elements is None:
+        args.max_elements = DEFAULT_MAX_ELEMENTS
     action, poset = _build_base(args)
-    cert = topology.certify_wedge(poset, args.dim, args.count,
-                                  max_faces=args.max_faces)
+    max_faces = DEFAULT_MAX_FACES if args.max_faces is None else args.max_faces
+    cert = topology.certify_wedge(poset, args.dim, args.count, max_faces=max_faces)
     _emit(args, cert.to_json())
     return 0 if cert.passed else 1
 
@@ -227,12 +232,22 @@ def cmd_reduce(args):
 # Argument plumbing.
 
 
+def _int_at_least(low):
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _add_common(sub, with_poset=True, with_T=True, poset_required=True):
     if with_poset:
         sub.add_argument("--group", required=poset_required,
                          help="action JSON file, or builtin NAME:m[:ACTION] "
                               "(e.g. Z2:2:swap)")
-        sub.add_argument("--n", type=int, required=poset_required,
+        sub.add_argument("--n", type=_int_at_least(1), required=poset_required,
                          help="ground set size")
         if with_T:
             sub.add_argument("--T", default=None,
@@ -279,9 +294,9 @@ def build_parser():
 
     p = subs.add_parser("trees", help="count and enumerate blooming trees")
     _add_common(p, with_poset=False)
-    p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--nodes", type=_int_at_least(1), required=True)
+    p.add_argument("--q", type=_int_at_least(0), required=True)
+    p.add_argument("--r", type=_int_at_least(0), required=True)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--max-trees", type=int, default=None)
     p.set_defaults(fn=cmd_trees)
@@ -298,12 +313,12 @@ def build_parser():
 
     p = subs.add_parser("certify", help="certify a wedge-of-spheres profile")
     _add_common(p, poset_required=False)
-    p.add_argument("--max-faces", type=int, default=DEFAULT_MAX_FACES)
+    p.add_argument("--max-faces", type=int, default=None)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--paper-suite", action="store_true",
                    help="run the whole reproduction battery")
-    p.set_defaults(fn=cmd_certify)
+    p.set_defaults(fn=cmd_certify, max_elements=None)
 
     p = subs.add_parser("reduce", help="apply and verify the orbit reduction")
     _add_common(p)

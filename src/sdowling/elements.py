@@ -39,10 +39,8 @@ def normalize_block(group, support, colors):
     return support, colors
 
 
-def make_element(group, n, blocks, zero, is_top=False):
+def make_element(group, n, blocks, zero):
     """Build a canonical element from possibly unnormalized data."""
-    if is_top:
-        return DowlingElement(n=n, blocks=(), zero=(), is_top=True)
     norm = sorted(normalize_block(group, s, c) for s, c in blocks)
     return DowlingElement(n=n, blocks=tuple(norm), zero=tuple(sorted(zero)))
 
@@ -62,19 +60,15 @@ def bottom_element(n):
 # Rendering and JSON round-trip.
 
 
-def _group_name(g, names=None):
-    if names:
-        return names[g]
+def _group_name(g):
     return "e" if g == 0 else f"g{g}" if g > 1 else "g"
 
 
-def _color_name(s, names=None):
-    if names:
-        return names[s]
+def _color_name(s):
     return f"s{s + 1}"
 
 
-def bracket_notation(element, ascii_only=False, group_names=None, color_names=None):
+def bracket_notation(element, ascii_only=False):
     """Render an element in the bracket syntax, e.g. ``[1_e 2_g ∥ ∅]``."""
     sep = "||" if ascii_only else "∥"
     if element.is_top:
@@ -82,10 +76,10 @@ def bracket_notation(element, ascii_only=False, group_names=None, color_names=No
     parts = []
     for support, colors in element.blocks:
         parts.append(
-            " ".join(f"{i}_{_group_name(c, group_names)}" for i, c in zip(support, colors))
+            " ".join(f"{i}_{_group_name(c)}" for i, c in zip(support, colors))
         )
     left = " | ".join(parts) if parts else ("0" if ascii_only else "∅")
-    zero = " ".join(f"{i}_{_color_name(s, color_names)}" for i, s in element.zero)
+    zero = " ".join(f"{i}_{_color_name(s)}" for i, s in element.zero)
     if not zero:
         zero = "0" if ascii_only else "∅"
     return f"[{left} {sep} {zero}]"

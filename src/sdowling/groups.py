@@ -77,9 +77,6 @@ class GroupAction:
     def apply(self, g, s):
         return self.act[g][s]
 
-    def colors(self):
-        return range(self.set_size)
-
 
 def validate_action(group, act) -> GroupAction:
     """Check that `act` is a left action of `group` on 0..set_size-1."""

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import groups
-from .dowling import build_subposet
+from .dowling import DEFAULT_MAX_ELEMENTS, build_subposet
 from .elements import make_element
 from .errors import InvalidSpec
 from .labeling import classify_cover
@@ -55,7 +55,7 @@ def closure_f(x, spec, action):
     return make_element(group, x.n, x.blocks + ((support, colors),), rest)
 
 
-def reduce_poset(n, action, T, spec, max_elements=None):
+def reduce_poset(n, action, T, spec, max_elements=DEFAULT_MAX_ELEMENTS):
     """Poset of the closure operator's image, together with the closure report.
 
     The image is rebuilt as the independently constructed subposet on the
@@ -89,14 +89,13 @@ class ClosureReport:
         }
 
 
-def reduce_and_verify(n, action, T, spec, max_elements=None):
+def reduce_and_verify(n, action, T, spec, max_elements=DEFAULT_MAX_ELEMENTS):
     """Build the subposet, apply the closure operator, and check everything.
 
     Returns (poset, reduced_poset, report) where `reduced_poset` is built
     independently from the action restricted to the surviving colors.
     """
-    kwargs = {} if max_elements is None else {"max_elements": max_elements}
-    poset = build_subposet(n, action, T, **kwargs)
+    poset = build_subposet(n, action, T, max_elements=max_elements)
     group = action.group
     index = {el: i for i, el in enumerate(poset.elements)}
     violations = []
@@ -149,7 +148,7 @@ def reduce_and_verify(n, action, T, spec, max_elements=None):
     keep = [s for s in range(action.set_size) if s not in orbit]
     small_action, color_map = groups.restrict_action(action, keep)
     small_T = sorted(color_map[t] for t in T)
-    reduced = build_subposet(n, small_action, small_T, **kwargs)
+    reduced = build_subposet(n, small_action, small_T, max_elements=max_elements)
     reduced_index = {el: i for i, el in enumerate(reduced.elements)}
 
     iso = len(image) == len(reduced.elements)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from math import gcd
 
 from .errors import EmptyPosetWarning, SizeLimitExceeded
 from .poset import bits
@@ -78,79 +79,18 @@ def order_complex(poset, strip_bounds=True, max_faces=DEFAULT_MAX_FACES):
 
 
 # ---------------------------------------------------------------------------
-# Integer Smith normal form, sparse with unit pivots first.
+# Integer Smith normal form: one sparse elimination, unit pivots first.
 
 
-def _dense_snf_diagonal(rows):
-    """Invariant factors of a small dense integer matrix (classic algorithm)."""
-    a = [row[:] for row in rows]
-    m = len(a)
-    n = len(a[0]) if a else 0
-    out = []
-    top = 0
-    while top < min(m, n):
-        # find a nonzero pivot
-        pr = pc = -1
-        best = None
-        for i in range(top, m):
-            for j in range(top, n):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best, pr, pc = v, i, j
-        if best is None:
-            break
-        a[top], a[pr] = a[pr], a[top]
-        for row in a:
-            row[top], row[pc] = row[pc], row[top]
-        while True:
-            # clear column
-            again = False
-            for i in range(top + 1, m):
-                if a[i][top]:
-                    qt = a[i][top] // a[top][top]
-                    for j in range(top, n):
-                        a[i][j] -= qt * a[top][j]
-                    if a[i][top]:
-                        a[top], a[i] = a[i], a[top]
-                        again = True
-            if again:
-                continue
-            for j in range(top + 1, n):
-                if a[top][j]:
-                    qt = a[top][j] // a[top][top]
-                    for i in range(top, m):
-                        a[i][j] -= qt * a[i][top]
-                    if a[top][j]:
-                        for i in range(top, m):
-                            a[i][top], a[i][j] = a[i][j], a[i][top]
-                        again = True
-            if not again:
-                break
-        # divisibility fix-up: pivot must divide every remaining entry
-        piv = a[top][top]
-        fixed = True
-        for i in range(top + 1, m):
-            for j in range(top + 1, n):
-                if a[i][j] % piv:
-                    for jj in range(top, n):
-                        a[top][jj] += a[i][jj]
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
-        out.append(abs(piv))
-        top += 1
-    return out
+def smith_invariants(entries):
+    """Invariant factors of a sparse integer matrix, in divisibility order.
 
-
-def smith_invariants(entries, nrows, ncols):
-    """Invariant factors of a sparse integer matrix.
-
-    `entries` is a dict {(row, col): value}.  Unit pivots are eliminated
-    sparsely; whatever remains (rare for order complexes) goes through the
-    dense routine.
+    `entries` is a dict {(row, col): value}.  Each step takes a unit pivot
+    with the least fill-in, or, when no unit is left, an entry of least
+    absolute value.  Row operations reduce its column and column operations
+    reduce its row modulo the pivot; a nonzero remainder is smaller than the
+    pivot and starts the next step.  A pivot left alone in its row and
+    column is a diagonal entry.
     """
     rows = {}
     cols = {}
@@ -158,8 +98,8 @@ def smith_invariants(entries, nrows, ncols):
         if v:
             rows.setdefault(r, {})[c] = v
             cols.setdefault(c, set()).add(r)
-    ones = 0
-    while True:
+    diag = []
+    while rows:
         pivot = None
         best_cost = None
         for r, row in rows.items():
@@ -173,44 +113,50 @@ def smith_invariants(entries, nrows, ncols):
             if best_cost == 0:
                 break
         if pivot is None:
-            break
+            _, pivot = min((abs(v), (r, c))
+                           for r, row in rows.items() for c, v in row.items())
         r, c = pivot
-        pv = rows[r][c]
-        prow = rows.pop(r)
-        for cc in prow:
-            cols[cc].discard(r)
-        for rr in list(cols.get(c, ())):
+        prow = rows[r]
+        pv = prow[c]
+        for rr in list(cols[c]):
+            if rr == r:
+                continue
             row = rows[rr]
-            factor = row[c] * pv  # pv is +-1, so this is row[c]/pv
+            factor = row[c] // pv  # exact for a unit pivot
             for cc, v in prow.items():
-                if cc == c:
-                    continue
                 nv = row.get(cc, 0) - factor * v
                 if nv:
                     row[cc] = nv
-                    cols.setdefault(cc, set()).add(rr)
-                else:
-                    if cc in row:
-                        del row[cc]
-                        cols[cc].discard(rr)
-            del row[c]
-            cols[c].discard(rr)
+                    cols[cc].add(rr)
+                elif cc in row:
+                    del row[cc]
+                    cols[cc].discard(rr)
             if not row:
                 del rows[rr]
-        cols.pop(c, None)
-        ones += 1
-    if not rows:
-        return [1] * ones
-    # dense fallback on the remaining block
-    rindex = {r: i for i, r in enumerate(rows)}
-    cset = sorted({c for row in rows.values() for c in row})
-    cindex = {c: j for j, c in enumerate(cset)}
-    dense = [[0] * len(cset) for _ in rindex]
-    for r, row in rows.items():
-        for c, v in row.items():
-            dense[rindex[r]][cindex[c]] = v
-    rest = _dense_snf_diagonal(dense)
-    return [1] * ones + sorted(rest)
+        if len(cols[c]) > 1:
+            continue
+        # the column is clear, so column operations change only the pivot row
+        for cc in list(prow):
+            if cc != c:
+                nv = prow[cc] % pv
+                if nv:
+                    prow[cc] = nv
+                else:
+                    del prow[cc]
+                    cols[cc].discard(r)
+        if len(prow) > 1:
+            continue
+        del rows[r]
+        del cols[c]
+        diag.append(abs(pv))
+    # diag(a, b) is equivalent to diag(gcd, lcm); this puts the factors in
+    # divisibility order, which for positive integers is ascending order
+    diag.sort()
+    for i in range(diag.count(1), len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +189,7 @@ def _boundary_entries(faces, d):
         for i in range(len(f)):
             sub = f[:i] + f[i + 1 :]
             entries[(lower[sub], j)] = (-1) ** i
-    return entries, len(faces[d - 1]), len(faces[d])
+    return entries
 
 
 def homology(complex_) -> HomologyProfile:
@@ -258,8 +204,7 @@ def homology(complex_) -> HomologyProfile:
     ranks[0] = 1 if faces[0] else 0
     factors[0] = [1] * ranks[0]
     for d in range(1, dim + 1):
-        entries, nr, nc = _boundary_entries(faces, d)
-        inv = smith_invariants(entries, nr, nc)
+        inv = smith_invariants(_boundary_entries(faces, d))
         ranks[d] = len(inv)
         factors[d] = inv
     betti = []

@@ -136,6 +136,43 @@ def test_certify_requires_arguments(capsys):
     assert "certify needs" in err
 
 
+@pytest.mark.parametrize("option", [
+    ["--group", "Z2:2"], ["--n", "9"], ["--T", ""], ["--dim", "4"], ["--count", "7"],
+    ["--max-elements", "10"], ["--max-faces", "10"],
+    ["--group", "Z2:2", "--n", "9", "--dim", "4", "--count", "7", "--T", "0"],
+])
+def test_paper_suite_rejects_single_run_options(capsys, option):
+    code, out, err = run(capsys, "certify", "--paper-suite", *option)
+    assert code == 2
+    assert out == ""
+    assert option[0] in err
+
+
+def test_paper_suite_keeps_out_and_pretty(capsys, tmp_path, monkeypatch):
+    from sdowling import acceptance
+
+    monkeypatch.setattr(acceptance, "run_suite", lambda progress: [])
+    target = tmp_path / "suite.json"
+    code, out, _ = run(capsys, "certify", "--paper-suite", "--out", str(target), "--pretty")
+    assert code == 0
+    assert out == ""
+    assert json.loads(target.read_text()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--group", "Z2:2", "--n", "0"],
+    ["count-chains", "--group", "Z2:2", "--n", "-1"],
+    ["trees", "--nodes", "0", "--q", "1", "--r", "1"],
+    ["trees", "--nodes", "2", "--q", "-1", "--r", "1"],
+    ["trees", "--nodes", "2", "--q", "1", "--r", "-1"],
+])
+def test_out_of_range_sizes_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be at least" in err
+
+
 def test_reduce_subcommand(capsys):
     code, out, _ = run(capsys, "reduce", "--group", "Z2:2:swap", "--n", "2",
                        "--T", "", "--orbit", "0")

@@ -48,6 +48,8 @@ RUNS = [
     ["moebius", "--group", "Z2:3:swap", "--n", "2", "--T", "2"],
     ["homology", "--group", "Z2:2", "--n", "3", "--max-faces", "10"],
     ["certify", "--group", "Z4:2:swap", "--n", "2", "--T", "", "--dim", "1", "--count", "2"],
+    # the degenerate point n=1, trivial group, no colors: one chain, bottom < top
+    ["count-chains", "--group", "trivial:0", "--n", "1"],
 ]
 
 

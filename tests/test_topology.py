@@ -1,6 +1,11 @@
+import random
 import warnings
+from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdowling import groups, topology
 from sdowling.dowling import build_dowling, build_subposet
@@ -44,12 +49,86 @@ def test_order_complex_face_cap():
 
 def test_smith_invariants_known_matrices():
     # diag(2, 6) stays put
-    assert smith_invariants({(0, 0): 2, (1, 1): 6}, 2, 2) == [2, 6]
+    assert smith_invariants({(0, 0): 2, (1, 1): 6}) == [2, 6]
     # a unimodular 2x2
-    assert smith_invariants({(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 1}, 2, 2) == [1, 1]
+    assert smith_invariants({(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 1}) == [1, 1]
     # [[2,0],[0,3]] has SNF diag(1,6)
-    assert smith_invariants({(0, 0): 2, (1, 1): 3}, 2, 2) == [1, 6]
-    assert smith_invariants({}, 3, 3) == []
+    assert smith_invariants({(0, 0): 2, (1, 1): 3}) == [1, 6]
+    assert smith_invariants({}) == []
+    # no unit entry anywhere
+    assert smith_invariants({(0, 0): 2, (0, 1): 4, (1, 0): 6, (1, 1): 8}) == [2, 4]
+    assert smith_invariants({(0, 0): -4, (1, 1): 6, (2, 2): 10}) == [2, 2, 60]
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * v * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+               for j, v in enumerate(m[0]) if v)
+
+
+def _invariant_factors_by_minors(m):
+    """d_k = D_k / D_(k-1), where D_k is the gcd of the k-by-k minors."""
+    out, prev = [], 1
+    for k in range(1, min(len(m), len(m[0])) + 1):
+        dk = 0
+        for rs in combinations(range(len(m)), k):
+            for cs in combinations(range(len(m[0])), k):
+                dk = gcd(dk, _det([[m[i][j] for j in cs] for i in rs]))
+        if dk == 0:
+            break
+        out.append(dk // prev)
+        prev = dk
+    return out
+
+
+def _rank(m, ncols, p=None):
+    """Rank over Q, or over GF(p) when p is given."""
+    rows = [[Fraction(v) if p is None else v % p for v in row] for row in m]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][c] if p is None else pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+            if p is not None:
+                rows[i] = [a % p for a in rows[i]]
+        rank += 1
+    return rank
+
+
+# one pool with units, one without, so both pivot choices are exercised
+VALUE_POOLS = ([0, 0, 1, -1, 2, -3, 5], [0, 0, 2, -2, 3, 4, 6])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_smith_invariants_match_determinantal_divisors(data):
+    pool = data.draw(st.sampled_from(VALUE_POOLS))
+    nr, nc = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    m = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=nc, max_size=nc),
+                           min_size=nr, max_size=nr))
+    entries = {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row)}
+    assert smith_invariants(entries) == _invariant_factors_by_minors(m)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_smith_invariants_ranks_over_q_and_mod_p(seed):
+    rng = random.Random(seed)
+    nr, nc = rng.randint(1, 25), rng.randint(1, 25)
+    values = [v for v in range(-12, 13) if v] if seed % 2 else [-6, -4, -2, 2, 3, 4, 6, 9]
+    m = [[rng.choice(values) if rng.random() < 0.25 else 0 for _ in range(nc)]
+         for _ in range(nr)]
+    entries = {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row) if v}
+    inv = smith_invariants(entries)
+    assert all(b % a == 0 for a, b in zip(inv, inv[1:]))
+    assert len(inv) == _rank(m, nc)
+    for p in (2, 3, 5, 7):
+        assert sum(1 for f in inv if f % p) == _rank(m, nc, p)
 
 
 def test_homology_circle_and_sphere():
