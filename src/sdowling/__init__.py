@@ -19,7 +19,7 @@ from .groups import (
     validate_group,
 )
 from .labeling import label_lambda, label_mu, verify_el
-from .poset import RankedPoset, characteristic_polynomial, moebius, sphere_count_formula
+from .poset import RankedPoset, characteristic_polynomial, moebius, sphere_product
 from .reduction import make_spec, reduce_poset
 from .topology import certify_wedge, homology, order_complex
 from .trees import count_blooming, enumerate_blooming, psi, psi_inv
@@ -50,7 +50,7 @@ __all__ = [
     "psi",
     "psi_inv",
     "reduce_poset",
-    "sphere_count_formula",
+    "sphere_product",
     "top_element",
     "trivial_action",
     "trivial_group",

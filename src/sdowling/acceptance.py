@@ -4,11 +4,13 @@ the acceptance test module."""
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import catalog, groups, labeling, reduction, topology, trees
 from .dowling import adjoin_top, build_dowling, build_subposet
+from .elements import bottom_element, make_element, top_element
 from .poset import characteristic_polynomial, moebius, Polynomial, sphere_product
 
 
@@ -16,9 +18,12 @@ from .poset import characteristic_polynomial, moebius, Polynomial, sphere_produc
 class CriterionResult:
     number: int
     name: str
-    passed: bool
     checked: int
-    failures: list = field(default_factory=list)
+    failures: list
+
+    @property
+    def passed(self):
+        return not self.failures
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"
@@ -35,101 +40,99 @@ class CriterionResult:
         }
 
 
+# the criteria in registration order; run_suite reads this module global
+ALL_CRITERIA = []
+
+
+def _criterion(number, name):
+    """Register a criterion.  The decorated generator yields one list of
+    failure messages per check it makes; the registered function runs it to
+    the end and tallies the checks and failures into a CriterionResult."""
+
+    def register(checks):
+        @functools.wraps(checks)
+        def run():
+            checked, failures = 0, []
+            for messages in checks():
+                checked += 1
+                failures += messages
+            return CriterionResult(number, name, checked, failures)
+
+        ALL_CRITERIA.append(run)
+        return run
+
+    return register
+
+
+def _unless(ok, message):
+    """The failure messages of one check: none when it holds."""
+    return [] if ok else [message]
+
+
 # ---------------------------------------------------------------------------
-# Shared cached builds.
-
-_CACHE = {}
+# Shared cached builds, one per grid point.
 
 
-def _grid():
-    return list(catalog.dowling_grid())
+@functools.cache
+def _d(n, action):
+    return build_dowling(n, action)
 
 
-def _dhat(key, n, action):
-    ck = ("dhat", key)
-    if ck not in _CACHE:
-        _CACHE[ck] = adjoin_top(_d(key, n, action))
-    return _CACHE[ck]
+@functools.cache
+def _dhat(n, action):
+    return adjoin_top(_d(n, action))
 
 
-def _d(key, n, action):
-    ck = ("d", key)
-    if ck not in _CACHE:
-        _CACHE[ck] = build_dowling(n, action)
-    return _CACHE[ck]
-
-
-def _el_lambda(key, n, action):
-    ck = ("el", key)
-    if ck not in _CACHE:
-        _CACHE[ck] = labeling.verify_el(
-            _dhat(key, n, action), labeling.label_lambda, with_witness_chains=False
-        )
-    return _CACHE[ck]
+@functools.cache
+def _el_lambda(n, action):
+    return labeling.verify_el(
+        _dhat(n, action), labeling.label_lambda, with_witness_chains=False
+    )
 
 
 # ---------------------------------------------------------------------------
 # Criteria.
 
 
+@_criterion(1, "lambda is an EL-labeling of the full bounded poset")
 def criterion_1():
-    failures = []
-    checked = 0
-    for key, n, action in _grid():
-        checked += 1
-        if not _el_lambda(key, n, action).passed:
-            failures.append(key)
-    return CriterionResult(1, "lambda is an EL-labeling of the full bounded poset",
-                           not failures, checked, failures)
+    for key, n, action in catalog.dowling_grid():
+        yield _unless(_el_lambda(n, action).passed, key)
 
 
+@_criterion(2, "mu is an EL-labeling of subposets with trivial action off T")
 def criterion_2():
-    failures = []
-    checked = 0
-    for key, n, action in _grid():
+    for key, n, action in catalog.dowling_grid():
         for T in catalog.invariant_subsets(action):
-            checked += 1
             phat = adjoin_top(build_subposet(n, action, list(T)))
             rep = labeling.verify_el(phat, labeling.label_mu, with_witness_chains=False)
-            if not rep.passed:
-                failures.append(f"{key},T={list(T)}")
-    return CriterionResult(2, "mu is an EL-labeling of subposets with trivial action off T",
-                           not failures, checked, failures)
+            yield _unless(rep.passed, f"{key},T={list(T)}")
 
 
+@_criterion(3, "decreasing chain counts match the closed-form product")
 def criterion_3():
-    failures = []
-    checked = 0
-    for key, n, action in _grid():
-        checked += 1
-        dec = _el_lambda(key, n, action).decreasing_chain_count
+    for key, n, action in catalog.dowling_grid():
+        dec = _el_lambda(n, action).decreasing_chain_count
         expected = sphere_product(n, action.group.order, action.set_size)
-        if dec != expected:
-            failures.append(f"{key}: {dec} != {expected}")
-            continue
+        direct = expected
         if action.group.order == 1 and action.set_size >= 2:
             direct = math.factorial(n) * math.comb(n + action.set_size - 2, n)
-            if dec != direct:
-                failures.append(f"{key}: {dec} != direct count {direct}")
-    return CriterionResult(3, "decreasing chain counts match the closed-form product",
-                           not failures, checked, failures)
+        # the first failure only: the direct count is compared once the product holds
+        yield (_unless(dec == expected, f"{key}: {dec} != {expected}")
+               or _unless(dec == direct, f"{key}: {dec} != direct count {direct}"))
 
 
+@_criterion(4, "blooming tree enumeration matches the product formula")
 def criterion_4():
-    failures = []
-    checked = 0
+    figure_counts = {(3, 2, 1): 18, (3, 0, 0): 3}  # the trees drawn in the paper's figures
     for k in range(1, 7):
         for q in range(4):
             for r in range(4):
-                checked += 1
                 count = sum(1 for _ in trees.enumerate_blooming(k, q, r))
                 expected = trees.count_blooming(k, q, r)
-                if count != expected:
-                    failures.append(f"k={k},q={q},r={r}: {count} != {expected}")
-    if trees.count_blooming(3, 2, 1) != 18 or trees.count_blooming(3, 0, 0) != 3:
-        failures.append("figure counts 18 / 3 do not match")
-    return CriterionResult(4, "blooming tree enumeration matches the product formula",
-                           not failures, checked, failures)
+                figure = figure_counts.get((k, q, r), expected)
+                yield (_unless(count == expected, f"k={k},q={q},r={r}: {count} != {expected}")
+                       + _unless(expected == figure, "figure counts 18 / 3 do not match"))
 
 
 def _bijection_points():
@@ -140,24 +143,17 @@ def _bijection_points():
                     yield f"n={n},G={gname},m={m},act={aname}", n, action
 
 
+@_criterion(5, "the chain/tree bijection round-trips both ways")
 def criterion_5():
-    failures = []
-    checked = 0
     for key, n, action in _bijection_points():
-        checked += 1
-        dhat = _dhat(key, n, action)
-        chains = [
-            [dhat.elements[i] for i in c]
-            for c in _el_lambda(key, n, action).decreasing_chains
-        ]
+        dhat = _dhat(n, action)
+        chains = [[dhat.elements[i] for i in c]
+                  for c in _el_lambda(n, action).decreasing_chains]
         _, messages = trees.bijection_failures(chains, n, action)
-        failures += [f"{key}: {msg}" for msg in messages]
+        yield [f"{key}: {msg}" for msg in messages]
     # the worked figure instance: n=4, |G|=3, |S|=5
-    checked += 1
     z3 = catalog.group_by_name("Z3")
     act = groups.trivial_action(z3, 5)
-    from .elements import bottom_element, make_element, top_element
-
     chain = [
         bottom_element(4),
         make_element(z3, 4, [((1, 2), (0, 2)), ((3,), (0,)), ((4,), (0,))], []),
@@ -170,56 +166,46 @@ def criterion_5():
         0,
         ("*", "*", (3, ("*",)), "*", (1, ((2, ("*",)), "*", (4, ("*",))))),
     )
-    if trees.psi(chain, act) != figure_tree or trees.psi_inv(figure_tree, 4, act) != chain:
-        failures.append("worked figure instance does not round-trip")
-    return CriterionResult(5, "the chain/tree bijection round-trips both ways",
-                           not failures, checked, failures)
+    yield _unless(trees.psi(chain, act) == figure_tree
+                  and trees.psi_inv(figure_tree, 4, act) == chain,
+                  "worked figure instance does not round-trip")
 
 
+@_criterion(6, "homology of the proper part is a free wedge profile")
 def criterion_6():
-    failures = []
-    checked = 0
-    for key, n, action in _grid():
-        rep = _el_lambda(key, n, action)
+    for key, n, action in catalog.dowling_grid():
+        rep = _el_lambda(n, action)
         if not rep.passed:
             continue
-        checked += 1
-        d = _d(key, n, action)
         eps = 1 if action.set_size == 0 else 0
         dim = n - 1 - eps
         count = rep.decreasing_chain_count
-        cert = topology.certify_wedge(d, dim, count)
+        cert = topology.certify_wedge(_d(n, action), dim, count)
         if dim < 0:
             # proper part empty; reduced homology lives in degree -1
             ok = cert.profile.empty and count == 1
         else:
             ok = cert.passed
-        if not ok:
-            failures.append(f"{key}: betti {cert.profile.reduced_betti} "
-                            f"torsion {cert.profile.torsion} expected {count} in dim {dim}")
-    return CriterionResult(6, "homology of the proper part is a free wedge profile",
-                           not failures, checked, failures)
+        yield _unless(ok, f"{key}: betti {cert.profile.reduced_betti} "
+                          f"torsion {cert.profile.torsion} expected {count} in dim {dim}")
 
 
+@_criterion(7, "non-shellable counterexamples have the predicted homology")
 def criterion_7():
-    failures = []
     z2 = catalog.group_by_name("Z2")
     z4 = catalog.group_by_name("Z4")
     swap2 = groups.action_from_permutations(z2, [[0, 1], [1, 0]])
     swap4 = groups.action_from_permutations(z4, [[0, 1], [1, 0], [0, 1], [1, 0]])
     p2 = build_subposet(2, swap2, [])
     h2 = topology.homology(topology.order_complex(p2))
-    if h2.reduced_betti != [1, 0] or any(h2.torsion):
-        failures.append(f"Z2 counterexample betti {h2.reduced_betti}")
+    yield _unless(h2.reduced_betti == [1, 0] and not any(h2.torsion),
+                  f"Z2 counterexample betti {h2.reduced_betti}")
     p4 = build_subposet(2, swap4, [])
     h4 = topology.homology(topology.order_complex(p4))
-    if h4.reduced_betti != [1, 2] or any(h4.torsion):
-        failures.append(f"Z4 counterexample betti {h4.reduced_betti}")
-    cert = topology.certify_wedge(p4, 0, 1)
-    if cert.passed:
-        failures.append("Z4 counterexample unexpectedly certifies as a wedge")
-    return CriterionResult(7, "non-shellable counterexamples have the predicted homology",
-                           not failures, 3, failures)
+    yield _unless(h4.reduced_betti == [1, 2] and not any(h4.torsion),
+                  f"Z4 counterexample betti {h4.reduced_betti}")
+    yield _unless(not topology.certify_wedge(p4, 0, 1).passed,
+                  "Z4 counterexample unexpectedly certifies as a wedge")
 
 
 def _closure_configs():
@@ -235,79 +221,54 @@ def _closure_configs():
         yield f"n={n},Z3-cycle,m=3,T=[]", n, cyc3, [], 0, n - 2
 
 
+def _closure_failures(key, n, action, T, orbit_min, dim):
+    """The first failure of one closure configuration: its closure check,
+    then equal homology before and after the reduction, then a wedge."""
+    spec = reduction.make_spec(action, T, orbit_min)
+    poset, reduced, rep = reduction.reduce_and_verify(n, action, T, spec)
+    if not rep.passed:
+        return [f"{key}: closure violations {rep.violations[:3]}"]
+    before = topology.homology(topology.order_complex(poset))
+    after = topology.homology(topology.order_complex(reduced))
+    pad = max(len(before.reduced_betti), len(after.reduced_betti))
+    b = before.reduced_betti + [0] * (pad - len(before.reduced_betti))
+    a = after.reduced_betti + [0] * (pad - len(after.reduced_betti))
+    if b != a or any(before.torsion) or any(after.torsion):
+        return [f"{key}: betti changed {b} -> {a}"]
+    # a wedge of zero spheres (contractible) is legitimate
+    expected = [b[d] if d == dim else 0 for d in range(pad)]
+    return _unless(b == expected, f"{key}: betti {b} not a wedge in dimension {dim}")
+
+
+@_criterion(8, "closure operator verified; reduction preserves homology")
 def criterion_8():
-    failures = []
-    checked = 0
-    for key, n, action, T, orbit_min, dim in _closure_configs():
-        checked += 1
-        spec = reduction.make_spec(action, T, orbit_min)
-        poset, reduced, rep = reduction.reduce_and_verify(n, action, T, spec)
-        if not rep.passed:
-            failures.append(f"{key}: closure violations {rep.violations[:3]}")
-            continue
-        before = topology.homology(topology.order_complex(poset))
-        after = topology.homology(topology.order_complex(reduced))
-        pad = max(len(before.reduced_betti), len(after.reduced_betti))
-        b = before.reduced_betti + [0] * (pad - len(before.reduced_betti))
-        a = after.reduced_betti + [0] * (pad - len(after.reduced_betti))
-        if b != a or any(before.torsion) or any(after.torsion):
-            failures.append(f"{key}: betti changed {b} -> {a}")
-            continue
-        # a wedge of zero spheres (contractible) is legitimate
-        expected = [b[d] if d == dim else 0 for d in range(pad)]
-        if b != expected:
-            failures.append(f"{key}: betti {b} not a wedge in dimension {dim}")
-    return CriterionResult(8, "closure operator verified; reduction preserves homology",
-                           not failures, checked, failures)
+    for config in _closure_configs():
+        yield _closure_failures(*config)
 
 
+@_criterion(9, "characteristic polynomial matches the closed form")
 def criterion_9():
-    failures = []
-    checked = 0
-    for key, n, action in _grid():
-        checked += 1
-        d = _d(key, n, action)
-        chi = characteristic_polynomial(d)
+    for key, n, action in catalog.dowling_grid():
+        chi = characteristic_polynomial(_d(n, action))
         m, g = action.set_size, action.group.order
         if m > 0:
             expected = Polynomial.from_roots([m + g * i for i in range(n)])
         else:
             expected = Polynomial.from_roots([g * i for i in range(1, n)])
-        if chi != expected:
-            failures.append(f"{key}: {chi.coeffs} != {expected.coeffs}")
-    return CriterionResult(9, "characteristic polynomial matches the closed form",
-                           not failures, checked, failures)
+        yield _unless(chi == expected, f"{key}: {chi.coeffs} != {expected.coeffs}")
 
 
+@_criterion(10, "Moebius / decreasing-chain duality")
 def criterion_10():
-    failures = []
-    checked = 0
-    for key, n, action in _grid():
-        rep = _el_lambda(key, n, action)
+    for key, n, action in catalog.dowling_grid():
+        rep = _el_lambda(n, action)
         if not rep.passed:
             continue
-        checked += 1
-        dhat = _dhat(key, n, action)
+        dhat = _dhat(n, action)
         mu = moebius(dhat, dhat.bottom, dhat.top)
         rk = dhat.max_rank
-        if (-1) ** rk * mu != rep.decreasing_chain_count:
-            failures.append(f"{key}: (-1)^{rk} * {mu} != {rep.decreasing_chain_count}")
-    return CriterionResult(10, "Moebius / decreasing-chain duality",
-                           not failures, checked, failures)
-
-
-ALL_CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-)
+        yield _unless((-1) ** rk * mu == rep.decreasing_chain_count,
+                      f"{key}: (-1)^{rk} * {mu} != {rep.decreasing_chain_count}")
 
 
 def run_suite(progress=None):

@@ -7,22 +7,20 @@ from functools import lru_cache
 from . import groups
 
 
+_GROUPS = {
+    "trivial": groups.trivial_group,
+    "Z2": lambda: groups.cyclic_group(2),
+    "Z3": lambda: groups.cyclic_group(3),
+    "Z4": lambda: groups.cyclic_group(4),
+    "Z2xZ2": groups.klein_four_group,
+}
+GROUP_NAMES = tuple(_GROUPS)
+
+
 @lru_cache(maxsize=None)
 def group_by_name(name):
-    if name == "trivial":
-        return groups.trivial_group()
-    if name == "Z2":
-        return groups.cyclic_group(2)
-    if name == "Z3":
-        return groups.cyclic_group(3)
-    if name == "Z4":
-        return groups.cyclic_group(4)
-    if name == "Z2xZ2":
-        return groups.klein_four_group()
-    raise KeyError(name)
-
-
-GROUP_NAMES = ("trivial", "Z2", "Z3", "Z4", "Z2xZ2")
+    """The named group; KeyError for an unknown name."""
+    return _GROUPS[name]()
 
 
 def _swap_first_two(m):
@@ -33,7 +31,10 @@ def _swap_first_two(m):
 
 def actions_for(group_name, m):
     """Named actions of the group on m colors: the trivial one, plus one
-    canonical nontrivial action where the group admits any."""
+    canonical nontrivial action where the group admits any.  ValueError for
+    a negative m."""
+    if m < 0:
+        raise ValueError(f"color count must be at least 0, got {m}")
     group = group_by_name(group_name)
     ident = list(range(m))
     out = [("trivial", groups.trivial_action(group, m))]

@@ -21,7 +21,7 @@ from .dowling import (
     poset_to_dot,
     poset_to_json,
 )
-from .errors import InputFormatError, InvalidSpec, SDowlingError
+from .errors import IndexOutOfRange, InputFormatError, InvalidSpec, SDowlingError
 from .poset import characteristic_polynomial, moebius, sphere_product
 from .topology import DEFAULT_MAX_FACES
 
@@ -36,8 +36,10 @@ def _load_action(spec):
         aname = parts[2] if len(parts) == 3 else "trivial"
         try:
             named = dict(catalog.actions_for(gname, int(m)))
-        except (KeyError, ValueError) as exc:
-            raise InputFormatError(f"unknown group in {spec!r}: {exc}")
+        except KeyError:
+            raise InputFormatError(f"unknown group {gname!r} in {spec!r}")
+        except ValueError as exc:
+            raise InputFormatError(f"bad color count in {spec!r}: {exc}")
         if aname not in named:
             raise InputFormatError(
                 f"no action {aname!r} for {gname} on {m} colors; "
@@ -254,7 +256,7 @@ def _add_common(sub, with_poset=True, with_T=True, poset_required=True):
                              help="invariant color subset i,j,... (selects the subposet)")
         else:
             sub.set_defaults(T=None)
-        sub.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS)
+        sub.add_argument("--max-elements", type=_int_at_least(1), default=DEFAULT_MAX_ELEMENTS)
     sub.add_argument("--pretty", action="store_true", help="indent the JSON output")
     sub.add_argument("--out", default=None, help="write output here instead of stdout")
 
@@ -298,7 +300,7 @@ def build_parser():
     p.add_argument("--q", type=_int_at_least(0), required=True)
     p.add_argument("--r", type=_int_at_least(0), required=True)
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--max-trees", type=int, default=None)
+    p.add_argument("--max-trees", type=_int_at_least(1), default=None)
     p.set_defaults(fn=cmd_trees)
 
     p = subs.add_parser("bijection",
@@ -308,12 +310,12 @@ def build_parser():
 
     p = subs.add_parser("homology", help="reduced homology of the proper part")
     _add_common(p)
-    p.add_argument("--max-faces", type=int, default=DEFAULT_MAX_FACES)
+    p.add_argument("--max-faces", type=_int_at_least(1), default=DEFAULT_MAX_FACES)
     p.set_defaults(fn=cmd_homology)
 
     p = subs.add_parser("certify", help="certify a wedge-of-spheres profile")
     _add_common(p, poset_required=False)
-    p.add_argument("--max-faces", type=int, default=None)
+    p.add_argument("--max-faces", type=_int_at_least(1), default=None)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--paper-suite", action="store_true",
@@ -338,7 +340,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (InputFormatError, InvalidSpec) as exc:
+    except (InputFormatError, InvalidSpec, IndexOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

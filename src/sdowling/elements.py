@@ -57,7 +57,7 @@ def bottom_element(n):
 
 
 # ---------------------------------------------------------------------------
-# Rendering and JSON round-trip.
+# Rendering and JSON.
 
 
 def _group_name(g):
@@ -94,13 +94,3 @@ def element_to_json(element):
         ],
         "zero": {str(i): s for i, s in element.zero},
     }
-
-
-def element_from_json(group, n, data):
-    if data.get("top"):
-        return top_element(n)
-    blocks = [
-        (tuple(b["support"]), tuple(b["colors"])) for b in data.get("blocks", [])
-    ]
-    zero = [(int(i), s) for i, s in data.get("zero", {}).items()]
-    return make_element(group, n, blocks, zero)

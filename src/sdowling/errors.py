@@ -58,10 +58,6 @@ class NotBounded(SDowlingError):
     pass
 
 
-class DegenerateCase(SDowlingError):
-    pass
-
-
 class NotDecreasing(SDowlingError):
     pass
 

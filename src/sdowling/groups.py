@@ -107,10 +107,6 @@ def trivial_action(group, set_size) -> GroupAction:
     return GroupAction(group=group, set_size=set_size, act=act)
 
 
-def empty_action(group) -> GroupAction:
-    return GroupAction(group=group, set_size=0, act=tuple(() for _ in range(group.order)))
-
-
 def orbits(action):
     """Orbit partition of the color set, each orbit sorted, sorted by minimum."""
     seen = set()
@@ -130,16 +126,11 @@ def orbit_of(action, s):
     return sorted({action.apply(g, s) for g in range(action.group.order)})
 
 
-def stabilizer_order(action, s):
-    if not 0 <= s < action.set_size:
-        raise IndexOutOfRange(f"color {s} not in 0..{action.set_size - 1}")
-    return sum(1 for g in range(action.group.order) if action.apply(g, s) == s)
-
-
 def is_invariant(action, T):
-    """Is the color subset T closed under the action?"""
+    """Is the color subset T closed under the action?  A color outside the
+    color set raises IndexOutOfRange."""
     T = set(T)
-    return all(action.apply(g, t) in T for g in range(action.group.order) for t in T)
+    return all(set(orbit_of(action, t)) <= T for t in T)
 
 
 def restrict_action(action, keep):
@@ -226,12 +217,3 @@ def load_action_file(path) -> GroupAction:
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"{path}: {exc}") from exc
     return load_action_json(data)
-
-
-def action_to_json(action):
-    return {
-        "order": action.group.order,
-        "mult": [list(row) for row in action.group.mult],
-        "set_size": action.set_size,
-        "act": [list(row) for row in action.act],
-    }

@@ -89,11 +89,6 @@ def _check_cover(poset, xi, yi):
         raise NotACover(f"({xi}, {yi}) is not a cover edge")
 
 
-def classify_edge(poset, xi, yi) -> EdgeType:
-    _check_cover(poset, xi, yi)
-    return classify_cover(poset.elements[xi], poset.elements[yi])
-
-
 def label_lambda(poset, xi, yi) -> EdgeLabel:
     _check_cover(poset, xi, yi)
     return label_lambda_elements(poset.elements[xi], poset.elements[yi])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateCase, NotComparable, NotGraded
+from .errors import NotComparable, NotGraded
 
 
 class RankedPoset:
@@ -77,27 +77,12 @@ class RankedPoset:
     def interval_members(self, x, y):
         return list(bits(self.interval_mask(x, y)))
 
-    def is_bounded(self):
-        return self.bottom is not None and self.top is not None
-
 
 def is_graded(poset):
     """Every cover edge increments rank by exactly one, from a rank-0 bottom."""
     if poset.bottom is None or poset.rank[poset.bottom] != 0:
         return False
     return all(poset.rank[y] == poset.rank[x] + 1 for x, y in poset.cover_edges())
-
-
-def hasse_violations(poset):
-    """Cover edges implied by a two-step path (should be none)."""
-    bad = []
-    for x, ys in enumerate(poset.up):
-        targets = set(ys)
-        for y in ys:
-            for z in poset.up[y]:
-                if z in targets:
-                    bad.append((x, z))
-    return bad
 
 
 def bits(mask):
@@ -204,13 +189,6 @@ class Polynomial:
                 coeffs[i] -= r * coeffs[i + 1]
         return Polynomial.make(coeffs)
 
-    def __call__(self, t):
-        return sum(c * t**i for i, c in enumerate(self.coeffs))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
 
 def characteristic_polynomial(poset):
     """chi(t) = sum_x mu(0, x) t^(rk P - rk x); poset must be graded with bottom."""
@@ -223,18 +201,12 @@ def characteristic_polynomial(poset):
     return Polynomial.make(coeffs)
 
 
-def sphere_count_formula(n, size_g, size_s):
-    """Closed-form number of top-dimensional spheres for the full poset family."""
+def sphere_product(n, size_g, size_s):
+    """Closed-form number of top-dimensional spheres for the full poset
+    family: at the degenerate n=1, trivial group, no colors it is 1, the
+    chain bottom < top."""
     if n < 1 or size_g < 1 or size_s < 0:
         raise ValueError("need n >= 1, size_g >= 1, size_s >= 0")
-    if (n, size_g, size_s) == (1, 1, 0):
-        raise DegenerateCase("the proper part is empty for n=1, trivial group, no colors")
-    return sphere_product(n, size_g, size_s)
-
-
-def sphere_product(n, size_g, size_s):
-    """The product behind sphere_count_formula, without its checks: at the
-    degenerate n=1, trivial group, no colors it is 1, the chain bottom < top."""
     eps = 1 if size_s == 0 else 0
     prod = 1
     for i in range(n):

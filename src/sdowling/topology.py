@@ -29,22 +29,11 @@ class SimplicialComplex:
     def face_counts(self):
         return [len(fs) for fs in self.faces]
 
-    def euler_characteristic(self):
-        return sum((-1) ** d * len(fs) for d, fs in enumerate(self.faces))
 
-
-def order_complex(poset, strip_bounds=True, max_faces=DEFAULT_MAX_FACES):
-    """Simplicial complex whose faces are the chains of the poset.
-
-    With strip_bounds, the bottom element and an adjoined top are removed
-    first (the proper part).
-    """
-    skip = set()
-    if strip_bounds:
-        if poset.bottom is not None:
-            skip.add(poset.bottom)
-        if poset.top is not None:
-            skip.add(poset.top)
+def order_complex(poset, max_faces=DEFAULT_MAX_FACES):
+    """Simplicial complex whose faces are the chains of the proper part: the
+    poset without its bottom element and an adjoined top."""
+    skip = {poset.bottom, poset.top}
     vertices = [i for i in range(len(poset.elements)) if i not in skip]
     if not vertices:
         warnings.warn("order complex is empty", EmptyPosetWarning)
@@ -244,7 +233,7 @@ def certify_wedge(poset, expected_dim, expected_count, max_faces=DEFAULT_MAX_FAC
     Betti number in a predicted dimension."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptyPosetWarning)
-        cx = order_complex(poset, strip_bounds=True, max_faces=max_faces)
+        cx = order_complex(poset, max_faces=max_faces)
     profile = homology(cx)
     if profile.empty:
         passed = expected_count == 0

@@ -2,8 +2,8 @@
 decreasing maximal chains and blooming trees.
 
 A tree is a nested tuple (label, children) where children mixes subtrees and
-the bloom marker "*".  The child tuple is the only ordering data, so trees
-round-trip losslessly through JSON as nested lists.
+the bloom marker "*".  The child tuple is the only ordering data, so the
+nested JSON lists of tree_to_json lose nothing.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ BLOOM = "*"
 
 def is_bloom(entry):
     return entry == BLOOM
-
-
-def tree_label(tree):
-    return tree[0]
 
 
 def count_blooming(nodes, q, r):
@@ -113,14 +109,6 @@ def tree_to_json(tree):
         return BLOOM
     label, children = tree
     return [label, [tree_to_json(c) for c in children]]
-
-
-def tree_from_json(data):
-    if data == BLOOM:
-        return BLOOM
-    if not (isinstance(data, list) and len(data) == 2 and isinstance(data[0], int)):
-        raise MalformedTree(f"bad tree node {data!r}")
-    return (data[0], tuple(tree_from_json(c) for c in data[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +210,7 @@ def psi_inv(tree, n, action):
             if is_bloom(c):
                 blooms += 1
             else:
-                couples.append((u, tree_label(c), blooms))
+                couples.append((u, c[0], blooms))
                 walk(c)
 
     walk(tree)

@@ -58,3 +58,9 @@ def test_criterion_9_characteristic_polynomial():
 
 def test_criterion_10_moebius_chain_duality():
     _check(acceptance.criterion_10)
+
+
+def test_registered_criteria_keep_their_names_and_order():
+    # perfbench wraps each registered criterion and names its span after it
+    names = [fn.__name__ for fn in acceptance.ALL_CRITERIA]
+    assert names == [f"criterion_{k}" for k in range(1, 11)]

@@ -165,6 +165,11 @@ def test_paper_suite_keeps_out_and_pretty(capsys, tmp_path, monkeypatch):
     ["trees", "--nodes", "0", "--q", "1", "--r", "1"],
     ["trees", "--nodes", "2", "--q", "-1", "--r", "1"],
     ["trees", "--nodes", "2", "--q", "1", "--r", "-1"],
+    ["build", "--group", "Z2:2", "--n", "2", "--max-elements", "0"],
+    ["homology", "--group", "Z2:2", "--n", "2", "--max-faces", "-1"],
+    ["certify", "--group", "Z2:2", "--n", "2", "--dim", "1", "--count", "3",
+     "--max-faces", "0"],
+    ["trees", "--nodes", "3", "--q", "1", "--r", "1", "--max-trees", "0"],
 ])
 def test_out_of_range_sizes_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -219,6 +224,21 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     code, _, _ = run(capsys, "build", "--group", str(tmp_path / "missing.json"),
                      "--n", "2")
     assert code == 2
+    swap = tmp_path / "z2swap.json"
+    swap.write_text(json.dumps({"order": 2, "mult": [[0, 1], [1, 0]],
+                                "set_size": 2, "act": [[0, 1], [1, 0]]}))
+    # colors, color counts and orbits out of range: one error line, no traceback
+    for argv in (
+        ["homology", "--group", "Z2:2", "--n", "2", "--T", "5"],
+        ["reduce", "--group", "Z2:3:swap", "--n", "2", "--T", "5", "--orbit", "0"],
+        ["build", "--group", str(swap), "--n", "2", "--T", "0,1,7"],
+        ["build", "--group", "Z2:-1", "--n", "2"],
+        ["count-chains", "--group", "Z2:-2", "--n", "2"],
+        ["reduce", "--group", "Z2:2:swap", "--n", "2", "--T", "", "--orbit", "9"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_usage_error_exit_2(capsys):

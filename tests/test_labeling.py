@@ -105,7 +105,7 @@ def test_mu_equals_lambda_on_merge_edges():
         el_y = phat.elements[y]
         if el_y.is_top:
             continue
-        et = labeling.classify_edge(phat, x, y)
+        et = labeling.classify_cover(phat.elements[x], el_y)
         if et.kind != "colored":
             assert labeling.label_mu(phat, x, y) == labeling.label_lambda(phat, x, y)
 

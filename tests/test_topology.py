@@ -26,11 +26,9 @@ Z4 = groups.cyclic_group(4)
 def test_order_complex_of_a_chain_is_a_simplex():
     p = RankedPoset(list("abcd"), [(0, 1), (1, 2), (2, 3)], [0, 1, 2, 3],
                     bottom=0, top=3)
-    cx = order_complex(p, strip_bounds=True)
+    cx = order_complex(p)
     assert cx.face_counts() == [2, 1]
-    assert cx.euler_characteristic() == 1
-    full = order_complex(p, strip_bounds=False)
-    assert full.face_counts() == [4, 6, 4, 1]
+    assert sum((-1) ** d * count for d, count in enumerate(cx.face_counts())) == 1
 
 
 def test_order_complex_empty_warns():
@@ -158,7 +156,7 @@ def test_homology_projective_plane_torsion():
     verts = sorted({(v,) for t in tris for v in t})
     edges = sorted({(t[i], t[j]) for t in tris for i in range(3) for j in range(i + 1, 3)})
     cx = SimplicialComplex(vertices=list(range(6)), faces=[verts, edges, list(tris)])
-    assert cx.euler_characteristic() == 1
+    assert sum((-1) ** d * count for d, count in enumerate(cx.face_counts())) == 1
     prof = homology(cx)
     assert prof.reduced_betti == [0, 0, 0]
     assert prof.torsion[1] == [2]
