@@ -71,15 +71,40 @@ def order_complex(poset, max_faces=DEFAULT_MAX_FACES):
 # Integer Smith normal form: one sparse elimination, unit pivots first.
 
 
+def _eliminate(rows, cols, r, c):
+    """Clear column c outside the pivot row r by row operations with the
+    floor quotient (exact for a unit pivot)."""
+    prow = rows[r]
+    pv = prow[c]
+    for rr in list(cols[c]):
+        if rr == r:
+            continue
+        row = rows[rr]
+        factor = row[c] // pv
+        for cc, v in prow.items():
+            nv = row.get(cc, 0) - factor * v
+            if nv:
+                row[cc] = nv
+                cols[cc].add(rr)
+            elif cc in row:
+                del row[cc]
+                cols[cc].discard(rr)
+        if not row:
+            del rows[rr]
+
+
 def smith_invariants(entries):
     """Invariant factors of a sparse integer matrix, in divisibility order.
 
-    `entries` is a dict {(row, col): value}.  Each step takes a unit pivot
-    with the least fill-in, or, when no unit is left, an entry of least
-    absolute value.  Row operations reduce its column and column operations
-    reduce its row modulo the pivot; a nonzero remainder is smaller than the
-    pivot and starts the next step.  A pivot left alone in its row and
-    column is a diagonal entry.
+    `entries` is a dict {(row, col): value}.  Unit pivots come first, in
+    sweeps over the rows in ascending order of length: each row's unit entry
+    with the shortest column is the pivot, row operations clear its column,
+    and the row and column are dropped with a factor 1.  Elimination can
+    create new units, so the sweeps repeat until one finds none.  On what is
+    left, each step takes an entry of least absolute value; row operations
+    reduce its column and column operations reduce its row modulo the pivot.
+    A nonzero remainder is smaller than the pivot and starts the next step,
+    and a pivot left alone in its row and column is a diagonal entry.
     """
     rows = {}
     cols = {}
@@ -88,43 +113,29 @@ def smith_invariants(entries):
             rows.setdefault(r, {})[c] = v
             cols.setdefault(c, set()).add(r)
     diag = []
-    while rows:
-        pivot = None
-        best_cost = None
-        for r, row in rows.items():
-            for c, v in row.items():
-                if v in (1, -1):
-                    cost = (len(row) - 1) * (len(cols[c]) - 1)
-                    if best_cost is None or cost < best_cost:
-                        best_cost, pivot = cost, (r, c)
-                        if cost == 0:
-                            break
-            if best_cost == 0:
-                break
-        if pivot is None:
-            _, pivot = min((abs(v), (r, c))
-                           for r, row in rows.items() for c, v in row.items())
-        r, c = pivot
-        prow = rows[r]
-        pv = prow[c]
-        for rr in list(cols[c]):
-            if rr == r:
+    found = True
+    while found:
+        found = False
+        for r in sorted(rows, key=lambda r: len(rows[r])):
+            units = [c for c, v in rows.get(r, {}).items() if v in (1, -1)]
+            if not units:
                 continue
-            row = rows[rr]
-            factor = row[c] // pv  # exact for a unit pivot
-            for cc, v in prow.items():
-                nv = row.get(cc, 0) - factor * v
-                if nv:
-                    row[cc] = nv
-                    cols[cc].add(rr)
-                elif cc in row:
-                    del row[cc]
-                    cols[cc].discard(rr)
-            if not row:
-                del rows[rr]
+            c = min(units, key=lambda c: len(cols[c]))
+            _eliminate(rows, cols, r, c)
+            # the column is clear, so column operations clear the row
+            for cc in rows.pop(r):
+                cols[cc].discard(r)
+            del cols[c]
+            diag.append(1)
+            found = True
+    while rows:
+        _, (r, c) = min((abs(v), (r, c)) for r, row in rows.items() for c, v in row.items())
+        _eliminate(rows, cols, r, c)
         if len(cols[c]) > 1:
             continue
         # the column is clear, so column operations change only the pivot row
+        prow = rows[r]
+        pv = prow[c]
         for cc in list(prow):
             if cc != c:
                 nv = prow[cc] % pv
@@ -236,7 +247,8 @@ def certify_wedge(poset, expected_dim, expected_count, max_faces=DEFAULT_MAX_FAC
         cx = order_complex(poset, max_faces=max_faces)
     profile = homology(cx)
     if profile.empty:
-        passed = expected_count == 0
+        # the empty complex is one sphere of dimension -1
+        passed = expected_dim == -1 and expected_count == 1
         note = "empty complex"
     else:
         passed = profile.is_free_single_dimension(expected_dim, expected_count)

@@ -50,6 +50,8 @@ RUNS = [
     ["certify", "--group", "Z4:2:swap", "--n", "2", "--T", "", "--dim", "1", "--count", "2"],
     # the degenerate point n=1, trivial group, no colors: one chain, bottom < top
     ["count-chains", "--group", "trivial:0", "--n", "1"],
+    # its empty proper part is one sphere of dimension -1
+    ["certify", "--group", "trivial:0", "--n", "1", "--dim", "-1", "--count", "1"],
 ]
 
 

@@ -7,10 +7,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdowling import groups, topology
-from sdowling.dowling import build_dowling, build_subposet
+from sdowling import catalog, groups, topology
+from sdowling.dowling import adjoin_top, build_dowling, build_subposet
 from sdowling.errors import EmptyPosetWarning, SizeLimitExceeded
-from sdowling.poset import RankedPoset
+from sdowling.poset import RankedPoset, moebius
 from sdowling.topology import (
     SimplicialComplex,
     certify_wedge,
@@ -21,6 +21,20 @@ from sdowling.topology import (
 
 Z2 = groups.cyclic_group(2)
 Z4 = groups.cyclic_group(4)
+SWAP4 = groups.action_from_permutations(Z4, [[0, 1], [1, 0], [0, 1], [1, 0]])
+
+# minimal 6-vertex triangulation of RP^2
+RP2_TRIANGLES = [
+    (0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 4, 5), (0, 3, 4),
+    (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
+]
+
+
+def _rp2():
+    tris = RP2_TRIANGLES
+    verts = sorted({(v,) for t in tris for v in t})
+    edges = sorted({(t[i], t[j]) for t in tris for i in range(3) for j in range(i + 1, 3)})
+    return SimplicialComplex(vertices=list(range(6)), faces=[verts, edges, list(tris)])
 
 
 def test_order_complex_of_a_chain_is_a_simplex():
@@ -148,14 +162,7 @@ def test_homology_circle_and_sphere():
 
 
 def test_homology_projective_plane_torsion():
-    # minimal 6-vertex triangulation of RP^2
-    tris = [
-        (0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 4, 5), (0, 3, 4),
-        (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
-    ]
-    verts = sorted({(v,) for t in tris for v in t})
-    edges = sorted({(t[i], t[j]) for t in tris for i in range(3) for j in range(i + 1, 3)})
-    cx = SimplicialComplex(vertices=list(range(6)), faces=[verts, edges, list(tris)])
+    cx = _rp2()
     assert sum((-1) ** d * count for d, count in enumerate(cx.face_counts())) == 1
     prof = homology(cx)
     assert prof.reduced_betti == [0, 0, 0]
@@ -164,10 +171,9 @@ def test_homology_projective_plane_torsion():
 
 def test_counterexample_homology_profiles():
     swap2 = groups.action_from_permutations(Z2, [[0, 1], [1, 0]])
-    swap4 = groups.action_from_permutations(Z4, [[0, 1], [1, 0], [0, 1], [1, 0]])
     h2 = homology(order_complex(build_subposet(2, swap2, [])))
     assert h2.reduced_betti == [1, 0]
-    h4 = homology(order_complex(build_subposet(2, swap4, [])))
+    h4 = homology(order_complex(build_subposet(2, SWAP4, [])))
     assert h4.reduced_betti == [1, 2]
 
 
@@ -180,19 +186,80 @@ def test_certify_wedge_verdicts():
     bad = certify_wedge(poset, 1, 4)
     assert not bad.passed
     assert bad.to_json()["verdict"] == "mismatch"
-    swap4 = groups.action_from_permutations(Z4, [[0, 1], [1, 0], [0, 1], [1, 0]])
-    cert = certify_wedge(build_subposet(2, swap4, []), 0, 1)
+    cert = certify_wedge(build_subposet(2, SWAP4, []), 0, 1)
     assert not cert.passed
 
 
 def test_certify_wedge_empty_proper_part():
+    # the empty complex is one sphere of dimension -1
     trivial = groups.trivial_action(groups.trivial_group(), 0)
-    poset = build_dowling(1, trivial)
-    from sdowling.dowling import adjoin_top
-
-    phat = adjoin_top(poset)
+    phat = adjoin_top(build_dowling(1, trivial))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cert = certify_wedge(phat, 0, 0)
+        cert = certify_wedge(phat, -1, 1)
     assert cert.profile.empty
     assert cert.passed
+    assert not certify_wedge(phat, 0, 0).passed
+
+
+def test_certify_wedge_at_n4_z3_three_colors():
+    # 45,291 faces: about 1 s when each pivot search is cheap, minutes when it
+    # rescans the whole matrix
+    poset = build_dowling(4, groups.trivial_action(groups.cyclic_group(3), 3))
+    cert = certify_wedge(poset, 3, 880)
+    assert cert.passed
+    assert cert.profile.reduced_betti == [0, 0, 0, 880]
+    assert not any(cert.profile.torsion)
+    assert cert.profile.face_counts == [741, 8505, 21465, 14580]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_smith_invariants_do_not_depend_on_pivot_order(seed):
+    """Unit pivots are swept by row length and row order, so relabel the
+    rows and columns of boundary matrices and shuffle their entries."""
+    rng = random.Random(seed)
+    complexes = [
+        order_complex(build_dowling(3, groups.trivial_action(Z2, 2))),
+        order_complex(build_subposet(2, SWAP4, [])),
+        _rp2(),
+    ]
+    for cx in complexes:
+        for d in range(1, len(cx.faces)):
+            entries = topology._boundary_entries(cx.faces, d)
+            row_perm = rng.sample(range(len(cx.faces[d - 1])), len(cx.faces[d - 1]))
+            col_perm = rng.sample(range(len(cx.faces[d])), len(cx.faces[d]))
+            items = list(entries.items())
+            rng.shuffle(items)
+            relabelled = {(row_perm[r], col_perm[c]): v for (r, c), v in items}
+            assert smith_invariants(relabelled) == smith_invariants(entries)
+
+
+def _grid_posets(n):
+    """The full posets of the battery's grid at n, and the subposets of
+    every invariant T it checks plus T = [], which for a non-trivial action
+    gives the non-shellable counterexamples."""
+    for key, _, action in catalog.dowling_grid(ns=(n,)):
+        yield key, build_dowling(n, action)
+        for T in sorted({(), *catalog.invariant_subsets(action)}):
+            yield f"{key},T={list(T)}", build_subposet(n, action, list(T))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hall_and_euler_poincare_on_the_grid(n):
+    """Reduced Euler characteristic of the proper part = mu(0, 1) of the
+    bounded poset (Hall) = alternating sum of the reduced Betti numbers."""
+    spread = 0
+    for key, poset in _grid_posets(n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyPosetWarning)
+            cx = order_complex(poset)
+        chi = -1 + sum((-1) ** d * count for d, count in enumerate(cx.face_counts()))
+        phat = adjoin_top(poset)
+        assert chi == moebius(phat, phat.bottom, phat.top), key
+        prof = homology(cx)
+        # the empty complex has only reduced H_(-1) = Z
+        betti = [(-1) ** d * b for d, b in enumerate(prof.reduced_betti)]
+        assert (-1 if prof.empty else sum(betti)) == chi, key
+        spread += sum(1 for b in prof.reduced_betti if b) > 1
+    # from n = 2 on, the swap actions with T = [] have homology in two degrees
+    assert n == 1 or spread
