@@ -120,7 +120,11 @@ class ELReport:
 
 
 def edge_labels(poset, labeling):
-    return {(x, y): labeling(poset, x, y) for x, y in poset.cover_edges()}
+    """The label of every cover edge. Equal labels share one object: a large
+    poset has thousands of covers but a few dozen distinct labels."""
+    shared = {}
+    return {(x, y): shared.setdefault(lab := labeling(poset, x, y), lab)
+            for x, y in poset.cover_edges()}
 
 
 def _is_strictly_increasing(word):
@@ -168,21 +172,51 @@ def verify_el(poset, labeling, with_witness_chains=True) -> ELReport:
     An interval passes when it has exactly one maximal chain with strictly
     increasing label word, and that chain is the strict lexicographic minimum
     among all of its maximal chains.
+
+    No chain is walked for an interval that passes. One forward pass over the
+    up-set of each x, in rank order, carries to every z the number of
+    strictly increasing chains x -> z, keyed by their last label, and the
+    least label word of the chains x -> z of each length. Words are keyed by
+    length because a prefix sorts first: where chains of different lengths
+    meet, the least word of z extended by one label need not be the least
+    word above z. [x, y] passes exactly when it has one increasing chain and
+    its least word is strictly increasing; the chains carrying the least
+    word need no count, as each of them is then an increasing chain. A
+    node's state is dropped once it has reached its covers. Each failing
+    interval is walked again by `check_interval`, which gives the reason and
+    the witnesses.
     """
     if poset.bottom is None or poset.top is None:
         raise NotBounded("EL verification requires a bounded poset")
     labels = edge_labels(poset, labeling)
-    failures = []
+    rank, up = poset.rank, poset.up
     above, _ = poset._reach()
-    n = len(poset.elements)
-    for x in range(n):
-        for y in bits(above[x]):
-            if poset.rank[y] - poset.rank[x] >= 2:
-                fail = check_interval(poset, labels, x, y)
-                if fail is not None:
-                    if not with_witness_chains:
-                        fail.witnesses = []
-                    failures.append(fail)
+    failures = []
+    for x in range(len(poset.elements)):
+        live = {x: ({}, {0: ()})}  # z -> (increasing chains by last label, least word by length)
+        for z in sorted(bits(above[x]), key=rank.__getitem__):
+            inc, least = live.pop(z)
+            if rank[z] - rank[x] >= 2 and (
+                sum(inc.values()) != 1 or not _is_strictly_increasing(min(least.values()))
+            ):
+                fail = check_interval(poset, labels, x, z)
+                if not with_witness_chains:
+                    fail.witnesses = []
+                failures.append(fail)
+            for w in up[z]:
+                lab = labels[(z, w)]
+                state = live.get(w)
+                if state is None:
+                    state = live[w] = ({}, {})
+                inc_w, least_w = state
+                count = 1 if z == x else sum(c for last, c in inc.items() if last < lab)
+                if count:
+                    inc_w[lab] = inc_w.get(lab, 0) + count
+                for length, word in least.items():
+                    word += (lab,)
+                    old = least_w.get(length + 1)
+                    if old is None or word < old:
+                        least_w[length + 1] = word
     failures.sort(key=lambda f: (f.x, f.y))
     dec = decreasing_chains(poset, labeling, labels=labels)
     return ELReport(

@@ -1,11 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdowling import catalog, groups, labeling
 from sdowling.dowling import adjoin_top, build_dowling, build_subposet
 from sdowling.elements import bottom_element, make_element, top_element
 from sdowling.errors import NotACover, NotBounded
 from sdowling.labeling import EdgeLabel
-from sdowling.poset import maximal_chains, moebius
+from sdowling.poset import RankedPoset, maximal_chains, moebius, sphere_product
 
 Z2 = groups.cyclic_group(2)
 Z3 = groups.cyclic_group(3)
@@ -151,3 +152,109 @@ def test_decreasing_chains_match_brute_force_on_grid():
                     if all(a >= b for a, b in zip(word, word[1:])):
                         expected.append(chain)
                 assert labeling.decreasing_chains(phat, fn) == expected, key
+
+
+def _brute_failures(poset, fn):
+    """Oracle: `check_interval` on every interval [x, y] with rk y - rk x >= 2."""
+    labels = labeling.edge_labels(poset, fn)
+    out = []
+    for x in range(len(poset)):
+        for y in range(len(poset)):
+            if poset.leq(x, y) and poset.rank[y] - poset.rank[x] >= 2:
+                fail = labeling.check_interval(poset, labels, x, y)
+                if fail is not None:
+                    out.append((fail.x, fail.y, fail.reason, fail.witnesses))
+    return out
+
+
+def _failures(poset, fn):
+    return [(f.x, f.y, f.reason, f.witnesses)
+            for f in labeling.verify_el(poset, fn).failures]
+
+
+def _el_oracle_posets():
+    """Every n <= 3 grid poset and subposet (T = [] included), and the three
+    n = 4 Z2-swap subposets on which mu fails."""
+    for key, n, action in catalog.dowling_grid():
+        yield key, adjoin_top(build_dowling(n, action))
+        for T in sorted({(), *catalog.invariant_subsets(action)}):
+            yield f"{key},T={list(T)}", adjoin_top(build_subposet(n, action, list(T)))
+    for m, T in ((2, [0, 1]), (3, [0, 1]), (3, [0, 1, 2])):
+        swap = dict(catalog.actions_for("Z2", m))["swap"]
+        yield f"n=4,G=Z2,m={m},act=swap,T={T}", adjoin_top(build_subposet(4, swap, T))
+
+
+def test_verify_el_matches_check_interval_on_grid():
+    reasons = set()
+    for key, phat in _el_oracle_posets():
+        for fn in (labeling.label_lambda, labeling.label_mu):
+            expected = _brute_failures(phat, fn)
+            assert _failures(phat, fn) == expected, (key, fn.__name__)
+            reasons.update(f[2] for f in expected)
+    assert reasons == {"NoIncreasing", "MultipleIncreasing"}
+
+
+def _labelled_poset(ranks, covers):
+    """Bounded poset on 0..len(ranks)-1 (bottom 0, top last) and a labeling
+    that reads each cover's label from `covers`."""
+    poset = RankedPoset(range(len(ranks)), covers, ranks, 0, len(ranks) - 1)
+    return poset, lambda p, x, y: covers[(x, y)]
+
+
+@pytest.mark.parametrize("ranks, covers, expected", [
+    # diamond: the unique least word (1, 0) is not increasing
+    ([0, 1, 1, 2], {(0, 1): 1, (1, 3): 2, (0, 2): 1, (2, 3): 0},
+     [(0, 3, "NotLexFirst", [(0, 1, 3), (0, 2, 3)])]),
+    # the least word (0, 0) is carried by two chains, the one increasing
+    # chain carries (1, 2)
+    ([0, 1, 1, 1, 2], {(0, 1): 0, (1, 4): 0, (0, 2): 0, (2, 4): 0, (0, 3): 1, (3, 4): 2},
+     [(0, 4, "NotLexFirst", [(0, 3, 4), (0, 1, 4)])]),
+    # not graded: the least word of [0, 4] is (1, 2), a prefix of (1, 2, 0),
+    # yet above 4 the longer chain carries the least word (1, 2, 0, 3) of
+    # [0, 5], so one least word per node would pass [0, 5]
+    ([0, 1, 1, 2, 3, 4], {(0, 1): 1, (1, 4): 2, (0, 2): 1, (2, 3): 2, (3, 4): 0, (4, 5): 3},
+     [(0, 5, "NotLexFirst", [(0, 1, 4, 5), (0, 2, 3, 4, 5)]),
+      (2, 4, "NoIncreasing", []),
+      (2, 5, "NoIncreasing", [])]),
+])
+def test_verify_el_hand_built_failures(ranks, covers, expected):
+    poset, fn = _labelled_poset(ranks, covers)
+    assert _failures(poset, fn) == expected == _brute_failures(poset, fn)
+
+
+@st.composite
+def _bounded_labelled_posets(draw):
+    """A random bounded poset whose covers may skip ranks, with small integer
+    labels that tie.  Element 0 is the bottom and the last the top, which may
+    cover maxima of different ranks."""
+    size = draw(st.integers(0, 7))
+    inner = range(1, size + 1)
+    ranks = [0] + [draw(st.integers(1, 4)) for _ in inner]
+    pairs = draw(st.sets(st.tuples(st.sampled_from(inner), st.sampled_from(inner)))
+                 if size else st.just(set()))
+    top = size + 1
+    ranks.append(max(ranks) + 1)
+    less = {(a, b) for a, b in pairs if ranks[a] < ranks[b]}
+    less |= {(0, a) for a in inner} | {(a, top) for a in inner} | {(0, top)}
+    for c in inner:  # transitive closure
+        less |= {(a, b) for a, c1 in less if c1 == c for c2, b in less if c2 == c}
+    covers = sorted((a, b) for a, b in less
+                    if not any((a, c) in less and (c, b) in less for c in inner))
+    labels = draw(st.lists(st.integers(0, 2), min_size=len(covers), max_size=len(covers)))
+    return _labelled_poset(ranks, dict(zip(covers, labels)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_bounded_labelled_posets())
+def test_verify_el_matches_check_interval_on_random_posets(poset_and_labeling):
+    poset, fn = poset_and_labeling
+    assert _failures(poset, fn) == _brute_failures(poset, fn)
+
+
+def test_lambda_verifies_at_n5_z2_three_colors():
+    # the n = 5 frontier of the grid for |G| = 2
+    phat = adjoin_top(build_dowling(5, groups.trivial_action(Z2, 3)))
+    rep = labeling.verify_el(phat, labeling.label_lambda, with_witness_chains=False)
+    assert len(phat) == 3441
+    assert rep.passed
+    assert rep.decreasing_chain_count == sphere_product(5, 2, 3) == 3840
