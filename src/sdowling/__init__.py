@@ -20,7 +20,7 @@ from .groups import (
 )
 from .labeling import label_lambda, label_mu, verify_el
 from .poset import RankedPoset, characteristic_polynomial, moebius, sphere_product
-from .reduction import make_spec, reduce_poset
+from .reduction import make_spec, reduce_and_verify
 from .topology import certify_wedge, homology, order_complex
 from .trees import count_blooming, enumerate_blooming, psi, psi_inv
 
@@ -49,7 +49,7 @@ __all__ = [
     "order_complex",
     "psi",
     "psi_inv",
-    "reduce_poset",
+    "reduce_and_verify",
     "sphere_product",
     "top_element",
     "trivial_action",

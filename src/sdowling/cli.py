@@ -21,9 +21,11 @@ from .dowling import (
     poset_to_dot,
     poset_to_json,
 )
-from .errors import IndexOutOfRange, InputFormatError, InvalidSpec, SDowlingError
+from .errors import InputFormatError, SDowlingError, SizeLimitExceeded
 from .poset import characteristic_polynomial, moebius, sphere_product
 from .topology import DEFAULT_MAX_FACES
+
+LABELINGS = {"lambda": labeling.label_lambda, "mu": labeling.label_mu}
 
 
 def _load_action(spec):
@@ -82,10 +84,6 @@ def _build_base(args):
     return action, poset
 
 
-def _labeling_fn(name):
-    return labeling.label_mu if name == "mu" else labeling.label_lambda
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 
@@ -104,7 +102,7 @@ def cmd_build(args):
 def cmd_verify_el(args):
     _, poset = _build_base(args)
     phat = adjoin_top(poset)
-    rep = labeling.verify_el(phat, _labeling_fn(args.labeling))
+    rep = labeling.verify_el(phat, LABELINGS[args.labeling])
     _emit(args, {
         "passed": rep.passed,
         "labeling": args.labeling,
@@ -119,7 +117,7 @@ def cmd_verify_el(args):
 
 def cmd_count_chains(args):
     action, poset = _build_base(args)
-    count = len(labeling.decreasing_chains(adjoin_top(poset), _labeling_fn(args.labeling)))
+    count = len(labeling.decreasing_chains(adjoin_top(poset), LABELINGS[args.labeling]))
     formula = sphere_product(args.n, action.group.order, action.set_size)
     _emit(args, {
         "decreasing": count,
@@ -147,14 +145,13 @@ def cmd_trees(args):
     count = trees.count_blooming(args.nodes, args.q, args.r)
     out = {"nodes": args.nodes, "q": args.q, "r": args.r, "count": count}
     if not args.count_only:
-        enumerated = [
-            trees.tree_to_json(t)
-            for t in trees.enumerate_blooming(args.nodes, args.q, args.r,
-                                              max_trees=args.max_trees)
-        ]
-        if len(enumerated) != count:
+        if count > args.max_trees:
+            raise SizeLimitExceeded(f"{count} trees exceed the cap of {args.max_trees}; "
+                                    "raise --max-trees or use --count-only")
+        # json.dumps writes each tree tuple as nested lists
+        out["trees"] = list(trees.enumerate_blooming(args.nodes, args.q, args.r))
+        if len(out["trees"]) != count:
             raise SDowlingError("enumeration disagrees with the count formula")
-        out["trees"] = enumerated
     _emit(args, out)
     return 0
 
@@ -221,8 +218,8 @@ def cmd_reduce(args):
     action = _load_action(args.group)
     T = _parse_T(args.T)
     spec = reduction.make_spec(action, T, args.orbit)
-    reduced, report = reduction.reduce_poset(args.n, action, T, spec,
-                                             max_elements=args.max_elements)
+    _, reduced, report = reduction.reduce_and_verify(args.n, action, T, spec,
+                                                     max_elements=args.max_elements)
     _emit(args, {
         "closureReport": report.to_json(),
         "reducedPoset": poset_to_json(reduced, ascii_only=args.ascii),
@@ -277,13 +274,13 @@ def build_parser():
 
     p = subs.add_parser("verify-el", help="check the EL-labeling condition")
     _add_common(p)
-    p.add_argument("--labeling", choices=("lambda", "mu"), default="lambda")
+    p.add_argument("--labeling", choices=LABELINGS, default="lambda")
     p.set_defaults(fn=cmd_verify_el)
 
     p = subs.add_parser("count-chains",
                         help="count decreasing chains against the closed form")
     _add_common(p, with_T=False)
-    p.add_argument("--labeling", choices=("lambda", "mu"), default="lambda")
+    p.add_argument("--labeling", choices=LABELINGS, default="lambda")
     p.set_defaults(fn=cmd_count_chains)
 
     p = subs.add_parser("charpoly", help="characteristic polynomial coefficients")
@@ -300,7 +297,7 @@ def build_parser():
     p.add_argument("--q", type=_int_at_least(0), required=True)
     p.add_argument("--r", type=_int_at_least(0), required=True)
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--max-trees", type=_int_at_least(1), default=None)
+    p.add_argument("--max-trees", type=_int_at_least(1), default=trees.DEFAULT_MAX_TREES)
     p.set_defaults(fn=cmd_trees)
 
     p = subs.add_parser("bijection",
@@ -340,10 +337,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (InputFormatError, InvalidSpec, IndexOutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SDowlingError as exc:

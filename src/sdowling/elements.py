@@ -24,10 +24,6 @@ class DowlingElement:
             raise ValueError("the adjoined top has no partition rank")
         return self.n - len(self.blocks)
 
-    def zero_image(self):
-        """Set of colors used on the zero block."""
-        return {s for _, s in self.zero}
-
 
 def normalize_block(group, support, colors):
     """Sort a block by position and translate its coloring so min maps to e."""

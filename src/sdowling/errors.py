@@ -6,27 +6,27 @@ class SDowlingError(Exception):
 
 
 class InputFormatError(SDowlingError):
-    """Malformed input data (JSON schema, table shapes, index ranges)."""
+    """Malformed input, from JSON shapes to group axioms; the CLI exits 2."""
 
 
-class NonAssociative(SDowlingError):
+class NonAssociative(InputFormatError):
     def __init__(self, i, j, k):
         self.triple = (i, j, k)
         super().__init__(f"multiplication is not associative at triple ({i}, {j}, {k})")
 
 
-class NoIdentity(SDowlingError):
+class NoIdentity(InputFormatError):
     def __init__(self):
         super().__init__("index 0 is not a two-sided identity")
 
 
-class NoInverse(SDowlingError):
+class NoInverse(InputFormatError):
     def __init__(self, i):
         self.element = i
         super().__init__(f"element {i} has no two-sided inverse")
 
 
-class IndexOutOfRange(SDowlingError):
+class IndexOutOfRange(InputFormatError):
     pass
 
 
@@ -38,7 +38,7 @@ class AlreadyBounded(SDowlingError):
     pass
 
 
-class NonInvariantT(SDowlingError):
+class NonInvariantT(InputFormatError):
     pass
 
 
@@ -70,7 +70,7 @@ class MalformedTree(SDowlingError):
     pass
 
 
-class InvalidSpec(SDowlingError):
+class InvalidSpec(InputFormatError):
     pass
 
 

@@ -192,28 +192,24 @@ def load_action_json(data) -> GroupAction:
         if key not in data:
             raise InputFormatError(f"missing key {key!r} in group-action spec")
     order = data["order"]
-    mult = data["mult"]
+    set_size = data["set_size"]
     if not isinstance(order, int) or order < 1:
         raise InputFormatError(f"'order' must be a positive integer, got {order!r}")
-    if not isinstance(mult, list) or len(mult) != order:
-        raise InputFormatError(f"'mult' must be a list of {order} rows")
-    group = validate_group(mult)
-    set_size = data["set_size"]
-    act = data["act"]
     if not isinstance(set_size, int) or set_size < 0:
         raise InputFormatError(f"'set_size' must be a non-negative integer, got {set_size!r}")
-    if not isinstance(act, list) or len(act) != order:
-        raise InputFormatError(f"'act' must be a list of {order} rows")
-    for g, row in enumerate(act):
-        if not isinstance(row, list) or len(row) != set_size:
-            raise InputFormatError(f"'act' row {g} must be a list of {set_size} entries")
-    return validate_action(group, act)
+    # both tables have one row per group element
+    for key, width in (("mult", order), ("act", set_size)):
+        rows = data[key]
+        if not (isinstance(rows, list) and len(rows) == order
+                and all(isinstance(row, list) and len(row) == width for row in rows)):
+            raise InputFormatError(f"{key!r} must be a list of {order} lists of {width} entries")
+    return validate_action(validate_group(data["mult"]), data["act"])
 
 
 def load_action_file(path) -> GroupAction:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise InputFormatError(f"{path}: {exc}") from exc
     return load_action_json(data)

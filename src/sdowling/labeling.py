@@ -78,7 +78,7 @@ def label_mu_elements(x, y) -> EdgeLabel:
     if et.kind != "colored":
         return label_lambda_elements(x, y)
     s = et.color
-    used = x.zero_image()
+    used = {c for _, c in x.zero}
     if s in used:
         return EdgeLabel(1, sum(1 for r in used if r <= s))
     return EdgeLabel(1, (s + 1) + sum(1 for r in used if r > s))

@@ -74,9 +74,6 @@ class RankedPoset:
         above, below = self._reach()
         return above[x] & below[y]
 
-    def interval_members(self, x, y):
-        return list(bits(self.interval_mask(x, y)))
-
 
 def is_graded(poset):
     """Every cover edge increments rank by exactly one, from a rank-0 bottom."""
@@ -157,7 +154,7 @@ def moebius(poset, x, y):
         memo[key] = 1
         return 1
     total = 0
-    for z in poset.interval_members(x, y):
+    for z in bits(poset.interval_mask(x, y)):
         if z != y:
             total += moebius(poset, x, z)
     memo[key] = -total

@@ -55,19 +55,6 @@ def closure_f(x, spec, action):
     return make_element(group, x.n, x.blocks + ((support, colors),), rest)
 
 
-def reduce_poset(n, action, T, spec, max_elements=DEFAULT_MAX_ELEMENTS):
-    """Poset of the closure operator's image, together with the closure report.
-
-    The image is rebuilt as the independently constructed subposet on the
-    surviving colors.  Raises InvalidSpec when the image is not isomorphic to
-    that subposet.
-    """
-    poset, reduced, report = reduce_and_verify(n, action, T, spec, max_elements)
-    if not report.isomorphic:
-        raise InvalidSpec("closure image is not isomorphic to the reduced subposet")
-    return reduced, report
-
-
 def _relabel_zero(element, color_map, group):
     zero = tuple((p, color_map[s]) for p, s in element.zero)
     return make_element(group, element.n, element.blocks, zero)

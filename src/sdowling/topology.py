@@ -22,10 +22,6 @@ class SimplicialComplex:
     vertices: list  # poset indices in use
     faces: list  # faces[d] = sorted list of (d+1)-tuples in chain order
 
-    @property
-    def dimension(self):
-        return len(self.faces) - 1
-
     def face_counts(self):
         return [len(fs) for fs in self.faces]
 
@@ -44,22 +40,17 @@ def order_complex(poset, max_faces=DEFAULT_MAX_FACES):
         kept_mask |= 1 << v
     faces = []
     total = 0
-
-    def record(chain):
-        nonlocal total
-        d = len(chain) - 1
-        while len(faces) <= d:
-            faces.append([])
-        faces[d].append(chain)
-        total += 1
-        if total > max_faces:
-            raise SizeLimitExceeded(f"face count exceeded the cap of {max_faces}")
-
-    # chains are enumerated by extending with strictly greater kept elements
+    # chains are enumerated by extending with strictly greater kept elements;
+    # a chain is popped only after its prefix, so faces grows one list at a time
     stack = [((v,), (above[v] & kept_mask) & ~(1 << v)) for v in reversed(vertices)]
     while stack:
         chain, mask = stack.pop()
-        record(chain)
+        total += 1
+        if total > max_faces:
+            raise SizeLimitExceeded(f"face count exceeded the cap of {max_faces}")
+        if len(chain) > len(faces):
+            faces.append([])
+        faces[len(chain) - 1].append(chain)
         for w in bits(mask):
             stack.append((chain + (w,), (mask & above[w]) & ~(1 << w)))
     for fs in faces:
@@ -168,17 +159,10 @@ class HomologyProfile:
     reduced_betti: list  # by dimension 0..dim
     torsion: list  # invariant factors > 1, by dimension
     face_counts: list = field(default_factory=list)
-    empty: bool = False  # empty complex: only reduced H_(-1) = Z survives
 
-    def is_free_single_dimension(self, dim, count):
-        if self.empty:
-            return False
-        if any(t for t in self.torsion):
-            return False
-        for d, b in enumerate(self.reduced_betti):
-            if b != (count if d == dim else 0):
-                return False
-        return 0 <= dim < len(self.reduced_betti) or count == 0
+    @property
+    def empty(self):  # empty complex: only reduced H_(-1) = Z survives
+        return not self.face_counts
 
 
 def _boundary_entries(faces, d):
@@ -193,28 +177,19 @@ def _boundary_entries(faces, d):
 
 
 def homology(complex_) -> HomologyProfile:
-    """Reduced integer homology from Smith normal forms of boundary matrices."""
+    """Reduced integer homology from Smith normal forms of boundary matrices.
+
+    factors[d] lists the invariant factors of the boundary map from dimension
+    d to d-1, in divisibility order; factors[0] = [1] is the augmentation,
+    which maps every vertex to the single (-1)-simplex.
+    """
     faces = complex_.faces
-    if not faces:
-        return HomologyProfile(reduced_betti=[], torsion=[], face_counts=[], empty=True)
-    dim = len(faces) - 1
-    ranks = [0] * (dim + 2)
-    factors = [[] for _ in range(dim + 2)]
-    # augmentation: every vertex maps to the single (-1)-simplex
-    ranks[0] = 1 if faces[0] else 0
-    factors[0] = [1] * ranks[0]
-    for d in range(1, dim + 1):
-        inv = smith_invariants(_boundary_entries(faces, d))
-        ranks[d] = len(inv)
-        factors[d] = inv
-    betti = []
-    torsion = []
-    for d in range(dim + 1):
-        betti.append(len(faces[d]) - ranks[d] - ranks[d + 1])
-        torsion.append(sorted(v for v in factors[d + 1] if v > 1))
+    factors = [[1]] + [smith_invariants(_boundary_entries(faces, d))
+                       for d in range(1, len(faces))] + [[]]
     return HomologyProfile(
-        reduced_betti=betti,
-        torsion=torsion,
+        reduced_betti=[len(fs) - len(factors[d]) - len(factors[d + 1])
+                       for d, fs in enumerate(faces)],
+        torsion=[[v for v in factors[d + 1] if v > 1] for d in range(len(faces))],
         face_counts=complex_.face_counts(),
     )
 
@@ -246,17 +221,23 @@ def certify_wedge(poset, expected_dim, expected_count, max_faces=DEFAULT_MAX_FAC
         warnings.simplefilter("ignore", EmptyPosetWarning)
         cx = order_complex(poset, max_faces=max_faces)
     profile = homology(cx)
+    betti = profile.reduced_betti
     if profile.empty:
         # the empty complex is one sphere of dimension -1
         passed = expected_dim == -1 and expected_count == 1
-        note = "empty complex"
     else:
-        passed = profile.is_free_single_dimension(expected_dim, expected_count)
-        note = ""
+        # free, and the expected count in the expected dimension only; a
+        # dimension past the top may only expect no spheres
+        passed = (
+            not any(profile.torsion)
+            and all(b == (expected_count if d == expected_dim else 0)
+                    for d, b in enumerate(betti))
+            and (0 <= expected_dim < len(betti) or expected_count == 0)
+        )
     return CertificateReport(
         passed=passed,
         expected_dim=expected_dim,
         expected_count=expected_count,
         profile=profile,
-        note=note,
+        note="empty complex" if profile.empty else "",
     )

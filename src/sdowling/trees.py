@@ -3,25 +3,17 @@ decreasing maximal chains and blooming trees.
 
 A tree is a nested tuple (label, children) where children mixes subtrees and
 the bloom marker "*".  The child tuple is the only ordering data, so the
-nested JSON lists of tree_to_json lose nothing.
+nested lists json.dumps writes for a tree lose nothing.
 """
 
 from __future__ import annotations
 
 from .elements import bottom_element, make_element, top_element
-from .errors import (
-    MalformedTree,
-    NotDecreasing,
-    SizeLimitExceeded,
-    UnsupportedCase,
-)
+from .errors import MalformedTree, NotDecreasing, UnsupportedCase
 from .labeling import classify_cover, label_lambda_elements
 
 BLOOM = "*"
-
-
-def is_bloom(entry):
-    return entry == BLOOM
+DEFAULT_MAX_TREES = 1_000_000
 
 
 def count_blooming(nodes, q, r):
@@ -41,35 +33,27 @@ def _insertions(tree, new_node):
     for i in range(len(children) + 1):
         yield (label, children[:i] + (new_node,) + children[i:])
     for i, ch in enumerate(children):
-        if not is_bloom(ch):
+        if ch != BLOOM:
             for sub in _insertions(ch, new_node):
                 yield (label, children[:i] + (sub,) + children[i + 1 :])
 
 
-def enumerate_blooming(nodes, q, r, labels=None, max_trees=None):
+def enumerate_blooming(nodes, q, r, labels=None):
     """Generate every blooming tree on the given labels, duplicate-free.
 
     Follows the incremental insertion argument: node k is attached, together
     with its r blooms, at every legal position of every tree on k-1 nodes.
     """
-    if labels is None:
-        labels = list(range(nodes))
-    else:
-        labels = sorted(labels)
-        if len(labels) != nodes:
-            raise ValueError("label count does not match node count")
+    labels = sorted(range(nodes) if labels is None else labels)
     if nodes < 1:
         raise ValueError("need at least one node")
+    if len(labels) != nodes:
+        raise ValueError("label count does not match node count")
 
-    produced = 0
     root = (labels[0], (BLOOM,) * q)
 
     def recurse(tree, remaining):
-        nonlocal produced
         if not remaining:
-            produced += 1
-            if max_trees is not None and produced > max_trees:
-                raise SizeLimitExceeded(f"tree count exceeded the cap of {max_trees}")
             yield tree
             return
         new_node = (remaining[0], (BLOOM,) * r)
@@ -91,24 +75,17 @@ def validate_blooming(tree, q, r, labels):
         if parent_label is not None and label <= parent_label:
             raise MalformedTree(f"label {label} does not increase below {parent_label}")
         seen.append(label)
-        blooms = sum(1 for c in children if is_bloom(c))
+        blooms = sum(1 for c in children if c == BLOOM)
         want = q if at_root else r
         if blooms != want:
             raise MalformedTree(f"node {label} has {blooms} blooms, expected {want}")
         for c in children:
-            if not is_bloom(c):
+            if c != BLOOM:
                 walk(c, label, False)
 
     walk(tree, None, True)
     if sorted(seen) != labels:
         raise MalformedTree(f"labels {sorted(seen)} != expected {labels}")
-
-
-def tree_to_json(tree):
-    if is_bloom(tree):
-        return BLOOM
-    label, children = tree
-    return [label, [tree_to_json(c) for c in children]]
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +99,21 @@ def _chain_labels(chain):
     ]
 
 
-def _check_params(action):
+def _tree_family(n, action):
+    """(q, r, labels) of the blooming trees that the decreasing chains of the
+    rank-n poset biject with: q blooms at the root, r at every other node.
+    With |S| >= 2 the root 0 stands for the zero block; with |S| = 0 the
+    root is node 1."""
     m = action.set_size
-    k = action.group.order
-    if k == 1 or m == 1:
+    g = action.group.order
+    if g == 1 or m == 1:
         raise UnsupportedCase(
             "the bijection covers |G| >= 2 with |S| = 0 or |S| >= 2; "
             "the remaining cases are counted directly"
         )
-    return m, k - 1  # color count, size of G minus identity
+    if m >= 2:
+        return m - 2, g - 2, range(n + 1)
+    return g - 2, g - 2, range(1, n + 1)
 
 
 def psi(chain, action):
@@ -138,22 +121,20 @@ def psi(chain, action):
 
     `chain` is a list of canonical elements ending at the top sentinel.
     """
-    m, k = _check_params(action)
+    q, r, labels = _tree_family(chain[0].n, action)
+    m = action.set_size
+    k = action.group.order - 1  # size of G minus identity
     words = _chain_labels(chain)
     if not all(words[i + 1] <= words[i] for i in range(len(words) - 1)):
         raise NotDecreasing("label word is not weakly decreasing")
-    n = chain[0].n
-    root = 0 if m >= 2 else 1
-    children = {root: []}
-
-    def blooms_of(u):
-        return sum(1 for c in children[u] if is_bloom(c))
+    root = labels[0]
+    children = {u: [] for u in labels}
 
     def pad_to(u, count):
-        if blooms_of(u) > count:
+        missing = count - children[u].count(BLOOM)
+        if missing < 0:
             raise NotDecreasing("bloom requirement decreased along the chain")
-        while blooms_of(u) < count:
-            children[u].append(BLOOM)
+        children[u] += [BLOOM] * missing
 
     colored = []
     noncoherent = []
@@ -169,22 +150,16 @@ def psi(chain, action):
             raise NotDecreasing("decreasing chains contain no coherent merges")
     for lab, et in colored:
         pad_to(root, m - lab.a)
-        children[et.min_b] = []
         children[root].append(et.min_b)
     for lab, et in noncoherent:
         u = min(et.min_a, et.min_b)
-        v = max(et.min_a, et.min_b)
-        if u not in children:
-            children[u] = []
         pad_to(u, k - lab.b)
-        children[v] = children.get(v, [])
-        children[u].append(v)
-    for u in range(root, n + 1):
-        children.setdefault(u, [])
-        pad_to(u, (m - 2 if u == root and m >= 2 else action.group.order - 2))
+        children[u].append(max(et.min_a, et.min_b))
+    for u in labels:
+        pad_to(u, q if u == root else r)
 
     def build(u):
-        return (u, tuple(BLOOM if is_bloom(c) else build(c) for c in children[u]))
+        return (u, tuple(BLOOM if c == BLOOM else build(c) for c in children[u]))
 
     return build(root)
 
@@ -194,12 +169,10 @@ def psi_inv(tree, n, action):
 
     Returns the element list from the bottom to the adjoined top.
     """
-    m, k = _check_params(action)
+    validate_blooming(tree, *_tree_family(n, action))
     group = action.group
-    if m >= 2:
-        validate_blooming(tree, m - 2, group.order - 2, range(n + 1))
-    else:
-        validate_blooming(tree, group.order - 2, group.order - 2, range(1, n + 1))
+    m = action.set_size
+    k = group.order - 1
 
     couples = []
 
@@ -207,7 +180,7 @@ def psi_inv(tree, n, action):
         u, ch = node
         blooms = 0
         for c in ch:
-            if is_bloom(c):
+            if c == BLOOM:
                 blooms += 1
             else:
                 couples.append((u, c[0], blooms))
@@ -220,7 +193,7 @@ def psi_inv(tree, n, action):
     chain = [bottom_element(n)]
     for u, v, i in couples:
         x = chain[-1]
-        if u == 0 and m >= 2:
+        if u == 0:  # only the |S| >= 2 family has a node 0, the zero block
             # color the block whose minimum is v with the (m-i)-th color
             s = m - i - 1
             blocks = []
@@ -263,7 +236,7 @@ def bijection_failures(chains, n, action):
     from the bottom to the adjoined top.  Returns (tree_count, messages);
     no messages means psi is a bijection and psi_inv its inverse.
     """
-    m, _ = _check_params(action)
+    q, r, labels = _tree_family(n, action)
     messages = []
     images = set()
     for chain in chains:
@@ -271,11 +244,7 @@ def bijection_failures(chains, n, action):
         images.add(t)
         if psi_inv(t, n, action) != chain:
             messages.append("psi_inv(psi(chain)) != chain")
-    g = action.group.order
-    if m >= 2:
-        all_trees = set(enumerate_blooming(n + 1, m - 2, g - 2))
-    else:
-        all_trees = set(enumerate_blooming(n, g - 2, g - 2, labels=range(1, n + 1)))
+    all_trees = set(enumerate_blooming(len(labels), q, r, labels=labels))
     if images != all_trees:
         messages.append("psi is not onto the blooming trees")
     for t in all_trees:

@@ -227,7 +227,16 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     swap = tmp_path / "z2swap.json"
     swap.write_text(json.dumps({"order": 2, "mult": [[0, 1], [1, 0]],
                                 "set_size": 2, "act": [[0, 1], [1, 0]]}))
-    # colors, color counts and orbits out of range: one error line, no traceback
+    not_a_group = tmp_path / "not_a_group.json"
+    not_a_group.write_text(json.dumps({"order": 2, "mult": [[0, 1], [1, 1]],
+                                       "set_size": 0, "act": [[], []]}))
+    flat_mult = tmp_path / "flat_mult.json"
+    flat_mult.write_text(json.dumps({"order": 1, "mult": [0], "set_size": 0, "act": [[]]}))
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"order": 1, "mult": [[0]], "set_size": 0, "act": [[]], "\xe9": 0}')
+    # colors, color counts and orbits out of range, tables that are no group,
+    # a T not closed under the action, and undecodable files: one error line,
+    # no traceback
     for argv in (
         ["homology", "--group", "Z2:2", "--n", "2", "--T", "5"],
         ["reduce", "--group", "Z2:3:swap", "--n", "2", "--T", "5", "--orbit", "0"],
@@ -235,6 +244,10 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         ["build", "--group", "Z2:-1", "--n", "2"],
         ["count-chains", "--group", "Z2:-2", "--n", "2"],
         ["reduce", "--group", "Z2:2:swap", "--n", "2", "--T", "", "--orbit", "9"],
+        ["build", "--group", str(not_a_group), "--n", "2"],
+        ["homology", "--group", "Z2:2:swap", "--n", "2", "--T", "0"],
+        ["build", "--group", str(latin1), "--n", "2"],
+        ["build", "--group", str(flat_mult), "--n", "2"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv

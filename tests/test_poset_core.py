@@ -59,10 +59,10 @@ def test_moebius_requires_comparability():
 def test_leq_and_interval_members():
     b3 = boolean_lattice(3)
     assert b3.leq(0, len(b3) - 1)
-    members = b3.interval_members(0, len(b3) - 1)
+    members = list(bits(b3.interval_mask(0, len(b3) - 1)))
     assert members == list(range(len(b3)))
     singleton = next(i for i, s in enumerate(b3.elements) if s == frozenset({0}))
-    assert b3.interval_members(singleton, singleton) == [singleton]
+    assert list(bits(b3.interval_mask(singleton, singleton))) == [singleton]
 
 
 def test_maximal_chain_count_on_boolean_lattice():

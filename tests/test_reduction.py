@@ -82,7 +82,7 @@ def test_reduction_preserves_homology():
 
 def test_reduce_poset_returns_restricted_subposet():
     spec = reduction.make_spec(SWAP3, [2], 0)
-    reduced, report = reduction.reduce_poset(3, SWAP3, [2], spec)
+    _, reduced, report = reduction.reduce_and_verify(3, SWAP3, [2], spec)
     # surviving color set is {s3} alone, acted on trivially
     small, _ = groups.restrict_action(SWAP3, [2])
     expected = build_subposet(3, small, [0])

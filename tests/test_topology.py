@@ -188,6 +188,12 @@ def test_certify_wedge_verdicts():
     assert bad.to_json()["verdict"] == "mismatch"
     cert = certify_wedge(build_subposet(2, SWAP4, []), 0, 1)
     assert not cert.passed
+    # the right sphere count in the wrong dimension
+    assert not certify_wedge(poset, 0, 3).passed
+    # a chain's proper part is contractible: no spheres in any dimension
+    chain = RankedPoset([0, 1, 2], [(0, 1), (1, 2)], [0, 1, 2], bottom=0)
+    for dim, count, passed in ((5, 0, True), (1, 0, True), (5, 1, False), (0, 1, False)):
+        assert certify_wedge(chain, dim, count).passed is passed, (dim, count)
 
 
 def test_certify_wedge_empty_proper_part():

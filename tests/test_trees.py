@@ -3,15 +3,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdowling import groups, labeling, trees
+from sdowling import cli, groups, labeling, trees
 from sdowling.dowling import adjoin_top, build_dowling
 from sdowling.elements import bottom_element, make_element, top_element
-from sdowling.errors import (
-    MalformedTree,
-    NotDecreasing,
-    SizeLimitExceeded,
-    UnsupportedCase,
-)
+from sdowling.errors import MalformedTree, NotDecreasing, UnsupportedCase
 
 Z2 = groups.cyclic_group(2)
 Z3 = groups.cyclic_group(3)
@@ -49,10 +44,19 @@ def test_enumeration_with_custom_labels():
         assert t[0] == 2
 
 
-def test_enumeration_cap():
-    gen = trees.enumerate_blooming(5, 3, 3, max_trees=10)
-    with pytest.raises(SizeLimitExceeded):
-        list(gen)
+def test_enumeration_cap(capsys):
+    # the closed-form count is checked against the cap before enumerating
+    for argv, code in (
+        (["--nodes", "7", "--q", "3", "--r", "3"], 1),  # 6,664,896 > default cap
+        (["--nodes", "5", "--q", "3", "--r", "3", "--max-trees", "10"], 1),
+        (["--nodes", "7", "--q", "3", "--r", "3", "--count-only"], 0),
+    ):
+        assert cli.main(["trees", *argv]) == code, argv
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert json.loads(out)["count"] == 6_664_896
 
 
 def test_validate_blooming_rejects_bad_trees():
@@ -70,12 +74,12 @@ def test_tree_json_round_trip():
         0,
         ("*", "*", (3, ("*",)), "*", (1, ((2, ("*",)), "*", (4, ("*",))))),
     )
-    assert trees.tree_to_json(figure_tree) == [
+    assert json.loads(json.dumps(figure_tree)) == [
         0, ["*", "*", [3, ["*"]], "*", [1, [[2, ["*"]], "*", [4, ["*"]]]]],
     ]
     # distinct trees give distinct JSON, so nothing is lost
     ts = list(trees.enumerate_blooming(4, 2, 1))
-    assert len({json.dumps(trees.tree_to_json(t)) for t in ts}) == len(ts)
+    assert len({json.dumps(t) for t in ts}) == len(ts)
 
 
 def test_bijection_unsupported_parameters():
