@@ -148,7 +148,7 @@ def criterion_5():
     for key, n, action in _bijection_points():
         dhat = _dhat(n, action)
         chains = [[dhat.elements[i] for i in c]
-                  for c in _el_lambda(n, action).decreasing_chains]
+                  for c in labeling.decreasing_chains(dhat, labeling.label_lambda)]
         _, messages = trees.bijection_failures(chains, n, action)
         yield [f"{key}: {msg}" for msg in messages]
     # the worked figure instance: n=4, |G|=3, |S|=5

@@ -9,6 +9,7 @@ default, indented with --pretty) and keeps diagnostics on stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -67,11 +68,17 @@ def _emit(args, obj):
 
 
 def _write(args, text):
+    with _output(args) as fh:
+        fh.write(text)
+
+
+@contextlib.contextmanager
+def _output(args):
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
 
 
 def _build_base(args):
@@ -144,15 +151,27 @@ def cmd_moebius(args):
 def cmd_trees(args):
     count = trees.count_blooming(args.nodes, args.q, args.r)
     out = {"nodes": args.nodes, "q": args.q, "r": args.r, "count": count}
-    if not args.count_only:
-        if count > args.max_trees:
-            raise SizeLimitExceeded(f"{count} trees exceed the cap of {args.max_trees}; "
-                                    "raise --max-trees or use --count-only")
-        # json.dumps writes each tree tuple as nested lists
-        out["trees"] = list(trees.enumerate_blooming(args.nodes, args.q, args.r))
-        if len(out["trees"]) != count:
-            raise SDowlingError("enumeration disagrees with the count formula")
-    _emit(args, out)
+    if args.count_only:
+        _emit(args, out)
+        return 0
+    if count > args.max_trees:
+        raise SizeLimitExceeded(f"{count} trees exceed the cap of {args.max_trees}; "
+                                "raise --max-trees or use --count-only")
+    # sorted keys put "trees" last: write the document around an empty list,
+    # and each tree (json.dumps writes its tuples as nested lists) into the
+    # gap as it is generated, laid out as json.dumps lays out list items
+    indent = 2 if args.pretty else None
+    head, tail = json.dumps({**out, "trees": []}, sort_keys=True, indent=indent).rsplit("[]", 1)
+    newline, sep, close = ("\n    ", ",", "\n  ") if args.pretty else ("", ", ", "")
+    written = 0
+    with _output(args) as fh:
+        fh.write(head + "[")
+        for written, tree in enumerate(trees.enumerate_blooming(args.nodes, args.q, args.r), 1):
+            text = json.dumps(tree, indent=indent).replace("\n", newline)
+            fh.write((sep if written > 1 else "") + newline + text)
+        fh.write(close + "]" + tail + "\n")
+    if written != count:
+        raise SDowlingError("enumeration disagrees with the count formula")
     return 0
 
 

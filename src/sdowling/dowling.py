@@ -20,31 +20,32 @@ from .poset import RankedPoset, induced_covers
 DEFAULT_MAX_ELEMENTS = 5_000_000
 
 
-def covers_of(element, action):
-    """All covers of a canonical element: block merges and block colorings."""
-    group = action.group
-    n = element.n
+def merge_blocks(element, group, i, j, g):
+    """Glue blocks i < j of a canonical element, twisting block j by g."""
     blocks = element.blocks
-    out = []
-    # merge: pick two blocks, glue with a relative twist g
-    for i in range(len(blocks)):
-        sa, ca = blocks[i]
-        for j in range(i + 1, len(blocks)):
-            sb, cb = blocks[j]
-            for g in range(group.order):
-                support = sa + sb
-                colors = ca + tuple(group.mul(c, g) for c in cb)
-                rest = blocks[:i] + blocks[i + 1 : j] + blocks[j + 1 :]
-                out.append(
-                    make_element(group, n, rest + ((support, colors),), element.zero)
-                )
-    # color: move one block into the zero block through an equivariant coloring
-    for i, (sb, cb) in enumerate(blocks):
-        rest = blocks[:i] + blocks[i + 1 :]
-        for s in range(action.set_size):
-            zero = element.zero + tuple((p, action.apply(c, s)) for p, c in zip(sb, cb))
-            out.append(make_element(group, n, rest, zero))
-    return out
+    (sa, ca), (sb, cb) = blocks[i], blocks[j]
+    merged = (sa + sb, ca + tuple(group.mul(c, g) for c in cb))
+    rest = blocks[:i] + blocks[i + 1 : j] + blocks[j + 1 :]
+    return make_element(group, element.n, rest + (merged,), element.zero)
+
+
+def color_block(element, action, i, s):
+    """Move block i into the zero block, coloring a position of group color
+    c by c . s, the equivariant coloring through s."""
+    sb, cb = element.blocks[i]
+    rest = element.blocks[:i] + element.blocks[i + 1 :]
+    zero = element.zero + tuple((p, action.apply(c, s)) for p, c in zip(sb, cb))
+    return make_element(action.group, element.n, rest, zero)
+
+
+def covers_of(element, action):
+    """All covers of a canonical element: block merges, then block colorings."""
+    k, group = len(element.blocks), action.group
+    merges = [merge_blocks(element, group, i, j, g)
+              for i in range(k) for j in range(i + 1, k) for g in range(group.order)]
+    colorings = [color_block(element, action, i, s)
+                 for i in range(k) for s in range(action.set_size)]
+    return merges + colorings
 
 
 def build_dowling(n, action, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:

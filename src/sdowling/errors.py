@@ -72,7 +72,3 @@ class MalformedTree(SDowlingError):
 
 class InvalidSpec(InputFormatError):
     pass
-
-
-class EmptyPosetWarning(UserWarning):
-    """The proper part is empty (only happens for n=1, trivial group, no colors)."""

@@ -27,6 +27,11 @@ class EdgeType(NamedTuple):
     alpha: int = 0  # discrepancy in G \ {e} for non-coherent merges
     color: int = -1  # color of the freshly colored block minimum
 
+    @property
+    def move(self):
+        """The cover move: "merge" (coherent or not), "colored" or "top"."""
+        return "merge" if self.kind in ("coherent", "noncoherent") else self.kind
+
 
 def classify_cover(x, y) -> EdgeType:
     """Classify a covering pair of canonical elements by its move type."""
@@ -116,7 +121,6 @@ class ELReport:
     passed: bool
     failures: list
     decreasing_chain_count: int
-    decreasing_chains: list = field(default_factory=list)
 
 
 def edge_labels(poset, labeling):
@@ -156,12 +160,11 @@ def check_interval(poset, labels, x, y):
     return None
 
 
-def decreasing_chains(poset, labeling, labels=None):
+def decreasing_chains(poset, labeling):
     """Maximal bottom-to-top chains with weakly decreasing label words."""
     if poset.bottom is None or poset.top is None:
         raise NotBounded("decreasing chains require a bounded poset")
-    if labels is None:
-        labels = edge_labels(poset, labeling)
+    labels = edge_labels(poset, labeling)
     walk = saturated_chains(poset, poset.bottom, poset.top, labels, decreasing=True)
     return [chain for chain, _ in walk]
 
@@ -218,10 +221,9 @@ def verify_el(poset, labeling, with_witness_chains=True) -> ELReport:
                     if old is None or word < old:
                         least_w[length + 1] = word
     failures.sort(key=lambda f: (f.x, f.y))
-    dec = decreasing_chains(poset, labeling, labels=labels)
+    walk = saturated_chains(poset, poset.bottom, poset.top, labels, decreasing=True)
     return ELReport(
         passed=not failures,
         failures=failures,
-        decreasing_chain_count=len(dec),
-        decreasing_chains=dec,
+        decreasing_chain_count=sum(1 for _ in walk),
     )

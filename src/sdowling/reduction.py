@@ -120,16 +120,17 @@ def reduce_and_verify(n, action, T, spec, max_elements=DEFAULT_MAX_ELEMENTS):
     for x, y in poset.cover_edges():
         fx, fy = f_of[x], f_of[y]
         et = classify_cover(poset.elements[x], poset.elements[y])
+        image_move = (classify_cover(poset.elements[fx], poset.elements[fy]).move
+                      if fy in poset.up[fx] else None)
         if et.kind == "colored" and et.color in orbit:
-            if not (fx == fy or _is_cover_kind(poset, fx, fy, "merge")):
+            if fx != fy and image_move != "merge":
                 violations.append(
                     f"orbit-colored edge ({x},{y}) maps to neither a fixed pair nor a merge"
                 )
-        else:
-            if fx == fy or not _is_cover_kind(poset, fx, fy, et.kind):
-                violations.append(
-                    f"edge ({x},{y}) of kind {et.kind} does not map to an edge of the same kind"
-                )
+        elif image_move != et.move:
+            violations.append(
+                f"edge ({x},{y}) of kind {et.kind} does not map to an edge of the same kind"
+            )
 
     # independent reconstruction on the surviving colors
     keep = [s for s in range(action.set_size) if s not in orbit]
@@ -164,14 +165,3 @@ def reduce_and_verify(n, action, T, spec, max_elements=DEFAULT_MAX_ELEMENTS):
         isomorphic=iso,
     )
     return poset, reduced, report
-
-
-def _is_cover_kind(poset, x, y, kind):
-    if y not in poset.up[x]:
-        return False
-    et = classify_cover(poset.elements[x], poset.elements[y])
-    if kind == "merge":
-        return et.kind in ("coherent", "noncoherent")
-    if kind in ("coherent", "noncoherent"):
-        return et.kind in ("coherent", "noncoherent")
-    return et.kind == kind

@@ -7,11 +7,10 @@ never "homotopy equivalent".
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from math import gcd
 
-from .errors import EmptyPosetWarning, SizeLimitExceeded
+from .errors import SizeLimitExceeded
 from .poset import bits
 
 DEFAULT_MAX_FACES = 2_000_000
@@ -31,9 +30,6 @@ def order_complex(poset, max_faces=DEFAULT_MAX_FACES):
     poset without its bottom element and an adjoined top."""
     skip = {poset.bottom, poset.top}
     vertices = [i for i in range(len(poset.elements)) if i not in skip]
-    if not vertices:
-        warnings.warn("order complex is empty", EmptyPosetWarning)
-        return SimplicialComplex(vertices=[], faces=[])
     above, _ = poset._reach()
     kept_mask = 0
     for v in vertices:
@@ -217,9 +213,7 @@ class CertificateReport:
 def certify_wedge(poset, expected_dim, expected_count, max_faces=DEFAULT_MAX_FACES):
     """Compare the proper part's homology against a predicted single free
     Betti number in a predicted dimension."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyPosetWarning)
-        cx = order_complex(poset, max_faces=max_faces)
+    cx = order_complex(poset, max_faces=max_faces)
     profile = homology(cx)
     betti = profile.reduced_betti
     if profile.empty:

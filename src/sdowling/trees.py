@@ -8,7 +8,8 @@ nested lists json.dumps writes for a tree lose nothing.
 
 from __future__ import annotations
 
-from .elements import bottom_element, make_element, top_element
+from .dowling import color_block, merge_blocks
+from .elements import bottom_element, top_element
 from .errors import MalformedTree, NotDecreasing, UnsupportedCase
 from .labeling import classify_cover, label_lambda_elements
 
@@ -92,13 +93,6 @@ def validate_blooming(tree, q, r, labels):
 # The chain <-> tree bijection.
 
 
-def _chain_labels(chain):
-    return [
-        label_lambda_elements(chain[i], chain[i + 1])
-        for i in range(len(chain) - 1)
-    ]
-
-
 def _tree_family(n, action):
     """(q, r, labels) of the blooming trees that the decreasing chains of the
     rank-n poset biject with: q blooms at the root, r at every other node.
@@ -124,7 +118,7 @@ def psi(chain, action):
     q, r, labels = _tree_family(chain[0].n, action)
     m = action.set_size
     k = action.group.order - 1  # size of G minus identity
-    words = _chain_labels(chain)
+    words = [label_lambda_elements(x, y) for x, y in zip(chain, chain[1:])]
     if not all(words[i + 1] <= words[i] for i in range(len(words) - 1)):
         raise NotDecreasing("label word is not weakly decreasing")
     root = labels[0]
@@ -136,25 +130,21 @@ def psi(chain, action):
             raise NotDecreasing("bloom requirement decreased along the chain")
         children[u] += [BLOOM] * missing
 
-    colored = []
-    noncoherent = []
+    # each edge hangs a child below a parent after as many of the parent's
+    # blooms as its label leaves: a coloring hangs the block minimum below
+    # the root, a non-coherent merge the larger minimum below the smaller
     for (x, y), lab in zip(zip(chain, chain[1:]), words):
         if y.is_top:
             continue
         et = classify_cover(x, y)
         if et.kind == "colored":
-            colored.append((lab, et))
+            u, blooms = root, m - lab.a
         elif et.kind == "noncoherent":
-            noncoherent.append((lab, et))
+            u, blooms = et.min_a, k - lab.b
         else:
             raise NotDecreasing("decreasing chains contain no coherent merges")
-    for lab, et in colored:
-        pad_to(root, m - lab.a)
-        children[root].append(et.min_b)
-    for lab, et in noncoherent:
-        u = min(et.min_a, et.min_b)
-        pad_to(u, k - lab.b)
-        children[u].append(max(et.min_a, et.min_b))
+        pad_to(u, blooms)
+        children[u].append(et.min_b)
     for u in labels:
         pad_to(u, q if u == root else r)
 
@@ -170,9 +160,8 @@ def psi_inv(tree, n, action):
     Returns the element list from the bottom to the adjoined top.
     """
     validate_blooming(tree, *_tree_family(n, action))
-    group = action.group
     m = action.set_size
-    k = group.order - 1
+    k = action.group.order - 1
 
     couples = []
 
@@ -190,40 +179,18 @@ def psi_inv(tree, n, action):
     # parents in descending label order; within one parent keep child order
     couples.sort(key=lambda t: -t[0])
 
+    # a valid tree makes u and v block minima at their turn: the blocks are
+    # its subtrees, a node's children join it before it joins its parent
     chain = [bottom_element(n)]
     for u, v, i in couples:
         x = chain[-1]
+        minima = [support[0] for support, _ in x.blocks]
         if u == 0:  # only the |S| >= 2 family has a node 0, the zero block
             # color the block whose minimum is v with the (m-i)-th color
-            s = m - i - 1
-            blocks = []
-            zero = list(x.zero)
-            for support, colors in x.blocks:
-                if support[0] == v:
-                    zero += [(p, action.apply(c, s)) for p, c in zip(support, colors)]
-                else:
-                    blocks.append((support, colors))
-            if len(blocks) == len(x.blocks):
-                raise MalformedTree(f"node {v} is not a block minimum at its turn")
-            y = make_element(group, n, blocks, zero)
+            chain.append(color_block(x, action, minima.index(v), m - i - 1))
         else:
-            # merge the blocks at minima u and v with discrepancy g_(k-i)
-            g = k - i
-            bu = bv = None
-            rest = []
-            for support, colors in x.blocks:
-                if support[0] == u:
-                    bu = (support, colors)
-                elif support[0] == v:
-                    bv = (support, colors)
-                else:
-                    rest.append((support, colors))
-            if bu is None or bv is None:
-                raise MalformedTree(f"nodes {u}, {v} are not block minima at their turn")
-            support = bu[0] + bv[0]
-            colors = bu[1] + tuple(group.mul(c, g) for c in bv[1])
-            y = make_element(group, n, rest + [(support, colors)], x.zero)
-        chain.append(y)
+            # merge the blocks at minima u < v with discrepancy g_(k-i)
+            chain.append(merge_blocks(x, action.group, minima.index(u), minima.index(v), k - i))
     chain.append(top_element(n))
     return chain
 

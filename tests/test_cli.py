@@ -1,8 +1,10 @@
+import itertools
 import json
+import tracemalloc
 
 import pytest
 
-from sdowling import cli
+from sdowling import cli, trees
 
 
 def run(capsys, *argv):
@@ -24,6 +26,34 @@ def test_trees_enumeration_agrees(capsys):
     assert code == 0
     assert data["count"] == 3
     assert len(data["trees"]) == 3
+
+
+def test_trees_streams_its_output(capsys, tmp_path):
+    """Trees are written as they are generated, so a 65,835-tree run
+    (6.7 MB of JSON) allocates a small fraction of its output at peak."""
+    target = tmp_path / "trees.json"
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "trees", "--nodes", "6", "--q", "2", "--r", "2",
+                           "--out", str(target))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out == ""
+    assert peak < 2 * 2**20
+    # the same bytes as one json.dumps of the whole document
+    expected = {"count": 65835, "nodes": 6, "q": 2, "r": 2,
+                "trees": list(trees.enumerate_blooming(6, 2, 2))}
+    assert target.read_text() == json.dumps(expected, sort_keys=True) + "\n"
+
+
+def test_trees_enumeration_short_of_the_count_exits_1(capsys, monkeypatch):
+    enumerate_blooming = trees.enumerate_blooming
+    monkeypatch.setattr(trees, "enumerate_blooming",
+                        lambda *a: itertools.islice(enumerate_blooming(*a), 2))
+    code, _, err = run(capsys, "trees", "--nodes", "3", "--q", "0", "--r", "0")
+    assert code == 1
+    assert "disagrees with the count formula" in err
 
 
 def test_count_chains_example(capsys):

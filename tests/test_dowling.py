@@ -3,12 +3,14 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdowling import groups
+from sdowling import catalog, groups
 from sdowling.dowling import (
     adjoin_top,
     build_dowling,
     build_subposet,
+    color_block,
     covers_of,
+    merge_blocks,
     passes_subposet_filter,
     poset_to_dot,
     poset_to_json,
@@ -21,6 +23,7 @@ from sdowling.elements import (
     top_element,
 )
 from sdowling.errors import AlreadyBounded, NonInvariantT, SizeLimitExceeded
+from sdowling.labeling import classify_cover
 from sdowling.poset import induced_covers, is_graded
 
 
@@ -116,6 +119,27 @@ def test_covers_of_bottom_counts():
     covers = covers_of(b, action)
     # one merge pair with |G| colorings, plus 2 blocks x 2 colors
     assert len(covers) == 2 + 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_moves_and_classify_cover_invert_each_other(n):
+    """On every element of the n <= 3 grid posets, classify_cover reads back
+    the blocks and the twist or color each move was given."""
+    for key, _, action in catalog.dowling_grid(ns=(n,)):
+        group = action.group
+        for x in build_dowling(n, action).elements:
+            covers = covers_of(x, action)
+            assert len(set(covers)) == len(covers), key
+            minima = [support[0] for support, _ in x.blocks]
+            for j in range(len(minima)):
+                for i in range(j):
+                    for g in range(group.order):
+                        et = classify_cover(x, merge_blocks(x, group, i, j, g))
+                        assert (et.min_a, et.min_b, et.alpha) == (minima[i], minima[j], g), key
+                        assert (et.kind == "coherent") == (g == 0), key
+                for s in range(action.set_size):
+                    et = classify_cover(x, color_block(x, action, j, s))
+                    assert (et.kind, et.min_b, et.color) == ("colored", minima[j], s), key
 
 
 @pytest.mark.parametrize("n,g,action", [

@@ -52,6 +52,8 @@ RUNS = [
     ["count-chains", "--group", "trivial:0", "--n", "1"],
     # its empty proper part is one sphere of dimension -1
     ["certify", "--group", "trivial:0", "--n", "1", "--dim", "-1", "--count", "1"],
+    # trees streams its output; the indented layout must match json.dumps
+    ["trees", "--nodes", "3", "--q", "1", "--r", "0", "--pretty"],
 ]
 
 

@@ -4,6 +4,7 @@ from sdowling import acceptance, groups, reduction, topology
 from sdowling.dowling import build_subposet
 from sdowling.elements import make_element, top_element
 from sdowling.errors import InvalidSpec
+from sdowling.labeling import classify_cover
 from sdowling.poset import induced_covers
 
 Z2 = groups.cyclic_group(2)
@@ -65,6 +66,28 @@ def test_closure_properties_and_isomorphism(n, action, T):
     assert report.isomorphic
     assert report.image_size == len(reduced.elements)
     assert len(reduced.elements) < len(poset.elements)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_edge_analysis_flags_every_edge_against_the_other_orbit(monkeypatch, n):
+    """Remove the orbit {0, 1} but check the edges against the orbit {2, 3}:
+    every edge colored from {0, 1} maps to a fixed pair or a merge, not to a
+    coloring, and every edge colored from {2, 3} is kept as a coloring.  The
+    image keeps the colors 2 and 3, so it is not relabeled for the
+    comparison with the reduced poset."""
+    two_orbits = groups.action_from_permutations(Z2, [[0, 1, 2, 3], [1, 0, 3, 2]])
+    removed = reduction.make_spec(two_orbits, [], 0)
+    closure_f = reduction.closure_f
+    monkeypatch.setattr(reduction, "closure_f", lambda x, _, action: closure_f(x, removed, action))
+    monkeypatch.setattr(reduction, "_relabel_zero", lambda element, *_: element)
+    poset, _, report = reduction.reduce_and_verify(n, two_orbits, [],
+                                                   reduction.make_spec(two_orbits, [], 2))
+    colors = [classify_cover(poset.elements[x], poset.elements[y]).color
+              for x, y in poset.cover_edges()]
+    flagged = [sum("of kind colored" in v for v in report.violations),
+               sum(v.startswith("orbit-colored") for v in report.violations)]
+    assert flagged == [sum(c in (0, 1) for c in colors), sum(c in (2, 3) for c in colors)]
+    assert min(flagged) > 0
 
 
 def test_reduction_preserves_homology():

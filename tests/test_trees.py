@@ -94,8 +94,7 @@ def test_bijection_unsupported_parameters():
 def test_psi_rejects_non_decreasing_chains():
     action = groups.trivial_action(Z2, 2)
     phat = adjoin_top(build_dowling(2, action))
-    rep = labeling.verify_el(phat, labeling.label_lambda)
-    decreasing = {tuple(c) for c in rep.decreasing_chains}
+    decreasing = {tuple(c) for c in labeling.decreasing_chains(phat, labeling.label_lambda)}
     from sdowling.poset import maximal_chains
 
     bad = next(
@@ -108,8 +107,8 @@ def test_psi_rejects_non_decreasing_chains():
 
 def _roundtrip_all(n, action):
     phat = adjoin_top(build_dowling(n, action))
-    rep = labeling.verify_el(phat, labeling.label_lambda)
-    chains = [[phat.elements[i] for i in c] for c in rep.decreasing_chains]
+    chains = [[phat.elements[i] for i in c]
+              for c in labeling.decreasing_chains(phat, labeling.label_lambda)]
     images = set()
     for chain in chains:
         t = trees.psi(chain, action)
