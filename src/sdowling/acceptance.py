@@ -146,10 +146,7 @@ def _bijection_points():
 @_criterion(5, "the chain/tree bijection round-trips both ways")
 def criterion_5():
     for key, n, action in _bijection_points():
-        dhat = _dhat(n, action)
-        chains = [[dhat.elements[i] for i in c]
-                  for c in labeling.decreasing_chains(dhat, labeling.label_lambda)]
-        _, messages = trees.bijection_failures(chains, n, action)
+        _, _, messages = trees.bijection_failures(_dhat(n, action), n, action)
         yield [f"{key}: {msg}" for msg in messages]
     # the worked figure instance: n=4, |G|=3, |S|=5
     z3 = catalog.group_by_name("Z3")

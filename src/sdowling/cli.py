@@ -124,7 +124,7 @@ def cmd_verify_el(args):
 
 def cmd_count_chains(args):
     action, poset = _build_base(args)
-    count = len(labeling.decreasing_chains(adjoin_top(poset), LABELINGS[args.labeling]))
+    count = sum(1 for _ in labeling.decreasing_chains(adjoin_top(poset), LABELINGS[args.labeling]))
     formula = sphere_product(args.n, action.group.order, action.set_size)
     _emit(args, {
         "decreasing": count,
@@ -177,14 +177,9 @@ def cmd_trees(args):
 
 def cmd_bijection(args):
     action, poset = _build_base(args)
-    phat = adjoin_top(poset)
-    chains = [
-        [phat.elements[i] for i in c]
-        for c in labeling.decreasing_chains(phat, labeling.label_lambda)
-    ]
-    tree_count, messages = trees.bijection_failures(chains, args.n, action)
+    chain_count, tree_count, messages = trees.bijection_failures(adjoin_top(poset), args.n, action)
     _emit(args, {
-        "chains": len(chains),
+        "chains": chain_count,
         "trees": tree_count,
         "bijective": not messages,
     })

@@ -161,12 +161,14 @@ def check_interval(poset, labels, x, y):
 
 
 def decreasing_chains(poset, labeling):
-    """Maximal bottom-to-top chains with weakly decreasing label words."""
+    """Maximal bottom-to-top chains with weakly decreasing label words, as
+    index tuples in lexicographic order, yielded one at a time.  The bounds
+    are checked at the call, not at the first step of the iteration."""
     if poset.bottom is None or poset.top is None:
         raise NotBounded("decreasing chains require a bounded poset")
     labels = edge_labels(poset, labeling)
     walk = saturated_chains(poset, poset.bottom, poset.top, labels, decreasing=True)
-    return [chain for chain, _ in walk]
+    return (chain for chain, _ in walk)
 
 
 def verify_el(poset, labeling, with_witness_chains=True) -> ELReport:
@@ -192,8 +194,7 @@ def verify_el(poset, labeling, with_witness_chains=True) -> ELReport:
     if poset.bottom is None or poset.top is None:
         raise NotBounded("EL verification requires a bounded poset")
     labels = edge_labels(poset, labeling)
-    rank, up = poset.rank, poset.up
-    above, _ = poset._reach()
+    rank, up, above = poset.rank, poset.up, poset.above
     failures = []
     for x in range(len(poset.elements)):
         live = {x: ({}, {0: ()})}  # z -> (increasing chains by last label, least word by length)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import NotComparable, NotGraded
@@ -10,9 +11,11 @@ from .errors import NotComparable, NotGraded
 class RankedPoset:
     """Explicit Hasse diagram with a rank function.
 
-    Elements are opaque objects indexed 0..size-1.  `up[i]` / `down[i]` list
-    the covers of / covered-by indices.  Immutable after construction; all
-    derived data (reachability bitmasks, Möbius memo) is cached lazily.
+    Elements are opaque objects indexed 0..size-1; `up[i]` lists the indices
+    that cover i.  The order is stored once, as up-sets: bit y of `above[x]`
+    is set iff x <= y, built lazily on first use.  Möbius values are
+    memoized per source, all of mu(x, .) at once.  Immutable after
+    construction.
     """
 
     def __init__(self, elements, cover_edges, ranks, bottom, top=None):
@@ -20,16 +23,10 @@ class RankedPoset:
         self.rank = list(ranks)
         self.bottom = bottom
         self.top = top
-        n = len(self.elements)
-        up = [[] for _ in range(n)]
-        down = [[] for _ in range(n)]
+        up = [[] for _ in self.elements]
         for x, y in cover_edges:
             up[x].append(y)
-            down[y].append(x)
         self.up = [tuple(sorted(s)) for s in up]
-        self.down = [tuple(sorted(s)) for s in down]
-        self._above = None
-        self._below = None
         self._moebius = {}
 
     def __len__(self):
@@ -44,35 +41,20 @@ class RankedPoset:
     def max_rank(self):
         return max(self.rank) if self.rank else 0
 
-    def _reach(self):
-        # Bitmask reachability: above[x] has bit y set iff x <= y.
-        if self._above is None:
-            n = len(self.elements)
-            order = sorted(range(n), key=lambda i: -self.rank[i])
-            above = [0] * n
-            for x in order:
-                m = 1 << x
-                for y in self.up[x]:
-                    m |= above[y]
-                above[x] = m
-            below = [0] * n
-            for x in sorted(range(n), key=lambda i: self.rank[i]):
-                m = 1 << x
-                for y in self.down[x]:
-                    m |= below[y]
-                below[x] = m
-            self._above = above
-            self._below = below
-        return self._above, self._below
+    @functools.cached_property
+    def above(self):
+        """Bitmask up-sets, built in order of decreasing rank: a cover
+        raises the rank, so every up[x] is done before x."""
+        above = [0] * len(self.elements)
+        for x in sorted(range(len(above)), key=lambda i: -self.rank[i]):
+            m = 1 << x
+            for y in self.up[x]:
+                m |= above[y]
+            above[x] = m
+        return above
 
     def leq(self, x, y):
-        above, _ = self._reach()
-        return bool(above[x] >> y & 1)
-
-    def interval_mask(self, x, y):
-        """Bitmask of all z with x <= z <= y."""
-        above, below = self._reach()
-        return above[x] & below[y]
+        return bool(self.above[x] >> y & 1)
 
 
 def is_graded(poset):
@@ -92,17 +74,19 @@ def bits(mask):
 
 def induced_covers(poset, kept):
     """Cover pairs (x, y) of the subposet induced on the indices in `kept`:
-    x < y in the poset and no other kept element lies between them."""
-    above, below = poset._reach()
+    x < y in the poset and y lies in the strict up-set of no other kept
+    element above x."""
+    above = poset.above
     kept_mask = 0
     for i in kept:
         kept_mask |= 1 << i
     covers = []
     for x in kept:
         strictly_above = above[x] & kept_mask & ~(1 << x)
-        for y in bits(strictly_above):
-            if not strictly_above & below[y] & ~(1 << y):
-                covers.append((x, y))
+        shadowed = 0
+        for z in bits(strictly_above):
+            shadowed |= above[z] ^ (1 << z)
+        covers.extend((x, y) for y in bits(strictly_above & ~shadowed))
     return covers
 
 
@@ -115,7 +99,7 @@ def saturated_chains(poset, x, y, labels=None, decreasing=False):
     With `decreasing`, only chains whose word is weakly decreasing are
     walked: a step whose label exceeds the previous one is pruned.
     """
-    mask = poset.interval_mask(x, y)
+    above = poset.above
     stack = [(x, (x,), ())]
     while stack:
         node, chain, word = stack.pop()
@@ -123,7 +107,7 @@ def saturated_chains(poset, x, y, labels=None, decreasing=False):
             yield chain, word
             continue
         for nxt in reversed(poset.up[node]):
-            if not mask >> nxt & 1:
+            if not above[nxt] >> y & 1:
                 continue
             step = () if labels is None else (labels[(node, nxt)],)
             if decreasing and word and step[0] > word[-1]:
@@ -131,34 +115,28 @@ def saturated_chains(poset, x, y, labels=None, decreasing=False):
             stack.append((nxt, chain + (nxt,), word + step))
 
 
-def maximal_chains(poset, x, y):
-    """All saturated chains from x to y, in lexicographic order of indices.
+def moebius(poset, x, y):
+    """Möbius function value mu(x, y).
 
-    A chain is the full index sequence (x, ..., y); x == y yields one
-    single-element chain.
+    The first call from a source x fills mu(x, z) for the whole up-set of x
+    by one forward pass in rank order: each z, once its value is final,
+    adds it to the running sum of every element strictly above it, so
+    mu(x, z) = -sum of mu(x, w) over x <= w < z is ready when z is reached.
+    The row is memoized on the poset.
     """
     if not poset.leq(x, y):
         raise NotComparable(f"elements {x} and {y} are not comparable")
-    return [chain for chain, _ in saturated_chains(poset, x, y)]
-
-
-def moebius(poset, x, y):
-    """Möbius function value, memoized on the poset."""
-    if not poset.leq(x, y):
-        raise NotComparable(f"elements {x} and {y} are not comparable")
-    memo = poset._moebius
-    key = (x, y)
-    if key in memo:
-        return memo[key]
-    if x == y:
-        memo[key] = 1
-        return 1
-    total = 0
-    for z in bits(poset.interval_mask(x, y)):
-        if z != y:
-            total += moebius(poset, x, z)
-    memo[key] = -total
-    return -total
+    row = poset._moebius.get(x)
+    if row is None:
+        above = poset.above
+        row, sums = {}, {}
+        for z in sorted(bits(above[x]), key=poset.rank.__getitem__):
+            mu = row[z] = 1 if z == x else -sums.pop(z)
+            if mu:
+                for w in bits(above[z] ^ (1 << z)):
+                    sums[w] = sums.get(w, 0) + mu
+        poset._moebius[x] = row
+    return row[y]
 
 
 # ---------------------------------------------------------------------------

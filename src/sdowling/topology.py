@@ -30,7 +30,7 @@ def order_complex(poset, max_faces=DEFAULT_MAX_FACES):
     poset without its bottom element and an adjoined top."""
     skip = {poset.bottom, poset.top}
     vertices = [i for i in range(len(poset.elements)) if i not in skip]
-    above, _ = poset._reach()
+    above = poset.above
     kept_mask = 0
     for v in vertices:
         kept_mask |= 1 << v

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .dowling import color_block, merge_blocks
 from .elements import bottom_element, top_element
 from .errors import MalformedTree, NotDecreasing, UnsupportedCase
-from .labeling import classify_cover, label_lambda_elements
+from .labeling import classify_cover, decreasing_chains, label_lambda, label_lambda_elements
 
 BLOOM = "*"
 DEFAULT_MAX_TREES = 1_000_000
@@ -195,18 +195,21 @@ def psi_inv(tree, n, action):
     return chain
 
 
-def bijection_failures(chains, n, action):
+def bijection_failures(poset, n, action):
     """Round-trip psi and psi_inv both ways between the decreasing maximal
-    chains and the blooming trees they should biject with.
+    chains of the bounded poset, taken from the bottom to the adjoined top
+    as elements, and the blooming trees they should biject with.
 
-    `chains` lists every decreasing chain of the bounded poset as elements
-    from the bottom to the adjoined top.  Returns (tree_count, messages);
-    no messages means psi is a bijection and psi_inv its inverse.
+    Returns (chain_count, tree_count, messages); no messages means psi is a
+    bijection and psi_inv its inverse.
     """
     q, r, labels = _tree_family(n, action)
     messages = []
     images = set()
-    for chain in chains:
+    chain_count = 0
+    for index_chain in decreasing_chains(poset, label_lambda):
+        chain = [poset.elements[i] for i in index_chain]
+        chain_count += 1
         t = psi(chain, action)
         images.add(t)
         if psi_inv(t, n, action) != chain:
@@ -218,4 +221,4 @@ def bijection_failures(chains, n, action):
         if psi(psi_inv(t, n, action), action) != t:
             messages.append("psi(psi_inv(tree)) != tree")
             break
-    return len(all_trees), messages
+    return chain_count, len(all_trees), messages

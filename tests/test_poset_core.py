@@ -3,6 +3,8 @@ import itertools
 import pytest
 from hypothesis import example, given, strategies as st
 
+from sdowling import catalog
+from sdowling.dowling import adjoin_top, build_dowling, build_subposet
 from sdowling.errors import NotComparable, NotGraded
 from sdowling.poset import (
     Polynomial,
@@ -11,8 +13,8 @@ from sdowling.poset import (
     characteristic_polynomial,
     induced_covers,
     is_graded,
-    maximal_chains,
     moebius,
+    saturated_chains,
     sphere_product,
 )
 
@@ -58,20 +60,47 @@ def test_moebius_requires_comparability():
 
 def test_leq_and_interval_members():
     b3 = boolean_lattice(3)
-    assert b3.leq(0, len(b3) - 1)
-    members = list(bits(b3.interval_mask(0, len(b3) - 1)))
-    assert members == list(range(len(b3)))
+    top = len(b3) - 1
+    assert b3.leq(0, top)
+    assert list(bits(b3.above[0])) == list(range(len(b3)))
+    assert list(bits(b3.above[top])) == [top]
     singleton = next(i for i, s in enumerate(b3.elements) if s == frozenset({0}))
-    assert list(bits(b3.interval_mask(singleton, singleton))) == [singleton]
+    assert [b3.elements[i] for i in bits(b3.above[singleton])] == [
+        s for s in b3.elements if 0 in s
+    ]
+    assert not b3.leq(singleton, 0)
 
 
 def test_maximal_chain_count_on_boolean_lattice():
     b3 = boolean_lattice(3)
-    chains = maximal_chains(b3, 0, len(b3) - 1)
+    chains = [chain for chain, _ in saturated_chains(b3, 0, len(b3) - 1)]
     assert len(chains) == 6  # 3! saturated chains
     assert chains == sorted(chains)
-    with pytest.raises(NotComparable):
-        maximal_chains(b3, 1, 2)
+    assert [chain for chain, _ in saturated_chains(b3, 1, 2)] == []
+
+
+def test_up_sets_and_moebius_from_every_source():
+    # oracles: the up-sets by a depth-first search over the covers, and
+    # mu(x, y) = -sum of mu(x, z) over x <= z < y from leq alone, for every
+    # source x, on the bounded posets and invariant subposets with n <= 2
+    for key, n, action in catalog.dowling_grid(ns=(1, 2)):
+        posets = [adjoin_top(build_dowling(n, action))] + [
+            adjoin_top(build_subposet(n, action, list(T)))
+            for T in catalog.invariant_subsets(action)
+        ]
+        for p in posets:
+            for x in range(len(p)):
+                seen, stack = {x}, [x]
+                while stack:
+                    for y in p.up[stack.pop()]:
+                        if y not in seen:
+                            seen.add(y)
+                            stack.append(y)
+                assert list(bits(p.above[x])) == sorted(seen), key
+                mu = {}
+                for y in sorted(seen, key=p.rank.__getitem__):
+                    mu[y] = 1 if y == x else -sum(v for z, v in mu.items() if p.leq(z, y))
+                    assert moebius(p, x, y) == mu[y], (key, x, y)
 
 
 def test_gradedness_and_hasse():

@@ -95,10 +95,10 @@ def test_psi_rejects_non_decreasing_chains():
     action = groups.trivial_action(Z2, 2)
     phat = adjoin_top(build_dowling(2, action))
     decreasing = {tuple(c) for c in labeling.decreasing_chains(phat, labeling.label_lambda)}
-    from sdowling.poset import maximal_chains
+    from sdowling.poset import saturated_chains
 
     bad = next(
-        c for c in maximal_chains(phat, phat.bottom, phat.top) if c not in decreasing
+        c for c, _ in saturated_chains(phat, phat.bottom, phat.top) if c not in decreasing
     )
     chain = [phat.elements[i] for i in bad]
     with pytest.raises(NotDecreasing):
