@@ -124,7 +124,7 @@ def cmd_verify_el(args):
 
 def cmd_count_chains(args):
     action, poset = _build_base(args)
-    count = sum(1 for _ in labeling.decreasing_chains(adjoin_top(poset), LABELINGS[args.labeling]))
+    count = labeling.count_decreasing_chains(adjoin_top(poset), LABELINGS[args.labeling])
     formula = sphere_product(args.n, action.group.order, action.set_size)
     _emit(args, {
         "decreasing": count,

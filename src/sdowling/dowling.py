@@ -3,6 +3,7 @@ the invariant subposets cut out by the orbit-count filter."""
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 
 from . import groups
@@ -11,22 +12,24 @@ from .elements import (
     bracket_notation,
     bottom_element,
     element_to_json,
-    make_element,
     top_element,
 )
 from .errors import AlreadyBounded, NonInvariantT, SizeLimitExceeded
+from .labeling import EdgeType
 from .poset import RankedPoset, induced_covers
 
 DEFAULT_MAX_ELEMENTS = 5_000_000
 
 
 def merge_blocks(element, group, i, j, g):
-    """Glue blocks i < j of a canonical element, twisting block j by g."""
+    """Glue blocks i < j of a canonical element, twisting block j by g.  The
+    merged block keeps block i's minimum, colored e, so it is canonical once
+    its positions are sorted, and it takes block i's place."""
     blocks = element.blocks
     (sa, ca), (sb, cb) = blocks[i], blocks[j]
-    merged = (sa + sb, ca + tuple(group.mul(c, g) for c in cb))
-    rest = blocks[:i] + blocks[i + 1 : j] + blocks[j + 1 :]
-    return make_element(group, element.n, rest + (merged,), element.zero)
+    merged = tuple(zip(*sorted(zip(sa + sb, ca + tuple(group.mul(c, g) for c in cb)))))
+    rest = blocks[:i] + (merged,) + blocks[i + 1 : j] + blocks[j + 1 :]
+    return DowlingElement(element.n, rest, element.zero)
 
 
 def color_block(element, action, i, s):
@@ -34,16 +37,31 @@ def color_block(element, action, i, s):
     c by c . s, the equivariant coloring through s."""
     sb, cb = element.blocks[i]
     rest = element.blocks[:i] + element.blocks[i + 1 :]
-    zero = element.zero + tuple((p, action.apply(c, s)) for p, c in zip(sb, cb))
-    return make_element(action.group, element.n, rest, zero)
+    zero = sorted(element.zero + tuple((p, action.apply(c, s)) for p, c in zip(sb, cb)))
+    return DowlingElement(element.n, rest, tuple(zero))
+
+
+@functools.cache
+def _move_tables(n, action):
+    """Every move's EdgeType on {1..n}, one object per move: merges by block
+    minima a < b and twist, colorings by block minimum and color."""
+    merges = [[[EdgeType("noncoherent" if g else "coherent", a, b, g)
+                for g in range(action.group.order)] for b in range(n + 1)] for a in range(n + 1)]
+    colorings = [[EdgeType("colored", min_b=b, color=action.apply(0, s))
+                  for s in range(action.set_size)] for b in range(n + 1)]
+    return merges, colorings
 
 
 def covers_of(element, action):
-    """All covers of a canonical element: block merges, then block colorings."""
-    k, group = len(element.blocks), action.group
-    merges = [merge_blocks(element, group, i, j, g)
+    """All covers of a canonical element with their moves, as (cover,
+    EdgeType) pairs: block merges, then block colorings."""
+    blocks, group = element.blocks, action.group
+    merge_moves, color_moves = _move_tables(element.n, action)
+    minima = [support[0] for support, _ in blocks]
+    k = len(blocks)
+    merges = [(merge_blocks(element, group, i, j, g), merge_moves[minima[i]][minima[j]][g])
               for i in range(k) for j in range(i + 1, k) for g in range(group.order)]
-    colorings = [color_block(element, action, i, s)
+    colorings = [(color_block(element, action, i, s), color_moves[minima[i]][s])
                  for i in range(k) for s in range(action.set_size)]
     return merges + colorings
 
@@ -56,11 +74,11 @@ def build_dowling(n, action, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     bottom = bottom_element(n)
     index = {bottom: 0}
     elements = [bottom]
-    edges = set()
+    edges, moves = [], []
     queue = deque([0])
     while queue:
         xi = queue.popleft()
-        for y in covers_of(elements[xi], action):
+        for y, move in covers_of(elements[xi], action):
             yi = index.get(y)
             if yi is None:
                 yi = len(elements)
@@ -71,9 +89,10 @@ def build_dowling(n, action, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:
                 index[y] = yi
                 elements.append(y)
                 queue.append(yi)
-            edges.add((xi, yi))
+            edges.append((xi, yi))
+            moves.append(move)
     ranks = [el.rank for el in elements]
-    return RankedPoset(elements, sorted(edges), ranks, bottom=0, top=None)
+    return RankedPoset(elements, edges, ranks, bottom=0, top=None, moves=moves)
 
 
 def adjoin_top(poset) -> RankedPoset:
@@ -89,10 +108,12 @@ def adjoin_top(poset) -> RankedPoset:
     ti = len(elements)
     elements.append(new_top)
     edges = list(poset.cover_edges())
+    moves = [move for row in poset.moves for move in row]
     maximal = [i for i in range(len(poset.elements)) if not poset.up[i]]
     edges += [(i, ti) for i in maximal]
+    moves += [EdgeType("top")] * len(maximal)
     ranks = list(poset.rank) + [poset.max_rank + 1]
-    return RankedPoset(elements, edges, ranks, bottom=poset.bottom, top=ti)
+    return RankedPoset(elements, edges, ranks, bottom=poset.bottom, top=ti, moves=moves)
 
 
 def passes_subposet_filter(element, action, T):
@@ -112,7 +133,9 @@ def passes_subposet_filter(element, action, T):
 
 def build_subposet(n, action, T, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     """Induced subposet on the elements passing the orbit-count filter, with
-    covering relations recomputed inside the filtered vertex set."""
+    covering relations recomputed inside the filtered vertex set.  A cover
+    keeps its ambient move; one that is not an ambient cover is no single
+    move, and its move is None."""
     if not groups.is_invariant(action, T):
         raise NonInvariantT(f"T = {sorted(set(T))} is not closed under the action")
     ambient = build_dowling(n, action, max_elements=max_elements)
@@ -122,11 +145,13 @@ def build_subposet(n, action, T, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPos
         if passes_subposet_filter(el, action, T)
     ]
     new_index = {old: new for new, old in enumerate(kept)}
-    edges = [(new_index[x], new_index[y]) for x, y in induced_covers(ambient, kept)]
+    covers = induced_covers(ambient, kept)
+    edges = [(new_index[x], new_index[y]) for x, y in covers]
+    moves = [ambient.move(x, y) for x, y in covers]
     elements = [ambient.elements[i] for i in kept]
     ranks = [ambient.rank[i] for i in kept]
     bottom = new_index[0]
-    return RankedPoset(elements, edges, ranks, bottom=bottom, top=None)
+    return RankedPoset(elements, edges, ranks, bottom=bottom, top=None, moves=moves)
 
 
 # ---------------------------------------------------------------------------

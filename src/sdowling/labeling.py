@@ -3,6 +3,7 @@ lexicographic-shellability verifier."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -64,9 +65,8 @@ def classify_cover(x, y) -> EdgeType:
     return EdgeType("colored", min_b=min_b, color=color)
 
 
-def label_lambda_elements(x, y) -> EdgeLabel:
-    """The labeling of the full bounded poset."""
-    et = classify_cover(x, y)
+def lambda_of_move(et) -> EdgeLabel:
+    """The label of the full bounded poset on a cover with move `et`."""
     if et.kind == "top":
         return EdgeLabel(1, 2)
     if et.kind == "coherent":
@@ -77,11 +77,10 @@ def label_lambda_elements(x, y) -> EdgeLabel:
     return EdgeLabel(1, et.color + 1)
 
 
-def label_mu_elements(x, y) -> EdgeLabel:
+def _mu_of_move(et, x) -> EdgeLabel:
     """Subposet labeling: favors zero-block colors already present in x."""
-    et = classify_cover(x, y)
     if et.kind != "colored":
-        return label_lambda_elements(x, y)
+        return lambda_of_move(et)
     s = et.color
     used = {c for _, c in x.zero}
     if s in used:
@@ -89,19 +88,28 @@ def label_mu_elements(x, y) -> EdgeLabel:
     return EdgeLabel(1, (s + 1) + sum(1 for r in used if r > s))
 
 
-def _check_cover(poset, xi, yi):
-    if yi not in poset.up[xi]:
-        raise NotACover(f"({xi}, {yi}) is not a cover edge")
+def label_lambda_elements(x, y) -> EdgeLabel:
+    return lambda_of_move(classify_cover(x, y))
+
+
+def label_mu_elements(x, y) -> EdgeLabel:
+    return _mu_of_move(classify_cover(x, y), x)
+
+
+def recorded_move(poset, xi, yi) -> EdgeType:
+    """The move the build recorded for the cover (xi, yi)."""
+    et = poset.move(xi, yi)
+    if et is None:
+        raise NotACover(f"({xi}, {yi}) is not a single-move cover edge")
+    return et
 
 
 def label_lambda(poset, xi, yi) -> EdgeLabel:
-    _check_cover(poset, xi, yi)
-    return label_lambda_elements(poset.elements[xi], poset.elements[yi])
+    return lambda_of_move(recorded_move(poset, xi, yi))
 
 
 def label_mu(poset, xi, yi) -> EdgeLabel:
-    _check_cover(poset, xi, yi)
-    return label_mu_elements(poset.elements[xi], poset.elements[yi])
+    return _mu_of_move(recorded_move(poset, xi, yi), poset.elements[xi])
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +137,16 @@ def edge_labels(poset, labeling):
     shared = {}
     return {(x, y): shared.setdefault(lab := labeling(poset, x, y), lab)
             for x, y in poset.cover_edges()}
+
+
+def _ranked_labels(poset, labeling):
+    """The cover labels of each node, parallel to `up`, as their ranks k among
+    the distinct labels, and the width of a count vector over them: slot
+    k + 1 counts chains ending in label k, slot 0 and the last slot the
+    empty chain, below or above every label."""
+    rows = [tuple(labeling(poset, x, y) for y in ys) for x, ys in enumerate(poset.up)]
+    order = {lab: k for k, lab in enumerate(sorted(set(itertools.chain.from_iterable(rows))))}
+    return len(order) + 2, [tuple(order[lab] for lab in row) for row in rows]
 
 
 def _is_strictly_increasing(word):
@@ -171,6 +189,27 @@ def decreasing_chains(poset, labeling):
     return (chain for chain, _ in walk)
 
 
+def count_decreasing_chains(poset, labeling):
+    """The number of chains `decreasing_chains` yields, without walking them."""
+    if poset.bottom is None or poset.top is None:
+        raise NotBounded("decreasing chains require a bounded poset")
+    return _count_decreasing(poset, *_ranked_labels(poset, labeling))
+
+
+def _count_decreasing(poset, width, ints):
+    """One forward pass in rank order carries to each node the number of
+    weakly decreasing chains from the bottom to it, by last label."""
+    rank, up, zeros = poset.rank, poset.up, [0] * width
+    live = {poset.bottom: zeros[:-1] + [1]}
+    for z in sorted(range(len(rank)), key=rank.__getitem__):
+        below = list(itertools.accumulate(live.pop(z, zeros)))
+        if z == poset.top:
+            return below[-1]
+        for w, lab in zip(up[z], ints[z]):
+            if count := below[-1] - below[lab]:
+                live.setdefault(w, [0] * width)[lab + 1] += count
+
+
 def verify_el(poset, labeling, with_witness_chains=True) -> ELReport:
     """Exhaustive EL-labeling check over every closed interval.
 
@@ -178,53 +217,51 @@ def verify_el(poset, labeling, with_witness_chains=True) -> ELReport:
     increasing label word, and that chain is the strict lexicographic minimum
     among all of its maximal chains.
 
-    No chain is walked for an interval that passes. One forward pass over the
-    up-set of each x, in rank order, carries to every z the number of
-    strictly increasing chains x -> z, keyed by their last label, and the
-    least label word of the chains x -> z of each length. Words are keyed by
-    length because a prefix sorts first: where chains of different lengths
-    meet, the least word of z extended by one label need not be the least
-    word above z. [x, y] passes exactly when it has one increasing chain and
-    its least word is strictly increasing; the chains carrying the least
-    word need no count, as each of them is then an increasing chain. A
-    node's state is dropped once it has reached its covers. Each failing
-    interval is walked again by `check_interval`, which gives the reason and
-    the witnesses.
+    No chain is walked for an interval that passes. One forward pass over
+    the up-set of each x, in rank order and on integer labels, carries to
+    every z the number of strictly increasing chains x -> z by last label,
+    and the least label word of the chains x -> z of each length, with
+    whether it increases strictly. Words are keyed by length because a
+    prefix sorts first: where chains of different lengths meet, the least
+    word of z extended by one label need not be the least word above z.
+    [x, y] passes exactly when it has one increasing chain and its least
+    word is strictly increasing; the chains carrying the least word need no
+    count, as each of them is then an increasing chain. A node's state is
+    dropped once it has reached its covers. Each failing interval is walked
+    again by `check_interval`, which gives the reason and the witnesses.
     """
     if poset.bottom is None or poset.top is None:
         raise NotBounded("EL verification requires a bounded poset")
-    labels = edge_labels(poset, labeling)
+    width, ints = _ranked_labels(poset, labeling)
     rank, up, above = poset.rank, poset.up, poset.above
     failures = []
+    labels = {}  # edge_labels, for check_interval; filled at the first failure
     for x in range(len(poset.elements)):
-        live = {x: ({}, {0: ()})}  # z -> (increasing chains by last label, least word by length)
+        # z -> (increasing chains by last label, (least word, increasing) by length)
+        live = {x: ([1] + [0] * (width - 1), {0: ((), True)})}
         for z in sorted(bits(above[x]), key=rank.__getitem__):
             inc, least = live.pop(z)
-            if rank[z] - rank[x] >= 2 and (
-                sum(inc.values()) != 1 or not _is_strictly_increasing(min(least.values()))
-            ):
+            below = list(itertools.accumulate(inc))
+            if rank[z] - rank[x] >= 2 and (below[-1] != 1 or not min(least.values())[1]):
+                labels = labels or edge_labels(poset, labeling)
                 fail = check_interval(poset, labels, x, z)
                 if not with_witness_chains:
                     fail.witnesses = []
                 failures.append(fail)
-            for w in up[z]:
-                lab = labels[(z, w)]
+            for w, lab in zip(up[z], ints[z]):
                 state = live.get(w)
                 if state is None:
-                    state = live[w] = ({}, {})
+                    state = live[w] = ([0] * width, {})
                 inc_w, least_w = state
-                count = 1 if z == x else sum(c for last, c in inc.items() if last < lab)
-                if count:
-                    inc_w[lab] = inc_w.get(lab, 0) + count
-                for length, word in least.items():
-                    word += (lab,)
+                inc_w[lab + 1] += below[lab]
+                for length, (word, increasing) in least.items():
+                    new = word + (lab,)
                     old = least_w.get(length + 1)
-                    if old is None or word < old:
-                        least_w[length + 1] = word
+                    if old is None or new < old[0]:
+                        least_w[length + 1] = new, increasing and (not word or word[-1] < lab)
     failures.sort(key=lambda f: (f.x, f.y))
-    walk = saturated_chains(poset, poset.bottom, poset.top, labels, decreasing=True)
     return ELReport(
         passed=not failures,
         failures=failures,
-        decreasing_chain_count=sum(1 for _ in walk),
+        decreasing_chain_count=_count_decreasing(poset, width, ints),
     )

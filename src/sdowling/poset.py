@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import NotComparable, NotGraded
@@ -12,21 +13,23 @@ class RankedPoset:
     """Explicit Hasse diagram with a rank function.
 
     Elements are opaque objects indexed 0..size-1; `up[i]` lists the indices
-    that cover i.  The order is stored once, as up-sets: bit y of `above[x]`
-    is set iff x <= y, built lazily on first use.  Möbius values are
-    memoized per source, all of mu(x, .) at once.  Immutable after
-    construction.
+    that cover i, and `moves[i]`, parallel to it, the move that makes each
+    cover (None where none was given).  The order is stored once, as
+    up-sets: bit y of `above[x]` is set iff x <= y, built lazily on first
+    use.  Möbius values are memoized per source, all of mu(x, .) at once.
+    Immutable after construction.
     """
 
-    def __init__(self, elements, cover_edges, ranks, bottom, top=None):
+    def __init__(self, elements, cover_edges, ranks, bottom, top=None, moves=None):
         self.elements = list(elements)
         self.rank = list(ranks)
         self.bottom = bottom
         self.top = top
-        up = [[] for _ in self.elements]
-        for x, y in cover_edges:
-            up[x].append(y)
+        up = [{} for _ in self.elements]
+        for (x, y), move in zip(cover_edges, moves or itertools.repeat(None)):
+            up[x][y] = move
         self.up = [tuple(sorted(s)) for s in up]
+        self.moves = [tuple(map(s.__getitem__, ys)) for s, ys in zip(up, self.up)]
         self._moebius = {}
 
     def __len__(self):
@@ -55,6 +58,11 @@ class RankedPoset:
 
     def leq(self, x, y):
         return bool(self.above[x] >> y & 1)
+
+    def move(self, x, y):
+        """The move of the cover (x, y); None when y does not cover x."""
+        ys = self.up[x]
+        return self.moves[x][ys.index(y)] if y in ys else None
 
 
 def is_graded(poset):
@@ -116,16 +124,21 @@ def saturated_chains(poset, x, y, labels=None, decreasing=False):
 
 
 def moebius(poset, x, y):
-    """Möbius function value mu(x, y).
-
-    The first call from a source x fills mu(x, z) for the whole up-set of x
-    by one forward pass in rank order: each z, once its value is final,
-    adds it to the running sum of every element strictly above it, so
-    mu(x, z) = -sum of mu(x, w) over x <= w < z is ready when z is reached.
-    The row is memoized on the poset.
-    """
+    """Möbius function value mu(x, y)."""
     if not poset.leq(x, y):
         raise NotComparable(f"elements {x} and {y} are not comparable")
+    return moebius_row(poset, x)[y]
+
+
+def moebius_row(poset, x):
+    """mu(x, z) for every z >= x, as a dict keyed by z.
+
+    The first call from a source x fills the row by one forward pass in rank
+    order: each z, once its value is final, adds it to the running sum of
+    every element strictly above it, so mu(x, z) = -sum of mu(x, w) over
+    x <= w < z is ready when z is reached.  The row is memoized on the
+    poset.
+    """
     row = poset._moebius.get(x)
     if row is None:
         above = poset.above
@@ -136,7 +149,7 @@ def moebius(poset, x, y):
                 for w in bits(above[z] ^ (1 << z)):
                     sums[w] = sums.get(w, 0) + mu
         poset._moebius[x] = row
-    return row[y]
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +184,8 @@ def characteristic_polynomial(poset):
         raise NotGraded("characteristic polynomial requires a graded poset with bottom")
     r = poset.max_rank
     coeffs = [0] * (r + 1)
-    for x in range(len(poset.elements)):
-        coeffs[r - poset.rank[x]] += moebius(poset, poset.bottom, x)
+    for x, mu in moebius_row(poset, poset.bottom).items():
+        coeffs[r - poset.rank[x]] += mu
     return Polynomial.make(coeffs)
 
 

@@ -9,7 +9,7 @@ from . import groups
 from .dowling import DEFAULT_MAX_ELEMENTS, build_subposet
 from .elements import make_element
 from .errors import InvalidSpec
-from .labeling import classify_cover
+from .labeling import recorded_move
 from .poset import induced_covers
 
 
@@ -119,9 +119,9 @@ def reduce_and_verify(n, action, T, spec, max_elements=DEFAULT_MAX_ELEMENTS):
     orbit = set(spec.orbit)
     for x, y in poset.cover_edges():
         fx, fy = f_of[x], f_of[y]
-        et = classify_cover(poset.elements[x], poset.elements[y])
-        image_move = (classify_cover(poset.elements[fx], poset.elements[fy]).move
-                      if fy in poset.up[fx] else None)
+        et = recorded_move(poset, x, y)
+        f_et = poset.move(fx, fy)
+        image_move = f_et.move if f_et else None
         if et.kind == "colored" and et.color in orbit:
             if fx != fy and image_move != "merge":
                 violations.append(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .dowling import color_block, merge_blocks
 from .elements import bottom_element, top_element
 from .errors import MalformedTree, NotDecreasing, UnsupportedCase
-from .labeling import classify_cover, decreasing_chains, label_lambda, label_lambda_elements
+from .labeling import classify_cover, decreasing_chains, label_lambda, lambda_of_move
 
 BLOOM = "*"
 DEFAULT_MAX_TREES = 1_000_000
@@ -118,7 +118,8 @@ def psi(chain, action):
     q, r, labels = _tree_family(chain[0].n, action)
     m = action.set_size
     k = action.group.order - 1  # size of G minus identity
-    words = [label_lambda_elements(x, y) for x, y in zip(chain, chain[1:])]
+    moves = [classify_cover(x, y) for x, y in zip(chain, chain[1:])]
+    words = [lambda_of_move(et) for et in moves]
     if not all(words[i + 1] <= words[i] for i in range(len(words) - 1)):
         raise NotDecreasing("label word is not weakly decreasing")
     root = labels[0]
@@ -133,10 +134,9 @@ def psi(chain, action):
     # each edge hangs a child below a parent after as many of the parent's
     # blooms as its label leaves: a coloring hangs the block minimum below
     # the root, a non-coherent merge the larger minimum below the smaller
-    for (x, y), lab in zip(zip(chain, chain[1:]), words):
-        if y.is_top:
+    for et, lab in zip(moves, words):
+        if et.kind == "top":
             continue
-        et = classify_cover(x, y)
         if et.kind == "colored":
             u, blooms = root, m - lab.a
         elif et.kind == "noncoherent":

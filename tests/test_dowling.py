@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdowling import catalog, groups
+from sdowling import catalog, dowling, groups
 from sdowling.dowling import (
     adjoin_top,
     build_dowling,
@@ -22,8 +22,8 @@ from sdowling.elements import (
     make_element,
     top_element,
 )
-from sdowling.errors import AlreadyBounded, NonInvariantT, SizeLimitExceeded
-from sdowling.labeling import classify_cover
+from sdowling.errors import AlreadyBounded, NonInvariantT, NotACover, SizeLimitExceeded
+from sdowling.labeling import classify_cover, label_lambda
 from sdowling.poset import induced_covers, is_graded
 
 
@@ -116,7 +116,7 @@ def test_element_json_round_trip():
 def test_covers_of_bottom_counts():
     action = groups.trivial_action(Z2, 2)
     b = bottom_element(2)
-    covers = covers_of(b, action)
+    covers = [y for y, _ in covers_of(b, action)]
     # one merge pair with |G| colorings, plus 2 blocks x 2 colors
     assert len(covers) == 2 + 4
 
@@ -128,7 +128,7 @@ def test_moves_and_classify_cover_invert_each_other(n):
     for key, _, action in catalog.dowling_grid(ns=(n,)):
         group = action.group
         for x in build_dowling(n, action).elements:
-            covers = covers_of(x, action)
+            covers = [y for y, _ in covers_of(x, action)]
             assert len(set(covers)) == len(covers), key
             minima = [support[0] for support, _ in x.blocks]
             for j in range(len(minima)):
@@ -140,6 +140,79 @@ def test_moves_and_classify_cover_invert_each_other(n):
                 for s in range(action.set_size):
                     et = classify_cover(x, color_block(x, action, j, s))
                     assert (et.kind, et.min_b, et.color) == ("colored", minima[j], s), key
+
+
+def _merge_by_make_element(x, group, i, j, g):
+    """The merge move built as it first was: glue, then normalize every block."""
+    (sa, ca), (sb, cb) = x.blocks[i], x.blocks[j]
+    merged = (sa + sb, ca + tuple(group.mul(c, g) for c in cb))
+    rest = x.blocks[:i] + x.blocks[i + 1 : j] + x.blocks[j + 1 :]
+    return make_element(group, x.n, rest + (merged,), x.zero)
+
+
+def _color_by_make_element(x, action, i, s):
+    """The coloring move built as it first was: append, then normalize."""
+    sb, cb = x.blocks[i]
+    rest = x.blocks[:i] + x.blocks[i + 1 :]
+    zero = x.zero + tuple((p, action.apply(c, s)) for p, c in zip(sb, cb))
+    return make_element(action.group, x.n, rest, zero)
+
+
+def test_direct_moves_match_make_element():
+    """merge_blocks and color_block build the canonical child directly; every
+    move of the n <= 3 grid and of n = 4 with Z2 and Z4 gives the element
+    that make_element normalizes from the glued blocks."""
+    configs = [*catalog.dowling_grid(), *catalog.dowling_grid(ns=(4,), group_names=("Z2", "Z4"))]
+    moves = 0
+    for key, n, action in configs:
+        group = action.group
+        for x in build_dowling(n, action).elements:
+            k = len(x.blocks)
+            for i in range(k):
+                for j in range(i + 1, k):
+                    for g in range(group.order):
+                        assert merge_blocks(x, group, i, j, g) == \
+                            _merge_by_make_element(x, group, i, j, g), key
+                        moves += 1
+                for s in range(action.set_size):
+                    assert color_block(x, action, i, s) == _color_by_make_element(x, action, i, s), key
+                    moves += 1
+    assert moves == 33_719
+
+
+def _bounded_posets_with_moves():
+    """Every n <= 3 grid poset and its invariant subposets, T = [] included,
+    and n = 4 Z2:2, each with the adjoined top."""
+    for key, n, action in catalog.dowling_grid():
+        yield key, adjoin_top(build_dowling(n, action))
+        for T in sorted({(), *catalog.invariant_subsets(action)}):
+            yield f"{key},T={list(T)}", adjoin_top(build_subposet(n, action, list(T)))
+    yield "n=4,G=Z2,m=2", adjoin_top(build_dowling(4, groups.trivial_action(Z2, 2)))
+
+
+def test_recorded_moves_match_classify_cover():
+    for key, phat in _bounded_posets_with_moves():
+        recorded = []
+        for x, (ys, moves) in enumerate(zip(phat.up, phat.moves)):
+            assert len(moves) == len(ys), key
+            for y, move in zip(ys, moves):
+                assert move == classify_cover(phat.elements[x], phat.elements[y]), (key, x, y)
+                recorded.append(move)
+        # equal moves are one shared object
+        assert len({id(m) for m in recorded}) == len(set(recorded)), key
+
+
+def test_induced_cover_that_is_no_single_move(monkeypatch):
+    """With the rank-1 elements filtered out, the bottom is covered by rank-2
+    elements: those covers record no move, and only labeling them raises."""
+    monkeypatch.setattr(dowling, "passes_subposet_filter", lambda el, *_: el.rank != 1)
+    p = build_subposet(2, groups.trivial_action(Z2, 1), [])
+    assert p.up[p.bottom] and set(p.moves[p.bottom]) == {None}
+    y = p.up[p.bottom][0]
+    with pytest.raises(NotACover):
+        classify_cover(p.elements[p.bottom], p.elements[y])
+    with pytest.raises(NotACover):
+        label_lambda(p, p.bottom, y)
 
 
 @pytest.mark.parametrize("n,g,action", [

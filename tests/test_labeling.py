@@ -184,6 +184,19 @@ def _el_oracle_posets():
         yield f"n=4,G=Z2,m={m},act=swap,T={T}", adjoin_top(build_subposet(4, swap, T))
 
 
+def _walked(poset, fn):
+    return sum(1 for _ in labeling.decreasing_chains(poset, fn))
+
+
+def test_decreasing_chain_count_matches_the_walk():
+    for key, phat in _el_oracle_posets():
+        for fn in (labeling.label_lambda, labeling.label_mu):
+            walked = _walked(phat, fn)
+            assert labeling.count_decreasing_chains(phat, fn) == walked, (key, fn.__name__)
+            assert labeling.verify_el(phat, fn, with_witness_chains=False) \
+                .decreasing_chain_count == walked, (key, fn.__name__)
+
+
 def test_verify_el_matches_check_interval_on_grid():
     reasons = set()
     for key, phat in _el_oracle_posets():
@@ -249,6 +262,9 @@ def _bounded_labelled_posets(draw):
 def test_verify_el_matches_check_interval_on_random_posets(poset_and_labeling):
     poset, fn = poset_and_labeling
     assert _failures(poset, fn) == _brute_failures(poset, fn)
+    walked = _walked(poset, fn)
+    assert labeling.count_decreasing_chains(poset, fn) == walked
+    assert labeling.verify_el(poset, fn).decreasing_chain_count == walked
 
 
 def test_lambda_verifies_at_n5_z2_three_colors():
@@ -258,3 +274,4 @@ def test_lambda_verifies_at_n5_z2_three_colors():
     assert len(phat) == 3441
     assert rep.passed
     assert rep.decreasing_chain_count == sphere_product(5, 2, 3) == 3840
+    assert labeling.count_decreasing_chains(phat, labeling.label_lambda) == 3840
