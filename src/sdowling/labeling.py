@@ -3,8 +3,11 @@ lexicographic-shellability verifier."""
 
 from __future__ import annotations
 
+import functools
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import NotACover, NotBounded
@@ -65,8 +68,10 @@ def classify_cover(x, y) -> EdgeType:
     return EdgeType("colored", min_b=min_b, color=color)
 
 
+@functools.cache
 def lambda_of_move(et) -> EdgeLabel:
-    """The label of the full bounded poset on a cover with move `et`."""
+    """The label of the full bounded poset on a cover with move `et`; one
+    object per distinct move."""
     if et.kind == "top":
         return EdgeLabel(1, 2)
     if et.kind == "coherent":
@@ -77,15 +82,19 @@ def lambda_of_move(et) -> EdgeLabel:
     return EdgeLabel(1, et.color + 1)
 
 
-def _mu_of_move(et, x) -> EdgeLabel:
-    """Subposet labeling: favors zero-block colors already present in x."""
+def _mu_of_move(et, used) -> EdgeLabel:
+    """Subposet labeling: favors the zero-block colors `used` by the lower
+    element of the cover."""
     if et.kind != "colored":
         return lambda_of_move(et)
     s = et.color
-    used = {c for _, c in x.zero}
     if s in used:
         return EdgeLabel(1, sum(1 for r in used if r <= s))
     return EdgeLabel(1, (s + 1) + sum(1 for r in used if r > s))
+
+
+def _zero_colors(x):
+    return {c for _, c in x.zero}
 
 
 def label_lambda_elements(x, y) -> EdgeLabel:
@@ -93,7 +102,7 @@ def label_lambda_elements(x, y) -> EdgeLabel:
 
 
 def label_mu_elements(x, y) -> EdgeLabel:
-    return _mu_of_move(classify_cover(x, y), x)
+    return _mu_of_move(classify_cover(x, y), _zero_colors(x))
 
 
 def recorded_move(poset, xi, yi) -> EdgeType:
@@ -109,7 +118,29 @@ def label_lambda(poset, xi, yi) -> EdgeLabel:
 
 
 def label_mu(poset, xi, yi) -> EdgeLabel:
-    return _mu_of_move(recorded_move(poset, xi, yi), poset.elements[xi])
+    return _mu_of_move(recorded_move(poset, xi, yi), _zero_colors(poset.elements[xi]))
+
+
+def _lambda_row(poset, xi):
+    return tuple(map(lambda_of_move, poset.moves[xi]))
+
+
+def _mu_row(poset, xi):
+    used = _zero_colors(poset.elements[xi])
+    return tuple(_mu_of_move(et, used) for et in poset.moves[xi])
+
+
+_NODE_LABELS = {label_lambda: _lambda_row, label_mu: _mu_row}
+
+
+def _node_labels(poset, labeling):
+    """The cover labels of each node, parallel to `up`: one call per node
+    for `label_lambda` and `label_mu` on recorded moves, else one per cover
+    (which raises NotACover on a cover with no recorded move)."""
+    row = _NODE_LABELS.get(labeling)
+    if row is None or any(None in moves for moves in poset.moves):
+        return [tuple(labeling(poset, x, y) for y in ys) for x, ys in enumerate(poset.up)]
+    return [row(poset, x) for x in range(len(poset.up))]
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +166,9 @@ def edge_labels(poset, labeling):
     """The label of every cover edge. Equal labels share one object: a large
     poset has thousands of covers but a few dozen distinct labels."""
     shared = {}
-    return {(x, y): shared.setdefault(lab := labeling(poset, x, y), lab)
-            for x, y in poset.cover_edges()}
+    return {(x, y): shared.setdefault(lab, lab)
+            for x, (ys, row) in enumerate(zip(poset.up, _node_labels(poset, labeling)))
+            for y, lab in zip(ys, row)}
 
 
 def _ranked_labels(poset, labeling):
@@ -144,9 +176,9 @@ def _ranked_labels(poset, labeling):
     the distinct labels, and the width of a count vector over them: slot
     k + 1 counts chains ending in label k, slot 0 and the last slot the
     empty chain, below or above every label."""
-    rows = [tuple(labeling(poset, x, y) for y in ys) for x, ys in enumerate(poset.up)]
+    rows = _node_labels(poset, labeling)
     order = {lab: k for k, lab in enumerate(sorted(set(itertools.chain.from_iterable(rows))))}
-    return len(order) + 2, [tuple(order[lab] for lab in row) for row in rows]
+    return len(order) + 2, [tuple(map(order.__getitem__, row)) for row in rows]
 
 
 def _is_strictly_increasing(word):
@@ -217,48 +249,90 @@ def verify_el(poset, labeling, with_witness_chains=True) -> ELReport:
     increasing label word, and that chain is the strict lexicographic minimum
     among all of its maximal chains.
 
-    No chain is walked for an interval that passes. One forward pass over
-    the up-set of each x, in rank order and on integer labels, carries to
-    every z the number of strictly increasing chains x -> z by last label,
-    and the least label word of the chains x -> z of each length, with
-    whether it increases strictly. Words are keyed by length because a
-    prefix sorts first: where chains of different lengths meet, the least
-    word of z extended by one label need not be the least word above z.
-    [x, y] passes exactly when it has one increasing chain and its least
-    word is strictly increasing; the chains carrying the least word need no
-    count, as each of them is then an increasing chain. A node's state is
-    dropped once it has reached its covers. Each failing interval is walked
-    again by `check_interval`, which gives the reason and the witnesses.
+    No chain is walked for an interval that passes. One pass over the
+    elements in decreasing rank, on integer labels, gives each x three
+    bitmasks over the y > x per label l of its covers, each a suffix over
+    the labels >= l: `one`, the y reached by a strictly increasing chain
+    that starts with such a label; `two`, those reached by two or more;
+    `inc`, those whose least label word starts with such a label and
+    increases strictly. A cover b with label l adds b and b's masks past l.
+    Where two covers with the least label below y tie, their least words
+    decide, by a memoized recursion through `poset.leq`. [x, y] passes
+    exactly when y is in `one` and `inc` but not in `two` at x's least
+    label. Bit p is the p-th element processed, the top bit 0; an element
+    keeps only the masks its lower covers read, until they are all done,
+    and equal masks are one object. `poset.above` is built only for a tie
+    or a failing interval: each failing interval is walked again by
+    `check_interval`, which gives the reason and the witnesses.
     """
     if poset.bottom is None or poset.top is None:
         raise NotBounded("EL verification requires a bounded poset")
     width, ints = _ranked_labels(poset, labeling)
-    rank, up, above = poset.rank, poset.up, poset.above
+    up = poset.up
+    order = sorted(range(len(up)), key=poset.rank.__getitem__, reverse=True)
+    pos = sorted(range(len(up)), key=order.__getitem__)  # the inverse of order
+    waiting = [[] for _ in up]  # the labels of the covers into each node, not yet processed
+    for a, ys in enumerate(up):
+        for y, lab in zip(ys, ints[a]):
+            waiting[y].append(lab)
+
+    @functools.cache
+    def least_word(b, y):
+        return () if b == y else min(
+            (lab,) + least_word(c, y) for c, lab in zip(up[b], ints[b]) if poset.leq(c, y))
+
+    # x -> (its cover labels, (one, two, inc) per label and past the last,
+    # None where no lower cover reads it, its strict up-set)
+    state = {}
     failures = []
     labels = {}  # edge_labels, for check_interval; filled at the first failure
-    for x in range(len(poset.elements)):
-        # z -> (increasing chains by last label, (least word, increasing) by length)
-        live = {x: ([1] + [0] * (width - 1), {0: ((), True)})}
-        for z in sorted(bits(above[x]), key=rank.__getitem__):
-            inc, least = live.pop(z)
-            below = list(itertools.accumulate(inc))
-            if rank[z] - rank[x] >= 2 and (below[-1] != 1 or not min(least.values())[1]):
-                labels = labels or edge_labels(poset, labeling)
-                fail = check_interval(poset, labels, x, z)
-                if not with_witness_chains:
-                    fail.witnesses = []
-                failures.append(fail)
-            for w, lab in zip(up[z], ints[z]):
-                state = live.get(w)
-                if state is None:
-                    state = live[w] = ([0] * width, {})
-                inc_w, least_w = state
-                inc_w[lab + 1] += below[lab]
-                for length, (word, increasing) in least.items():
-                    new = word + (lab,)
-                    old = least_w.get(length + 1)
-                    if old is None or new < old[0]:
-                        least_w[length + 1] = new, increasing and (not word or word[-1] < lab)
+    for x in order:
+        slots, reached = [], 0
+        for lab, group in itertools.groupby(sorted(zip(ints[x], up[x])), key=itemgetter(0)):
+            one = two = inc = reach = tie = 0
+            covers = []
+            for _, b in group:
+                keys, rows, up_b = state[b]
+                one_b, two_b, inc_b = rows[bisect_right(keys, lab)]
+                bit = 1 << pos[b]
+                one_b, inc_b, reach_b = one_b | bit, inc_b | bit, up_b | bit
+                two |= two_b | one & one_b
+                one |= one_b
+                inc |= inc_b
+                tie |= reach & reach_b
+                reach |= reach_b
+                covers.append((b, reach_b, inc_b))
+            fresh = reach & ~reached  # the y whose least word starts with lab
+            reached |= reach
+            inc &= fresh & ~tie
+            for p in bits(fresh & tie):
+                y = order[p]
+                _, _, inc_b = min((c for c in covers if c[1] >> p & 1),
+                                  key=lambda c: least_word(c[0], y))
+                inc |= inc_b & 1 << p
+            slots.append((lab, one, two, inc))
+        keys, rows = [s[0] for s in slots], [(0, 0, 0)]
+        one = two = inc = 0
+        for _, one_l, two_l, inc_l in reversed(slots):
+            two |= two_l | one & one_l
+            one |= one_l
+            inc |= inc_l
+            rows.append((one, two, one if inc == one else inc))
+        rows.reverse()
+        one, two, inc = rows[0]
+        for p in bits(reached & ~(one & inc) | two):
+            labels = labels or edge_labels(poset, labeling)
+            fail = check_interval(poset, labels, x, order[p])
+            if not with_witness_chains:
+                fail.witnesses = []
+            failures.append(fail)
+        kept = {bisect_right(keys, lab) for lab in waiting[x]}
+        rows = [row if k in kept else None for k, row in enumerate(rows)]
+        state[x] = keys, rows, one if reached == one else reached
+        for b in up[x]:
+            waiting[b].pop()
+            if not waiting[b]:
+                del state[b]
     failures.sort(key=lambda f: (f.x, f.y))
     return ELReport(
         passed=not failures,

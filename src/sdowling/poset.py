@@ -16,7 +16,9 @@ class RankedPoset:
     that cover i, and `moves[i]`, parallel to it, the move that makes each
     cover (None where none was given).  The order is stored once, as
     up-sets: bit y of `above[x]` is set iff x <= y, built lazily on first
-    use.  Möbius values are memoized per source, all of mu(x, .) at once.
+    use; `labeling.verify_el` reads it only to break a tie between least
+    label words or to walk a failing interval.  Möbius values are memoized
+    per source, all of mu(x, .) at once.
     Immutable after construction.
     """
 

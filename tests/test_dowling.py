@@ -23,7 +23,7 @@ from sdowling.elements import (
     top_element,
 )
 from sdowling.errors import AlreadyBounded, NonInvariantT, NotACover, SizeLimitExceeded
-from sdowling.labeling import classify_cover, label_lambda
+from sdowling.labeling import classify_cover, label_lambda, label_mu, verify_el
 from sdowling.poset import induced_covers, is_graded
 
 
@@ -213,6 +213,9 @@ def test_induced_cover_that_is_no_single_move(monkeypatch):
         classify_cover(p.elements[p.bottom], p.elements[y])
     with pytest.raises(NotACover):
         label_lambda(p, p.bottom, y)
+    for fn in (label_lambda, label_mu):
+        with pytest.raises(NotACover):
+            verify_el(adjoin_top(p), fn)
 
 
 @pytest.mark.parametrize("n,g,action", [

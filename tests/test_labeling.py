@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -172,6 +174,13 @@ def _failures(poset, fn):
             for f in labeling.verify_el(poset, fn).failures]
 
 
+def _swap_n4_posets():
+    """The three n = 4 Z2-swap subposets on which mu fails."""
+    for m, T in ((2, [0, 1]), (3, [0, 1]), (3, [0, 1, 2])):
+        swap = dict(catalog.actions_for("Z2", m))["swap"]
+        yield f"n=4,G=Z2,m={m},act=swap,T={T}", adjoin_top(build_subposet(4, swap, T))
+
+
 def _el_oracle_posets():
     """Every n <= 3 grid poset and subposet (T = [] included), and the three
     n = 4 Z2-swap subposets on which mu fails."""
@@ -179,9 +188,7 @@ def _el_oracle_posets():
         yield key, adjoin_top(build_dowling(n, action))
         for T in sorted({(), *catalog.invariant_subsets(action)}):
             yield f"{key},T={list(T)}", adjoin_top(build_subposet(n, action, list(T)))
-    for m, T in ((2, [0, 1]), (3, [0, 1]), (3, [0, 1, 2])):
-        swap = dict(catalog.actions_for("Z2", m))["swap"]
-        yield f"n=4,G=Z2,m={m},act=swap,T={T}", adjoin_top(build_subposet(4, swap, T))
+    yield from _swap_n4_posets()
 
 
 def _walked(poset, fn):
@@ -207,6 +214,29 @@ def test_verify_el_matches_check_interval_on_grid():
     assert reasons == {"NoIncreasing", "MultipleIncreasing"}
 
 
+def test_verify_el_builds_no_up_sets_on_a_passing_poset():
+    phat = adjoin_top(build_dowling(3, groups.trivial_action(Z2, 2)))
+    assert labeling.verify_el(phat, labeling.label_lambda).passed
+    assert "above" not in phat.__dict__
+
+
+# mu's failures on the n = 4 Z2-swap subposets, as (count, sha256 prefix of
+# the repr of [(x, y, reason, witnesses)]), recorded from the per-source
+# forward pass that the top-down pass replaced
+SWAP_N4_MU_FAILURES = {
+    "n=4,G=Z2,m=2,act=swap,T=[0, 1]": (24, "ea7e67af5c18c4c2"),
+    "n=4,G=Z2,m=3,act=swap,T=[0, 1]": (24, "a26e1347efaf6af6"),
+    "n=4,G=Z2,m=3,act=swap,T=[0, 1, 2]": (48, "37432542973d35c1"),
+}
+
+
+def test_verify_el_witnesses_on_n4_swap_failures_are_unchanged():
+    for key, phat in _swap_n4_posets():
+        failures = _failures(phat, labeling.label_mu)
+        digest = hashlib.sha256(repr(failures).encode()).hexdigest()[:16]
+        assert (len(failures), digest) == SWAP_N4_MU_FAILURES[key], key
+
+
 def _labelled_poset(ranks, covers):
     """Bounded poset on 0..len(ranks)-1 (bottom 0, top last) and a labeling
     that reads each cover's label from `covers`."""
@@ -229,6 +259,31 @@ def _labelled_poset(ranks, covers):
      [(0, 5, "NotLexFirst", [(0, 1, 4, 5), (0, 2, 3, 4, 5)]),
       (2, 4, "NoIncreasing", []),
       (2, 5, "NoIncreasing", [])]),
+    # [0, 4] reads whether the least word of [1, 4] increases and starts
+    # past label 0: it is (0, 1) through 2, and not (1, 2), the least word
+    # of the chains of [1, 4] that start past 0
+    ([0, 1, 2, 2, 3], {(0, 1): 0, (1, 2): 0, (1, 3): 1, (2, 4): 1, (3, 4): 2},
+     [(0, 2, "NoIncreasing", []),
+      (0, 4, "NotLexFirst", [(0, 1, 3, 4), (0, 1, 2, 4)]),
+      (1, 4, "MultipleIncreasing", [(1, 2, 4), (1, 3, 4)])]),
+    # tie: covers 1 and 2 of 0 both carry label 0 and reach 5; the least
+    # word (0, 1, 2) runs through 2, the later cover, and increases, so
+    # [0, 5] passes beside the chain (0, 3, 0) through 1
+    ([0, 1, 1, 2, 2, 3], {(0, 1): 0, (1, 3): 3, (3, 5): 0, (0, 2): 0, (2, 4): 1, (4, 5): 2},
+     [(1, 5, "NoIncreasing", [])]),
+    # tie: the same shape, but the least word (0, 0, 3) runs through 2 and
+    # does not increase, while the chain through 1 does
+    ([0, 1, 1, 2, 2, 3], {(0, 1): 0, (1, 3): 1, (3, 5): 2, (0, 2): 0, (2, 4): 0, (4, 5): 3},
+     [(0, 4, "NoIncreasing", []),
+      (0, 5, "NotLexFirst", [(0, 1, 3, 5), (0, 2, 4, 5)])]),
+    # the failing tie one rank up, at covers 2 and 3 of 1; [0, 6] reads
+    # whether the least word of [1, 6] increases, and fails with it
+    ([0, 1, 2, 2, 3, 3, 4],
+     {(0, 1): 0, (1, 2): 1, (2, 4): 2, (4, 6): 3, (1, 3): 1, (3, 5): 1, (5, 6): 4},
+     [(0, 5, "NoIncreasing", []),
+      (0, 6, "NotLexFirst", [(0, 1, 2, 4, 6), (0, 1, 3, 5, 6)]),
+      (1, 5, "NoIncreasing", []),
+      (1, 6, "NotLexFirst", [(1, 2, 4, 6), (1, 3, 5, 6)])]),
 ])
 def test_verify_el_hand_built_failures(ranks, covers, expected):
     poset, fn = _labelled_poset(ranks, covers)
