@@ -4,13 +4,11 @@ the invariant subposets cut out by the orbit-count filter."""
 from __future__ import annotations
 
 import functools
-from collections import deque
 
 from . import groups
 from .elements import (
     DowlingElement,
     bracket_notation,
-    bottom_element,
     element_to_json,
     top_element,
 )
@@ -21,76 +19,112 @@ from .poset import RankedPoset, induced_covers
 DEFAULT_MAX_ELEMENTS = 5_000_000
 
 
-def merge_blocks(element, group, i, j, g):
-    """Glue blocks i < j of a canonical element, twisting block j by g.  The
-    merged block keeps block i's minimum, colored e, so it is canonical once
-    its positions are sorted, and it takes block i's place."""
-    blocks = element.blocks
-    (sa, ca), (sb, cb) = blocks[i], blocks[j]
-    merged = tuple(zip(*sorted(zip(sa + sb, ca + tuple(group.mul(c, g) for c in cb)))))
-    rest = blocks[:i] + (merged,) + blocks[i + 1 : j] + blocks[j + 1 :]
-    return DowlingElement(element.n, rest, element.zero)
-
-
-def color_block(element, action, i, s):
-    """Move block i into the zero block, coloring a position of group color
-    c by c . s, the equivariant coloring through s."""
-    sb, cb = element.blocks[i]
-    rest = element.blocks[:i] + element.blocks[i + 1 :]
-    zero = sorted(element.zero + tuple((p, action.apply(c, s)) for p, c in zip(sb, cb)))
-    return DowlingElement(element.n, rest, tuple(zero))
+def _move_table(n, action, move):
+    """A cover move as a table over code values (see `build_dowling`): a
+    merge gives block min_b's positions block min_a's value, twisting their
+    color c by alpha; a coloring puts them in the zero block with color
+    c . color."""
+    order = action.group.order
+    table = list(range(n * order + action.set_size))
+    b = (move.min_b - 1) * order
+    for c in range(order):
+        if move.kind == "colored":
+            table[b + c] = n * order + action.apply(c, move.color)
+        else:
+            table[b + c] = (move.min_a - 1) * order + action.group.mul(c, move.alpha)
+    return table
 
 
 @functools.cache
-def _move_tables(n, action):
-    """Every move's EdgeType on {1..n}, one object per move: merges by block
-    minima a < b and twist, colorings by block minimum and color."""
-    merges = [[[EdgeType("noncoherent" if g else "coherent", a, b, g)
-                for g in range(action.group.order)] for b in range(n + 1)] for a in range(n + 1)]
-    colorings = [[EdgeType("colored", min_b=b, color=action.apply(0, s))
-                  for s in range(action.set_size)] for b in range(n + 1)]
-    return merges, colorings
+def _cover_moves(n, action):
+    """Every move on {1..n} as (EdgeType, lookup of its table), one object
+    per move: merges[a][b] by twist for block minima a < b counted from 0,
+    colorings[a] by color, and each lookup keyed by its move."""
+    def entry(move):
+        return move, _move_table(n, action, move).__getitem__
+
+    merges = [[[entry(EdgeType("noncoherent" if g else "coherent", a + 1, b + 1, g))
+                for g in range(action.group.order)] for b in range(n)] for a in range(n)]
+    colorings = [[entry(EdgeType("colored", min_b=a + 1, color=action.apply(0, s)))
+                  for s in range(action.set_size)] for a in range(n)]
+    lookups = dict(e for rows in merges for row in rows for e in row)
+    lookups.update(e for row in colorings for e in row)
+    return merges, colorings, lookups
 
 
-def covers_of(element, action):
-    """All covers of a canonical element with their moves, as (cover,
-    EdgeType) pairs: block merges, then block colorings."""
-    blocks, group = element.blocks, action.group
-    merge_moves, color_moves = _move_tables(element.n, action)
-    minima = [support[0] for support, _ in blocks]
-    k = len(blocks)
-    merges = [(merge_blocks(element, group, i, j, g), merge_moves[minima[i]][minima[j]][g])
-              for i in range(k) for j in range(i + 1, k) for g in range(group.order)]
-    colorings = [(color_block(element, action, i, s), color_moves[minima[i]][s])
-                 for i in range(k) for s in range(action.set_size)]
-    return merges + colorings
+def _encode(element, order):
+    code = {p: (s[0] - 1) * order + c for s, cs in element.blocks for p, c in zip(s, cs)}
+    code.update((p, element.n * order + s) for p, s in element.zero)
+    return [code[p] for p in range(1, element.n + 1)]
+
+
+def _decode(code, n, order, shared):
+    """The canonical element of a code: positions are read in increasing
+    order, so each block first shows up at its minimum and the blocks come
+    out sorted by minimum.  Blocks and zero blocks equal to one in `shared`
+    reuse its tuples."""
+    blocks, zero = {}, ()
+    for p, v in enumerate(code, 1):
+        if v < n * order:
+            a, c = divmod(v, order)
+            b = blocks.get(a)
+            blocks[a] = ((p,), (c,)) if b is None else (b[0] + (p,), b[1] + (c,))
+        else:
+            zero += ((p, v - n * order),)
+    blocks = tuple([shared.setdefault(b, b) for b in blocks.values()])
+    return DowlingElement(n, blocks, shared.setdefault(zero, zero))
+
+
+def apply_moves(element, moves, action):
+    """The elements that merge and coloring EdgeTypes make one after
+    another from a canonical element; each move must name block minima of
+    the element it applies to."""
+    n, order = element.n, action.group.order
+    lookups = _cover_moves(n, action)[2]
+    code, shared, out = _encode(element, order), {}, []
+    for move in moves:
+        code = list(map(lookups[move], code))
+        out.append(_decode(code, n, order, shared))
+    return out
 
 
 def build_dowling(n, action, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     """Full poset on {1..n} for the given action, generated breadth-first
-    from the bottom element and deduplicated by canonical element."""
+    from the bottom element and deduplicated by canonical element.
+
+    The search runs on codes, tuples of n small ints: position p holds
+    (min(block) - 1)*|G| + color in a block, and n*|G| + s in the zero block
+    with color s.  A code is canonical as built, since the block minimum
+    carries e and a merge keeps the smaller minimum, so equal elements are
+    equal tuples with nothing sorted.  A code's covers are merges of its
+    block minima a < b by twist, then colorings by minimum and color; each
+    distinct code is decoded into a DowlingElement once."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    bottom = bottom_element(n)
-    index = {bottom: 0}
-    elements = [bottom]
+    order = action.group.order
+    merges, colorings, _ = _cover_moves(n, action)
+    codes = [tuple(p * order for p in range(n))]
+    index = {codes[0]: 0}
     edges, moves = [], []
-    queue = deque([0])
-    while queue:
-        xi = queue.popleft()
-        for y, move in covers_of(elements[xi], action):
+    for xi, x in enumerate(codes):  # codes grows behind the cursor: a FIFO queue
+        minima = [p for p in range(n) if x[p] == p * order]
+        covers = [m for i, a in enumerate(minima) for b in minima[i + 1 :] for m in merges[a][b]]
+        for move, get in covers + [m for a in minima for m in colorings[a]]:
+            y = tuple(map(get, x))
             yi = index.get(y)
             if yi is None:
-                yi = len(elements)
+                yi = len(codes)
                 if yi >= max_elements:
                     raise SizeLimitExceeded(
                         f"element count exceeded the cap of {max_elements}"
                     )
                 index[y] = yi
-                elements.append(y)
-                queue.append(yi)
+                codes.append(y)
             edges.append((xi, yi))
             moves.append(move)
+    shared = {}
+    elements = [_decode(x, n, order, shared) for x in codes]
+    del codes, index, shared
     ranks = [el.rank for el in elements]
     return RankedPoset(elements, edges, ranks, bottom=0, top=None, moves=moves)
 

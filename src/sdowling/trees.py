@@ -8,10 +8,10 @@ nested lists json.dumps writes for a tree lose nothing.
 
 from __future__ import annotations
 
-from .dowling import color_block, merge_blocks
+from .dowling import apply_moves
 from .elements import bottom_element, top_element
 from .errors import MalformedTree, NotDecreasing, UnsupportedCase
-from .labeling import classify_cover, decreasing_chains, label_lambda, lambda_of_move
+from .labeling import EdgeType, classify_cover, decreasing_chains, label_lambda, lambda_of_move
 
 BLOOM = "*"
 DEFAULT_MAX_TREES = 1_000_000
@@ -181,18 +181,16 @@ def psi_inv(tree, n, action):
 
     # a valid tree makes u and v block minima at their turn: the blocks are
     # its subtrees, a node's children join it before it joins its parent
-    chain = [bottom_element(n)]
-    for u, v, i in couples:
-        x = chain[-1]
-        minima = [support[0] for support, _ in x.blocks]
-        if u == 0:  # only the |S| >= 2 family has a node 0, the zero block
-            # color the block whose minimum is v with the (m-i)-th color
-            chain.append(color_block(x, action, minima.index(v), m - i - 1))
-        else:
-            # merge the blocks at minima u < v with discrepancy g_(k-i)
-            chain.append(merge_blocks(x, action.group, minima.index(u), minima.index(v), k - i))
-    chain.append(top_element(n))
-    return chain
+    moves = [
+        # color the block whose minimum is v with the (m-i)-th color; only
+        # the |S| >= 2 family has a node 0, the zero block
+        EdgeType("colored", min_b=v, color=m - i - 1) if u == 0
+        # merge the blocks at minima u < v with discrepancy g_(k-i)
+        else EdgeType("noncoherent", min_a=u, min_b=v, alpha=k - i)
+        for u, v, i in couples
+    ]
+    bottom = bottom_element(n)
+    return [bottom, *apply_moves(bottom, moves, action), top_element(n)]
 
 
 def bijection_failures(poset, n, action):

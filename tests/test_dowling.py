@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 from sdowling import catalog, dowling, groups
 from sdowling.dowling import (
     adjoin_top,
+    apply_moves,
     build_dowling,
     build_subposet,
-    color_block,
-    covers_of,
-    merge_blocks,
     passes_subposet_filter,
     poset_to_dot,
     poset_to_json,
@@ -23,8 +21,8 @@ from sdowling.elements import (
     top_element,
 )
 from sdowling.errors import AlreadyBounded, NonInvariantT, NotACover, SizeLimitExceeded
-from sdowling.labeling import classify_cover, label_lambda, label_mu, verify_el
-from sdowling.poset import induced_covers, is_graded
+from sdowling.labeling import EdgeType, classify_cover, label_lambda, label_mu, verify_el
+from sdowling.poset import RankedPoset, induced_covers, is_graded
 
 
 Z2 = groups.cyclic_group(2)
@@ -113,12 +111,18 @@ def test_element_json_round_trip():
     assert element_to_json(top_element(4)) == {"top": True}
 
 
-def test_covers_of_bottom_counts():
+def test_bottom_cover_counts():
     action = groups.trivial_action(Z2, 2)
-    b = bottom_element(2)
-    covers = [y for y, _ in covers_of(b, action)]
     # one merge pair with |G| colorings, plus 2 blocks x 2 colors
-    assert len(covers) == 2 + 4
+    assert len(build_dowling(2, action).up[0]) == 2 + 4
+
+
+def _merge(a, b, g):
+    return EdgeType("noncoherent" if g else "coherent", a, b, g)
+
+
+def _color(b, s):
+    return EdgeType("colored", min_b=b, color=s)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -127,19 +131,22 @@ def test_moves_and_classify_cover_invert_each_other(n):
     the blocks and the twist or color each move was given."""
     for key, _, action in catalog.dowling_grid(ns=(n,)):
         group = action.group
-        for x in build_dowling(n, action).elements:
-            covers = [y for y, _ in covers_of(x, action)]
-            assert len(set(covers)) == len(covers), key
+        poset = build_dowling(n, action)
+        for x, ys in zip(poset.elements, poset.up):
             minima = [support[0] for support, _ in x.blocks]
-            for j in range(len(minima)):
-                for i in range(j):
+            covers = []
+            for j, b in enumerate(minima):
+                for a in minima[:j]:
                     for g in range(group.order):
-                        et = classify_cover(x, merge_blocks(x, group, i, j, g))
-                        assert (et.min_a, et.min_b, et.alpha) == (minima[i], minima[j], g), key
+                        covers.append(apply_moves(x, [_merge(a, b, g)], action)[0])
+                        et = classify_cover(x, covers[-1])
+                        assert (et.min_a, et.min_b, et.alpha) == (a, b, g), key
                         assert (et.kind == "coherent") == (g == 0), key
                 for s in range(action.set_size):
-                    et = classify_cover(x, color_block(x, action, j, s))
-                    assert (et.kind, et.min_b, et.color) == ("colored", minima[j], s), key
+                    covers.append(apply_moves(x, [_color(b, s)], action)[0])
+                    et = classify_cover(x, covers[-1])
+                    assert (et.kind, et.min_b, et.color) == ("colored", b, s), key
+            assert len(set(covers)) == len(covers) == len(ys), key
 
 
 def _merge_by_make_element(x, group, i, j, g):
@@ -158,24 +165,77 @@ def _color_by_make_element(x, action, i, s):
     return make_element(action.group, x.n, rest, zero)
 
 
+def _element_covers(x, action, merge_moves, color_moves):
+    """Every cover of x with its move, in the build's order: merges of
+    blocks i < j by twist, then colorings by block and color.  The covers
+    come from the make_element oracles, the moves from the given tables,
+    indexed by block minima counted from 0."""
+    group = action.group
+    minima = [support[0] - 1 for support, _ in x.blocks]
+    k = len(minima)
+    covers = [(_merge_by_make_element(x, group, i, j, g), merge_moves[minima[i]][minima[j]][g])
+              for i in range(k) for j in range(i + 1, k) for g in range(group.order)]
+    covers += [(_color_by_make_element(x, action, i, s), color_moves[minima[i]][s])
+               for i in range(k) for s in range(action.set_size)]
+    return covers
+
+
+def _reference_build(n, action):
+    """The poset built breadth-first on elements, as it first was: the oracle
+    for build_dowling.  Its moves are the objects of the build's own move
+    table, so the two builds must record them by identity."""
+    merges, colorings = dowling._cover_moves(n, action)[:2]
+    merge_moves = [[[move for move, _ in row] for row in rows] for rows in merges]
+    color_moves = [[move for move, _ in row] for row in colorings]
+    elements = [bottom_element(n)]
+    index = {elements[0]: 0}
+    edges, moves = [], []
+    for xi, x in enumerate(elements):
+        for y, move in _element_covers(x, action, merge_moves, color_moves):
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+            edges.append((xi, index[y]))
+            moves.append(move)
+    return RankedPoset(elements, edges, [el.rank for el in elements], bottom=0, moves=moves)
+
+
+def _oracle_configs():
+    yield from catalog.dowling_grid()
+    yield from catalog.dowling_grid(ns=(4,), group_names=("Z2", "Z4"))
+
+
+def test_build_matches_element_level_reference():
+    """The build on codes gives the element-level build's elements, ranks,
+    cover rows and moves, the move objects included, on the n <= 3 grid and
+    on n = 4 with Z2 and Z4."""
+    for key, n, action in _oracle_configs():
+        poset, ref = build_dowling(n, action), _reference_build(n, action)
+        assert poset.elements == ref.elements, key
+        assert poset.rank == ref.rank, key
+        assert poset.up == ref.up, key
+        assert poset.moves == ref.moves, key
+        assert all(a is b for row, ref_row in zip(poset.moves, ref.moves)
+                   for a, b in zip(row, ref_row)), key
+
+
 def test_direct_moves_match_make_element():
-    """merge_blocks and color_block build the canonical child directly; every
-    move of the n <= 3 grid and of n = 4 with Z2 and Z4 gives the element
-    that make_element normalizes from the glued blocks."""
-    configs = [*catalog.dowling_grid(), *catalog.dowling_grid(ns=(4,), group_names=("Z2", "Z4"))]
+    """apply_moves builds the canonical child directly; every move of the
+    n <= 3 grid and of n = 4 with Z2 and Z4 gives the element that
+    make_element normalizes from the glued blocks."""
     moves = 0
-    for key, n, action in configs:
+    for key, n, action in _oracle_configs():
         group = action.group
         for x in build_dowling(n, action).elements:
-            k = len(x.blocks)
-            for i in range(k):
-                for j in range(i + 1, k):
+            minima = [support[0] for support, _ in x.blocks]
+            for i, a in enumerate(minima):
+                for j in range(i + 1, len(minima)):
                     for g in range(group.order):
-                        assert merge_blocks(x, group, i, j, g) == \
+                        assert apply_moves(x, [_merge(a, minima[j], g)], action)[0] == \
                             _merge_by_make_element(x, group, i, j, g), key
                         moves += 1
                 for s in range(action.set_size):
-                    assert color_block(x, action, i, s) == _color_by_make_element(x, action, i, s), key
+                    assert apply_moves(x, [_color(a, s)], action)[0] == _color_by_make_element(x, action, i, s), key
                     moves += 1
     assert moves == 33_719
 
@@ -247,6 +307,15 @@ def test_max_elements_cap():
     action = groups.trivial_action(Z2, 3)
     with pytest.raises(SizeLimitExceeded):
         build_dowling(3, action, max_elements=10)
+
+
+def test_max_elements_cap_is_exact():
+    """The whole poset fits under a cap of its size; one fewer raises."""
+    action = groups.trivial_action(Z2, 3)
+    full = len(build_dowling(3, action))
+    assert len(build_dowling(3, action, max_elements=full)) == full
+    with pytest.raises(SizeLimitExceeded):
+        build_dowling(3, action, max_elements=full - 1)
 
 
 def test_adjoin_top_refuses_twice():

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -290,36 +291,65 @@ def test_verify_el_hand_built_failures(ranks, covers, expected):
     assert _failures(poset, fn) == expected == _brute_failures(poset, fn)
 
 
-@st.composite
-def _bounded_labelled_posets(draw):
-    """A random bounded poset whose covers may skip ranks, with small integer
-    labels that tie.  Element 0 is the bottom and the last the top, which may
-    cover maxima of different ranks."""
-    size = draw(st.integers(0, 7))
-    inner = range(1, size + 1)
-    ranks = [0] + [draw(st.integers(1, 4)) for _ in inner]
-    pairs = draw(st.sets(st.tuples(st.sampled_from(inner), st.sampled_from(inner)))
-                 if size else st.just(set()))
-    top = size + 1
-    ranks.append(max(ranks) + 1)
+def _bounded_order(ranks, pairs):
+    """Ranks and sorted cover pairs of the bounded poset on the inner elements
+    1..len(ranks) - 1 ordered by the given pairs that go up in rank.
+    Element 0 is the bottom; a top is appended, which may cover maxima of
+    different ranks, so covers may skip ranks."""
+    inner = range(1, len(ranks))
+    top = len(ranks)
+    ranks = ranks + [max(ranks) + 1]
     less = {(a, b) for a, b in pairs if ranks[a] < ranks[b]}
     less |= {(0, a) for a in inner} | {(a, top) for a in inner} | {(0, top)}
     for c in inner:  # transitive closure
         less |= {(a, b) for a, c1 in less if c1 == c for c2, b in less if c2 == c}
     covers = sorted((a, b) for a, b in less
                     if not any((a, c) in less and (c, b) in less for c in inner))
+    return ranks, covers
+
+
+@st.composite
+def _bounded_labelled_posets(draw):
+    """A random bounded poset with small integer labels that tie."""
+    size = draw(st.integers(0, 7))
+    inner = range(1, size + 1)
+    ranks = [0] + [draw(st.integers(1, 4)) for _ in inner]
+    pairs = draw(st.sets(st.tuples(st.sampled_from(inner), st.sampled_from(inner)))
+                 if size else st.just(set()))
+    ranks, covers = _bounded_order(ranks, pairs)
     labels = draw(st.lists(st.integers(0, 2), min_size=len(covers), max_size=len(covers)))
     return _labelled_poset(ranks, dict(zip(covers, labels)))
+
+
+def _check_against_oracles(poset, fn):
+    assert _failures(poset, fn) == _brute_failures(poset, fn)
+    walked = _walked(poset, fn)
+    assert labeling.count_decreasing_chains(poset, fn) == walked
+    assert labeling.verify_el(poset, fn).decreasing_chain_count == walked
 
 
 @settings(max_examples=400, deadline=None)
 @given(_bounded_labelled_posets())
 def test_verify_el_matches_check_interval_on_random_posets(poset_and_labeling):
-    poset, fn = poset_and_labeling
-    assert _failures(poset, fn) == _brute_failures(poset, fn)
-    walked = _walked(poset, fn)
-    assert labeling.count_decreasing_chains(poset, fn) == walked
-    assert labeling.verify_el(poset, fn).decreasing_chain_count == walked
+    _check_against_oracles(*poset_and_labeling)
+
+
+def test_verify_el_matches_check_interval_on_a_seeded_sweep():
+    """3,000 random bounded posets with up to 9 inner elements, each order
+    pair kept with a density drawn per poset, and labels in {0, 1, 2}: larger
+    than the property test draws, and the same posets on every run."""
+    rng = random.Random(20181)
+    for case in range(3000):
+        inner = range(1, rng.randint(0, 9) + 1)
+        ranks = [0] + [rng.randint(1, 4) for _ in inner]
+        density = rng.random()
+        pairs = {(a, b) for a in inner for b in inner if rng.random() < density}
+        ranks, covers = _bounded_order(ranks, pairs)
+        labelled = {c: rng.randint(0, 2) for c in covers}
+        try:
+            _check_against_oracles(*_labelled_poset(ranks, labelled))
+        except AssertionError as exc:
+            raise AssertionError(f"case {case}: ranks {ranks}, labelled covers {labelled}") from exc
 
 
 def test_lambda_verifies_at_n5_z2_three_colors():
