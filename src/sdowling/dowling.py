@@ -36,10 +36,10 @@ def _move_table(n, action, move):
 
 
 @functools.cache
-def _cover_moves(n, action):
+def cover_moves(n, action):
     """Every move on {1..n} as (EdgeType, lookup of its table), one object
     per move: merges[a][b] by twist for block minima a < b counted from 0,
-    colorings[a] by color, and each lookup keyed by its move."""
+    and colorings[a] by color."""
     def entry(move):
         return move, _move_table(n, action, move).__getitem__
 
@@ -47,15 +47,7 @@ def _cover_moves(n, action):
                 for g in range(action.group.order)] for b in range(n)] for a in range(n)]
     colorings = [[entry(EdgeType("colored", min_b=a + 1, color=action.apply(0, s)))
                   for s in range(action.set_size)] for a in range(n)]
-    lookups = dict(e for rows in merges for row in rows for e in row)
-    lookups.update(e for row in colorings for e in row)
-    return merges, colorings, lookups
-
-
-def _encode(element, order):
-    code = {p: (s[0] - 1) * order + c for s, cs in element.blocks for p, c in zip(s, cs)}
-    code.update((p, element.n * order + s) for p, s in element.zero)
-    return [code[p] for p in range(1, element.n + 1)]
+    return merges, colorings
 
 
 def _decode(code, n, order, shared):
@@ -75,16 +67,26 @@ def _decode(code, n, order, shared):
     return DowlingElement(n, blocks, shared.setdefault(zero, zero))
 
 
-def apply_moves(element, moves, action):
-    """The elements that merge and coloring EdgeTypes make one after
-    another from a canonical element; each move must name block minima of
-    the element it applies to."""
-    n, order = element.n, action.group.order
-    lookups = _cover_moves(n, action)[2]
-    code, shared, out = _encode(element, order), {}, []
-    for move in moves:
-        code = list(map(lookups[move], code))
-        out.append(_decode(code, n, order, shared))
+@functools.lru_cache(maxsize=1)
+def _decoded(n, action):
+    """code -> element for the chains `apply_moves` returns, of one (n,
+    action) at a time, so each distinct element is decoded once."""
+    return {}
+
+
+def apply_moves(n, moves, action):
+    """The elements that entries of `cover_moves(n, action)` make one after
+    another from the bottom element of {1..n}; each move must name block
+    minima of the element it applies to."""
+    order = action.group.order
+    decoded = _decoded(n, action)
+    code, out = tuple(range(0, n * order, order)), []
+    for _, get in moves:
+        code = tuple(map(get, code))
+        y = decoded.get(code)
+        if y is None:
+            y = decoded[code] = _decode(code, n, order, {})
+        out.append(y)
     return out
 
 
@@ -102,7 +104,7 @@ def build_dowling(n, action, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     if n < 1:
         raise ValueError("n must be >= 1")
     order = action.group.order
-    merges, colorings, _ = _cover_moves(n, action)
+    merges, colorings = cover_moves(n, action)
     codes = [tuple(p * order for p in range(n))]
     index = {codes[0]: 0}
     edges, moves = [], []

@@ -8,6 +8,7 @@ out the right-translation equivalence on colorings.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 
@@ -41,12 +42,15 @@ def make_element(group, n, blocks, zero):
     return DowlingElement(n=n, blocks=tuple(norm), zero=tuple(sorted(zero)))
 
 
+@functools.cache
 def top_element(n):
     return DowlingElement(n=n, blocks=(), zero=(), is_top=True)
 
 
+@functools.cache
 def bottom_element(n):
-    """All singleton blocks colored by the identity, empty zero block."""
+    """All singleton blocks colored by the identity, empty zero block; one
+    object per n, as elements are frozen."""
     return DowlingElement(
         n=n, blocks=tuple(((i,), (0,)) for i in range(1, n + 1)), zero=()
     )

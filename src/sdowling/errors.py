@@ -62,6 +62,10 @@ class NotDecreasing(SDowlingError):
     pass
 
 
+class NotMaximal(SDowlingError):
+    pass
+
+
 class UnsupportedCase(SDowlingError):
     pass
 

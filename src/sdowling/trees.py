@@ -8,10 +8,10 @@ nested lists json.dumps writes for a tree lose nothing.
 
 from __future__ import annotations
 
-from .dowling import apply_moves
+from .dowling import apply_moves, cover_moves
 from .elements import bottom_element, top_element
-from .errors import MalformedTree, NotDecreasing, UnsupportedCase
-from .labeling import EdgeType, classify_cover, decreasing_chains, label_lambda, lambda_of_move
+from .errors import MalformedTree, NotDecreasing, NotMaximal, UnsupportedCase
+from .labeling import classify_cover, decreasing_chains, label_lambda, lambda_of_move, recorded_move
 
 BLOOM = "*"
 DEFAULT_MAX_TREES = 1_000_000
@@ -65,28 +65,34 @@ def enumerate_blooming(nodes, q, r, labels=None):
 
 
 def validate_blooming(tree, q, r, labels):
-    """Check bloom counts, label set, and the increasing-path property."""
-    labels = sorted(labels)
-    seen = []
+    """Check bloom counts, label set, and the increasing-path property in
+    one walk, and return the tree's (parent, child, blooms before the
+    child) couples, each parent's children in order."""
+    seen, couples = [], []
 
-    def walk(node, parent_label, at_root):
-        if not (isinstance(node, tuple) and len(node) == 2):
+    def walk(node, parent_label, want):
+        if not (isinstance(node, tuple) and len(node) == 2 and isinstance(node[1], tuple)):
             raise MalformedTree(f"bad node {node!r}")
         label, children = node
+        if type(label) is not int:
+            raise MalformedTree(f"label {label!r} is not an int")
         if parent_label is not None and label <= parent_label:
             raise MalformedTree(f"label {label} does not increase below {parent_label}")
         seen.append(label)
-        blooms = sum(1 for c in children if c == BLOOM)
-        want = q if at_root else r
+        blooms = 0
+        for c in children:
+            if c == BLOOM:
+                blooms += 1
+            else:
+                couples.append((label, walk(c, label, r), blooms))
         if blooms != want:
             raise MalformedTree(f"node {label} has {blooms} blooms, expected {want}")
-        for c in children:
-            if c != BLOOM:
-                walk(c, label, False)
+        return label
 
-    walk(tree, None, True)
-    if sorted(seen) != labels:
-        raise MalformedTree(f"labels {sorted(seen)} != expected {labels}")
+    walk(tree, None, q)
+    if sorted(seen) != sorted(labels):
+        raise MalformedTree(f"labels {sorted(seen)} != expected {sorted(labels)}")
+    return couples
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +121,24 @@ def psi(chain, action):
 
     `chain` is a list of canonical elements ending at the top sentinel.
     """
-    q, r, labels = _tree_family(chain[0].n, action)
+    if not chain:
+        raise NotMaximal("the empty chain is not maximal")
+    return _tree_of_moves([classify_cover(x, y) for x, y in zip(chain, chain[1:])],
+                          chain[0].n, action)
+
+
+def _tree_of_moves(moves, n, action):
+    """Blooming tree of the chain that makes the given cover moves."""
+    q, r, labels = _tree_family(n, action)
     m = action.set_size
     k = action.group.order - 1  # size of G minus identity
-    moves = [classify_cover(x, y) for x, y in zip(chain, chain[1:])]
     words = [lambda_of_move(et) for et in moves]
     if not all(words[i + 1] <= words[i] for i in range(len(words) - 1)):
         raise NotDecreasing("label word is not weakly decreasing")
+    # every cover below the top attaches one label; a chain from the bottom
+    # to the top attaches each label but the root's
+    if not moves or moves[-1].kind != "top" or len(moves) != len(labels):
+        raise NotMaximal("the chain does not run from the bottom to the top")
     root = labels[0]
     children = {u: [] for u in labels}
 
@@ -134,9 +151,7 @@ def psi(chain, action):
     # each edge hangs a child below a parent after as many of the parent's
     # blooms as its label leaves: a coloring hangs the block minimum below
     # the root, a non-coherent merge the larger minimum below the smaller
-    for et, lab in zip(moves, words):
-        if et.kind == "top":
-            continue
+    for et, lab in zip(moves[:-1], words):
         if et.kind == "colored":
             u, blooms = root, m - lab.a
         elif et.kind == "noncoherent":
@@ -159,38 +174,23 @@ def psi_inv(tree, n, action):
 
     Returns the element list from the bottom to the adjoined top.
     """
-    validate_blooming(tree, *_tree_family(n, action))
-    m = action.set_size
-    k = action.group.order - 1
-
-    couples = []
-
-    def walk(node):
-        u, ch = node
-        blooms = 0
-        for c in ch:
-            if c == BLOOM:
-                blooms += 1
-            else:
-                couples.append((u, c[0], blooms))
-                walk(c)
-
-    walk(tree)
+    couples = validate_blooming(tree, *_tree_family(n, action))
     # parents in descending label order; within one parent keep child order
     couples.sort(key=lambda t: -t[0])
-
+    m = action.set_size
+    k = action.group.order - 1
+    merges, colorings = cover_moves(n, action)
     # a valid tree makes u and v block minima at their turn: the blocks are
     # its subtrees, a node's children join it before it joins its parent
     moves = [
         # color the block whose minimum is v with the (m-i)-th color; only
         # the |S| >= 2 family has a node 0, the zero block
-        EdgeType("colored", min_b=v, color=m - i - 1) if u == 0
+        colorings[v - 1][m - i - 1] if u == 0
         # merge the blocks at minima u < v with discrepancy g_(k-i)
-        else EdgeType("noncoherent", min_a=u, min_b=v, alpha=k - i)
+        else merges[u - 1][v - 1][k - i]
         for u, v, i in couples
     ]
-    bottom = bottom_element(n)
-    return [bottom, *apply_moves(bottom, moves, action), top_element(n)]
+    return [bottom_element(n), *apply_moves(n, moves, action), top_element(n)]
 
 
 def bijection_failures(poset, n, action):
@@ -206,11 +206,11 @@ def bijection_failures(poset, n, action):
     images = set()
     chain_count = 0
     for index_chain in decreasing_chains(poset, label_lambda):
-        chain = [poset.elements[i] for i in index_chain]
         chain_count += 1
-        t = psi(chain, action)
+        moves = [recorded_move(poset, x, y) for x, y in zip(index_chain, index_chain[1:])]
+        t = _tree_of_moves(moves, n, action)
         images.add(t)
-        if psi_inv(t, n, action) != chain:
+        if psi_inv(t, n, action) != [poset.elements[i] for i in index_chain]:
             messages.append("psi_inv(psi(chain)) != chain")
     all_trees = set(enumerate_blooming(len(labels), q, r, labels=labels))
     if images != all_trees:

@@ -21,7 +21,7 @@ from sdowling.elements import (
     top_element,
 )
 from sdowling.errors import AlreadyBounded, NonInvariantT, NotACover, SizeLimitExceeded
-from sdowling.labeling import EdgeType, classify_cover, label_lambda, label_mu, verify_el
+from sdowling.labeling import classify_cover, label_lambda, label_mu, verify_el
 from sdowling.poset import RankedPoset, induced_covers, is_graded
 
 
@@ -117,12 +117,15 @@ def test_bottom_cover_counts():
     assert len(build_dowling(2, action).up[0]) == 2 + 4
 
 
-def _merge(a, b, g):
-    return EdgeType("noncoherent" if g else "coherent", a, b, g)
-
-
-def _color(b, s):
-    return EdgeType("colored", min_b=b, color=s)
+def _after(x, move, action):
+    """The element that one entry of `cover_moves` makes from x, applied
+    after the entries that make x from the bottom: each block's positions
+    merged into its minimum with their colors as twists, then the zero
+    block's positions colored one by one."""
+    merges, colorings = dowling.cover_moves(x.n, action)
+    path = [merges[s[0] - 1][p - 1][c] for s, cs in x.blocks for p, c in zip(s[1:], cs[1:])]
+    path += [colorings[p - 1][s] for p, s in x.zero]
+    return apply_moves(x.n, path + [move], action)[-1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -132,18 +135,19 @@ def test_moves_and_classify_cover_invert_each_other(n):
     for key, _, action in catalog.dowling_grid(ns=(n,)):
         group = action.group
         poset = build_dowling(n, action)
+        merges, colorings = dowling.cover_moves(n, action)
         for x, ys in zip(poset.elements, poset.up):
             minima = [support[0] for support, _ in x.blocks]
             covers = []
             for j, b in enumerate(minima):
                 for a in minima[:j]:
                     for g in range(group.order):
-                        covers.append(apply_moves(x, [_merge(a, b, g)], action)[0])
+                        covers.append(_after(x, merges[a - 1][b - 1][g], action))
                         et = classify_cover(x, covers[-1])
                         assert (et.min_a, et.min_b, et.alpha) == (a, b, g), key
                         assert (et.kind == "coherent") == (g == 0), key
                 for s in range(action.set_size):
-                    covers.append(apply_moves(x, [_color(b, s)], action)[0])
+                    covers.append(_after(x, colorings[b - 1][s], action))
                     et = classify_cover(x, covers[-1])
                     assert (et.kind, et.min_b, et.color) == ("colored", b, s), key
             assert len(set(covers)) == len(covers) == len(ys), key
@@ -184,7 +188,7 @@ def _reference_build(n, action):
     """The poset built breadth-first on elements, as it first was: the oracle
     for build_dowling.  Its moves are the objects of the build's own move
     table, so the two builds must record them by identity."""
-    merges, colorings = dowling._cover_moves(n, action)[:2]
+    merges, colorings = dowling.cover_moves(n, action)
     merge_moves = [[[move for move, _ in row] for row in rows] for rows in merges]
     color_moves = [[move for move, _ in row] for row in colorings]
     elements = [bottom_element(n)]
@@ -226,16 +230,17 @@ def test_direct_moves_match_make_element():
     moves = 0
     for key, n, action in _oracle_configs():
         group = action.group
+        merges, colorings = dowling.cover_moves(n, action)
         for x in build_dowling(n, action).elements:
             minima = [support[0] for support, _ in x.blocks]
             for i, a in enumerate(minima):
                 for j in range(i + 1, len(minima)):
                     for g in range(group.order):
-                        assert apply_moves(x, [_merge(a, minima[j], g)], action)[0] == \
+                        assert _after(x, merges[a - 1][minima[j] - 1][g], action) == \
                             _merge_by_make_element(x, group, i, j, g), key
                         moves += 1
                 for s in range(action.set_size):
-                    assert apply_moves(x, [_color(a, s)], action)[0] == _color_by_make_element(x, action, i, s), key
+                    assert _after(x, colorings[a - 1][s], action) == _color_by_make_element(x, action, i, s), key
                     moves += 1
     assert moves == 33_719
 

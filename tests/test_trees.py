@@ -3,10 +3,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdowling import cli, groups, labeling, trees
+from sdowling import catalog, cli, groups, labeling, trees
 from sdowling.dowling import adjoin_top, build_dowling
 from sdowling.elements import bottom_element, make_element, top_element
-from sdowling.errors import MalformedTree, NotDecreasing, UnsupportedCase
+from sdowling.errors import MalformedTree, NotDecreasing, NotMaximal, UnsupportedCase
+from sdowling.labeling import EdgeType
 
 Z2 = groups.cyclic_group(2)
 Z3 = groups.cyclic_group(3)
@@ -67,6 +68,12 @@ def test_validate_blooming_rejects_bad_trees():
         trees.validate_blooming((1, ((0, ()),)), 0, 0, [0, 1])
     with pytest.raises(MalformedTree):
         trees.validate_blooming((0, ((1, ()),)), 0, 0, [0, 1, 2])  # wrong label set
+    # children that are no tuple, and labels that are no int
+    for tree in ((0, 5), (0, (("x", ()),)), (0, ((1.0, ()),)), (0, ((True, ()),))):
+        with pytest.raises(MalformedTree):
+            trees.validate_blooming(tree, 0, 0, [0, 1])
+        with pytest.raises(MalformedTree):
+            trees.psi_inv(tree, 1, groups.trivial_action(Z2, 2))
 
 
 def test_tree_json_round_trip():
@@ -103,6 +110,15 @@ def test_psi_rejects_non_decreasing_chains():
     chain = [phat.elements[i] for i in bad]
     with pytest.raises(NotDecreasing):
         trees.psi(chain, action)
+
+
+def test_psi_rejects_chains_that_are_not_maximal():
+    action = groups.trivial_action(Z2, 2)
+    # colors block 1 with s2: its label ties the top's, so the word decreases
+    x = make_element(Z2, 2, [((2,), (0,))], [(1, 1)])
+    for chain in ([], [bottom_element(2)], [bottom_element(2), x, top_element(2)]):
+        with pytest.raises(NotMaximal):
+            trees.psi(chain, action)
 
 
 def _roundtrip_all(n, action):
@@ -153,3 +169,89 @@ def test_worked_instance_round_trip():
     )
     assert trees.psi(chain, act) == expected
     assert trees.psi_inv(expected, 4, act) == chain
+
+
+def _apply_by_make_element(x, et, action):
+    """One merge or coloring EdgeType applied by gluing blocks and
+    normalizing with make_element."""
+    group = action.group
+    blocks = {s[0]: (s, c) for s, c in x.blocks}
+    sb, cb = blocks.pop(et.min_b)
+    if et.kind == "colored":
+        zero = x.zero + tuple((p, action.apply(c, et.color)) for p, c in zip(sb, cb))
+        return make_element(group, x.n, list(blocks.values()), zero)
+    sa, ca = blocks.pop(et.min_a)
+    merged = (sa + sb, ca + tuple(group.mul(c, et.alpha) for c in cb))
+    return make_element(group, x.n, [*blocks.values(), merged], x.zero)
+
+
+def _psi_inv_by_make_element(tree, n, action):
+    """psi_inv as it first was, the oracle for psi_inv: a second walk of the
+    tree gives the couples, each couple a new EdgeType, and each EdgeType
+    the next element through make_element."""
+    m, k = action.set_size, action.group.order - 1
+    couples = []
+
+    def walk(node):
+        u, ch = node
+        blooms = 0
+        for c in ch:
+            if c == trees.BLOOM:
+                blooms += 1
+            else:
+                couples.append((u, c[0], blooms))
+                walk(c)
+
+    walk(tree)
+    couples.sort(key=lambda t: -t[0])
+    chain = [bottom_element(n)]
+    for u, v, i in couples:
+        et = (EdgeType("colored", min_b=v, color=m - i - 1) if u == 0
+              else EdgeType("noncoherent", min_a=u, min_b=v, alpha=k - i))
+        chain.append(_apply_by_make_element(chain[-1], et, action))
+    return chain + [top_element(n)]
+
+
+def _bijection_family_trees():
+    """Every catalog action with G in {Z2, Z3} and m in {0, 2, 3} at n <= 4,
+    with the blooming trees of its family."""
+    for key, n, action in catalog.dowling_grid(ns=(1, 2, 3, 4), group_names=("Z2", "Z3"),
+                                               set_sizes=(0, 2, 3)):
+        q, r, labels = trees._tree_family(n, action)
+        yield key, n, action, list(trees.enumerate_blooming(len(labels), q, r, labels=labels))
+
+
+def test_psi_inv_matches_make_element_reference():
+    """psi_inv gives the oracle's chain for every tree of every point.  The
+    points take turns in slices of 50 trees, so the decoded elements of one
+    point are dropped and decoded again between its slices."""
+    points = list(_bijection_family_trees())
+    checked = 0
+    for start in range(0, max(len(ts) for *_, ts in points), 50):
+        for key, n, action, ts in points:
+            for t in ts[start : start + 50]:
+                assert trees.psi_inv(t, n, action) == _psi_inv_by_make_element(t, n, action), key
+                checked += 1
+    assert checked == sum(len(ts) for *_, ts in points) == 3_502
+
+
+def test_psi_inv_applies_the_builds_own_moves(monkeypatch):
+    """Each move psi_inv applies is one of the objects the build records."""
+    applied = []
+
+    def spy(n, moves, action):
+        applied.extend(move for move, _ in moves)
+        return apply_moves(n, moves, action)
+
+    apply_moves = trees.apply_moves
+    monkeypatch.setattr(trees, "apply_moves", spy)
+    checked = 0
+    for key, n, action, ts in _bijection_family_trees():
+        poset = build_dowling(n, action)
+        own = {id(move) for row in poset.moves for move in row}
+        applied.clear()
+        for t in ts:
+            trees.psi_inv(t, n, action)
+        assert all(id(move) in own for move in applied), key
+        checked += len(applied)
+    assert checked > 0
