@@ -152,19 +152,13 @@ def adjoin_top(poset) -> RankedPoset:
     return RankedPoset(elements, edges, ranks, bottom=poset.bottom, top=ti, moves=moves)
 
 
-def passes_subposet_filter(element, action, T):
-    """No free-to-vary orbit of colors outside T may be used exactly once."""
+def passes_subposet_filter(element, free):
+    """No orbit in `free`, the orbits of the colors outside T, may be used
+    exactly once."""
     counts = {}
     for _, s in element.zero:
         counts[s] = counts.get(s, 0) + 1
-    tset = set(T)
-    for orbit in groups.orbits(action):
-        if orbit[0] in tset:
-            continue
-        used = sum(counts.get(s, 0) for s in orbit)
-        if used == 1:
-            return False
-    return True
+    return all(sum(counts.get(s, 0) for s in orbit) != 1 for orbit in free)
 
 
 def build_subposet(n, action, T, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:
@@ -175,11 +169,9 @@ def build_subposet(n, action, T, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPos
     if not groups.is_invariant(action, T):
         raise NonInvariantT(f"T = {sorted(set(T))} is not closed under the action")
     ambient = build_dowling(n, action, max_elements=max_elements)
-    kept = [
-        i
-        for i, el in enumerate(ambient.elements)
-        if passes_subposet_filter(el, action, T)
-    ]
+    tset = set(T)
+    free = [orbit for orbit in groups.orbits(action) if orbit[0] not in tset]
+    kept = [i for i, el in enumerate(ambient.elements) if passes_subposet_filter(el, free)]
     new_index = {old: new for new, old in enumerate(kept)}
     covers = induced_covers(ambient, kept)
     edges = [(new_index[x], new_index[y]) for x, y in covers]

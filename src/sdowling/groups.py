@@ -46,7 +46,7 @@ def validate_group(table) -> FiniteGroup:
         if len(row) != k:
             raise InputFormatError(f"row {i} has length {len(row)}, expected {k}")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < k:
+            if type(v) is not int or not 0 <= v < k:
                 raise InputFormatError(f"entry mult[{i}][{j}] = {v!r} out of range 0..{k - 1}")
     for i in range(k):
         if table[0][i] != i or table[i][0] != i:
@@ -87,7 +87,7 @@ def validate_action(group, act) -> GroupAction:
         if len(row) != m:
             raise InputFormatError(f"action row {g} has length {len(row)}, expected {m}")
         for s, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < m:
+            if type(v) is not int or not 0 <= v < m:
                 raise InputFormatError(f"entry act[{g}][{s}] = {v!r} out of range 0..{m - 1}")
     for s in range(m):
         if act[0][s] != s:
@@ -193,9 +193,9 @@ def load_action_json(data) -> GroupAction:
             raise InputFormatError(f"missing key {key!r} in group-action spec")
     order = data["order"]
     set_size = data["set_size"]
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:
         raise InputFormatError(f"'order' must be a positive integer, got {order!r}")
-    if not isinstance(set_size, int) or set_size < 0:
+    if type(set_size) is not int or set_size < 0:
         raise InputFormatError(f"'set_size' must be a non-negative integer, got {set_size!r}")
     # both tables have one row per group element
     for key, width in (("mult", order), ("act", set_size)):

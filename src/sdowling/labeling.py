@@ -97,14 +97,6 @@ def _zero_colors(x):
     return {c for _, c in x.zero}
 
 
-def label_lambda_elements(x, y) -> EdgeLabel:
-    return lambda_of_move(classify_cover(x, y))
-
-
-def label_mu_elements(x, y) -> EdgeLabel:
-    return _mu_of_move(classify_cover(x, y), _zero_colors(x))
-
-
 def recorded_move(poset, xi, yi) -> EdgeType:
     """The move the build recorded for the cover (xi, yi)."""
     et = poset.move(xi, yi)
@@ -162,15 +154,6 @@ class ELReport:
     decreasing_chain_count: int
 
 
-def edge_labels(poset, labeling):
-    """The label of every cover edge. Equal labels share one object: a large
-    poset has thousands of covers but a few dozen distinct labels."""
-    shared = {}
-    return {(x, y): shared.setdefault(lab, lab)
-            for x, (ys, row) in enumerate(zip(poset.up, _node_labels(poset, labeling)))
-            for y, lab in zip(ys, row)}
-
-
 def _ranked_labels(poset, labeling):
     """The cover labels of each node, parallel to `up`, as their ranks k among
     the distinct labels, and the width of a count vector over them: slot
@@ -185,13 +168,14 @@ def _is_strictly_increasing(word):
     return all(word[i] < word[i + 1] for i in range(len(word) - 1))
 
 
-def check_interval(poset, labels, x, y):
-    """Check the EL condition on one closed interval; None if it holds."""
+def check_interval(poset, rows, x, y):
+    """Check the EL condition on one closed interval, on cover labels in rows
+    parallel to `up`; None if it holds."""
     inc = []
     min_word = None
     min_count = 0
     min_chain = None
-    for chain, word in saturated_chains(poset, x, y, labels):
+    for chain, word in saturated_chains(poset, x, y, rows):
         if _is_strictly_increasing(word):
             if len(inc) < 2:
                 inc.append(chain)
@@ -216,8 +200,8 @@ def decreasing_chains(poset, labeling):
     are checked at the call, not at the first step of the iteration."""
     if poset.bottom is None or poset.top is None:
         raise NotBounded("decreasing chains require a bounded poset")
-    labels = edge_labels(poset, labeling)
-    walk = saturated_chains(poset, poset.bottom, poset.top, labels, decreasing=True)
+    rows = _node_labels(poset, labeling)
+    walk = saturated_chains(poset, poset.bottom, poset.top, rows, decreasing=True)
     return (chain for chain, _ in walk)
 
 
@@ -285,7 +269,6 @@ def verify_el(poset, labeling, with_witness_chains=True) -> ELReport:
     # None where no lower cover reads it, its strict up-set)
     state = {}
     failures = []
-    labels = {}  # edge_labels, for check_interval; filled at the first failure
     for x in order:
         slots, reached = [], 0
         for lab, group in itertools.groupby(sorted(zip(ints[x], up[x])), key=itemgetter(0)):
@@ -321,8 +304,7 @@ def verify_el(poset, labeling, with_witness_chains=True) -> ELReport:
         rows.reverse()
         one, two, inc = rows[0]
         for p in bits(reached & ~(one & inc) | two):
-            labels = labels or edge_labels(poset, labeling)
-            fail = check_interval(poset, labels, x, order[p])
+            fail = check_interval(poset, ints, x, order[p])
             if not with_witness_chains:
                 fail.witnesses = []
             failures.append(fail)

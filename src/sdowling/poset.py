@@ -17,8 +17,7 @@ class RankedPoset:
     cover (None where none was given).  The order is stored once, as
     up-sets: bit y of `above[x]` is set iff x <= y, built lazily on first
     use; `labeling.verify_el` reads it only to break a tie between least
-    label words or to walk a failing interval.  Möbius values are memoized
-    per source, all of mu(x, .) at once.
+    label words or to walk a failing interval.
     Immutable after construction.
     """
 
@@ -32,7 +31,6 @@ class RankedPoset:
             up[x][y] = move
         self.up = [tuple(sorted(s)) for s in up]
         self.moves = [tuple(map(s.__getitem__, ys)) for s, ys in zip(up, self.up)]
-        self._moebius = {}
 
     def __len__(self):
         return len(self.elements)
@@ -100,26 +98,31 @@ def induced_covers(poset, kept):
     return covers
 
 
-def saturated_chains(poset, x, y, labels=None, decreasing=False):
+def saturated_chains(poset, x, y, rows=None, decreasing=False):
     """Yield (chain, word) for every saturated chain from x to y, in
     lexicographic order of the index sequences.
 
     `chain` is the index sequence (x, ..., y) and `word` the labels of its
-    cover edges, looked up in `labels` (empty words when labels is None).
-    With `decreasing`, only chains whose word is weakly decreasing are
-    walked: a step whose label exceeds the previous one is pruned.
+    cover edges, the label of the step to `up[node][j]` read as
+    `rows[node][j]` (empty words when rows is None).  With `decreasing`,
+    only chains whose word is weakly decreasing are walked: a step whose
+    label exceeds the previous one is pruned.  A step that cannot reach y
+    is pruned by `poset.above`, except on a walk to the top, which every
+    element lies below.
     """
-    above = poset.above
+    up = poset.up
+    above = None if y == poset.top else poset.above
     stack = [(x, (x,), ())]
     while stack:
         node, chain, word = stack.pop()
         if node == y:
             yield chain, word
             continue
-        for nxt in reversed(poset.up[node]):
-            if not above[nxt] >> y & 1:
+        for j in reversed(range(len(up[node]))):
+            nxt = up[node][j]
+            if above is not None and not above[nxt] >> y & 1:
                 continue
-            step = () if labels is None else (labels[(node, nxt)],)
+            step = () if rows is None else (rows[node][j],)
             if decreasing and word and step[0] > word[-1]:
                 continue
             stack.append((nxt, chain + (nxt,), word + step))
@@ -133,24 +136,18 @@ def moebius(poset, x, y):
 
 
 def moebius_row(poset, x):
-    """mu(x, z) for every z >= x, as a dict keyed by z.
-
-    The first call from a source x fills the row by one forward pass in rank
-    order: each z, once its value is final, adds it to the running sum of
-    every element strictly above it, so mu(x, z) = -sum of mu(x, w) over
-    x <= w < z is ready when z is reached.  The row is memoized on the
-    poset.
+    """mu(x, z) for every z >= x, as a dict keyed by z, by one forward pass
+    in rank order: each z, once its value is final, adds it to the running
+    sum of every element strictly above it, so mu(x, z) = -sum of mu(x, w)
+    over x <= w < z is ready when z is reached.
     """
-    row = poset._moebius.get(x)
-    if row is None:
-        above = poset.above
-        row, sums = {}, {}
-        for z in sorted(bits(above[x]), key=poset.rank.__getitem__):
-            mu = row[z] = 1 if z == x else -sums.pop(z)
-            if mu:
-                for w in bits(above[z] ^ (1 << z)):
-                    sums[w] = sums.get(w, 0) + mu
-        poset._moebius[x] = row
+    above = poset.above
+    row, sums = {}, {}
+    for z in sorted(bits(above[x]), key=poset.rank.__getitem__):
+        mu = row[z] = 1 if z == x else -sums.pop(z)
+        if mu:
+            for w in bits(above[z] ^ (1 << z)):
+                sums[w] = sums.get(w, 0) + mu
     return row
 
 

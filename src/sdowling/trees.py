@@ -196,7 +196,9 @@ def psi_inv(tree, n, action):
 def bijection_failures(poset, n, action):
     """Round-trip psi and psi_inv both ways between the decreasing maximal
     chains of the bounded poset, taken from the bottom to the adjoined top
-    as elements, and the blooming trees they should biject with.
+    as elements, and the blooming trees they should biject with.  The trees
+    are streamed: each must be an image of psi not met before, and every
+    image must be met.
 
     Returns (chain_count, tree_count, messages); no messages means psi is a
     bijection and psi_inv its inverse.
@@ -212,11 +214,14 @@ def bijection_failures(poset, n, action):
         images.add(t)
         if psi_inv(t, n, action) != [poset.elements[i] for i in index_chain]:
             messages.append("psi_inv(psi(chain)) != chain")
-    all_trees = set(enumerate_blooming(len(labels), q, r, labels=labels))
-    if images != all_trees:
-        messages.append("psi is not onto the blooming trees")
-    for t in all_trees:
-        if psi(psi_inv(t, n, action), action) != t:
-            messages.append("psi(psi_inv(tree)) != tree")
-            break
-    return chain_count, len(all_trees), messages
+    tree_count, matched, round_trips = 0, True, True
+    for t in enumerate_blooming(len(labels), q, r, labels=labels):
+        tree_count += 1
+        matched = matched and t in images
+        images.discard(t)
+        round_trips = round_trips and psi(psi_inv(t, n, action), action) == t
+    if images or not matched:
+        messages.append("psi's images are not the blooming trees, each once")
+    if not round_trips:
+        messages.append("psi(psi_inv(tree)) != tree")
+    return chain_count, tree_count, messages

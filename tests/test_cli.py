@@ -262,6 +262,18 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
                                        "set_size": 0, "act": [[], []]}))
     flat_mult = tmp_path / "flat_mult.json"
     flat_mult.write_text(json.dumps({"order": 1, "mult": [0], "set_size": 0, "act": [[]]}))
+    # JSON true is an int to Python: an order, a color count or a table
+    # entry that is a boolean is malformed
+    booleans = []
+    for name, spec in (
+        ("order", {"order": True, "mult": [[0]], "set_size": 1, "act": [[0]]}),
+        ("set_size", {"order": 1, "mult": [[0]], "set_size": True, "act": [[0]]}),
+        ("mult", {"order": 2, "mult": [[0, True], [True, 0]], "set_size": 0, "act": [[], []]}),
+        ("act", {"order": 2, "mult": [[0, 1], [1, 0]], "set_size": 2,
+                 "act": [[0, True], [True, 0]]}),
+    ):
+        booleans.append(tmp_path / f"bool_{name}.json")
+        booleans[-1].write_text(json.dumps(spec))
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"order": 1, "mult": [[0]], "set_size": 0, "act": [[]], "\xe9": 0}')
     # colors, color counts and orbits out of range, tables that are no group,
@@ -278,6 +290,7 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         ["homology", "--group", "Z2:2:swap", "--n", "2", "--T", "0"],
         ["build", "--group", str(latin1), "--n", "2"],
         ["build", "--group", str(flat_mult), "--n", "2"],
+        *(["build", "--group", str(path), "--n", "2"] for path in booleans),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv

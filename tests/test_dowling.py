@@ -341,11 +341,13 @@ def test_subposet_filter_and_figure_sizes():
 
 def test_subposet_filter_predicate():
     el = make_element(Z2, 2, [((2,), (0,))], [(1, 0)])
+    # SWAP2 has the one orbit [0, 1]: free when T is empty, none when T = S
+    (orbit,) = groups.orbits(SWAP2)
     # one zero position in a free orbit of size two: filtered out
-    assert not passes_subposet_filter(el, SWAP2, [])
-    assert passes_subposet_filter(el, SWAP2, [0, 1])
+    assert not passes_subposet_filter(el, [orbit])
+    assert passes_subposet_filter(el, [])
     both = make_element(Z2, 2, [], [(1, 0), (2, 1)])
-    assert passes_subposet_filter(both, SWAP2, [])
+    assert passes_subposet_filter(both, [orbit])
 
 
 def test_subposet_requires_invariant_T():

@@ -37,27 +37,36 @@ def test_classify_cover_rejects_non_covers():
         labeling.classify_cover(x, y)
 
 
+def _label(fn, phat, x, y):
+    """The label `fn` gives the cover (x, y) of the built poset, named by its
+    elements."""
+    return fn(phat, phat.elements.index(x), phat.elements.index(y))
+
+
 def test_lambda_labels():
+    phat = adjoin_top(build_dowling(2, groups.trivial_action(Z2, 2)))
     x = bottom_element(2)
     coherent = make_element(Z2, 2, [((1, 2), (0, 0))], [])
     noncoh = make_element(Z2, 2, [((1, 2), (0, 1))], [])
     colored = make_element(Z2, 2, [((2,), (0,))], [(1, 1)])
-    assert labeling.label_lambda_elements(x, coherent) == EdgeLabel(0, 2)
-    assert labeling.label_lambda_elements(x, noncoh) == EdgeLabel(2, 1, 1)
-    assert labeling.label_lambda_elements(x, colored) == EdgeLabel(1, 2)
-    assert labeling.label_lambda_elements(x, top_element(2)) == EdgeLabel(1, 2)
+    coatom = make_element(Z2, 2, [], [(1, 0), (2, 1)])
+    assert _label(labeling.label_lambda, phat, x, coherent) == EdgeLabel(0, 2)
+    assert _label(labeling.label_lambda, phat, x, noncoh) == EdgeLabel(2, 1, 1)
+    assert _label(labeling.label_lambda, phat, x, colored) == EdgeLabel(1, 2)
+    assert _label(labeling.label_lambda, phat, coatom, top_element(2)) == EdgeLabel(1, 2)
 
 
 def test_mu_labels_favor_present_colors():
     # zero block already uses color s3; coloring with s3 ranks it inside S(x)
+    phat = adjoin_top(build_dowling(2, groups.trivial_action(Z2, 3)))
     x = make_element(Z2, 2, [((1,), (0,))], [(2, 2)])
     again = make_element(Z2, 2, [], [(1, 2), (2, 2)])
     fresh = make_element(Z2, 2, [], [(1, 0), (2, 2)])
-    assert labeling.label_mu_elements(x, again) == EdgeLabel(1, 1)
+    assert _label(labeling.label_mu, phat, x, again) == EdgeLabel(1, 1)
     # s1 is new: counted after itself plus the greater used color s3
-    assert labeling.label_mu_elements(x, fresh) == EdgeLabel(1, 2)
+    assert _label(labeling.label_mu, phat, x, fresh) == EdgeLabel(1, 2)
     # lambda ignores S(x) entirely
-    assert labeling.label_lambda_elements(x, again) == EdgeLabel(1, 3)
+    assert _label(labeling.label_lambda, phat, x, again) == EdgeLabel(1, 3)
 
 
 def test_label_wrappers_check_covers():
@@ -148,23 +157,23 @@ def test_decreasing_chains_match_brute_force_on_grid():
         ]
         for phat in posets:
             for fn in (labeling.label_lambda, labeling.label_mu):
-                labels = labeling.edge_labels(phat, fn)
                 expected = []
                 for chain, _ in saturated_chains(phat, phat.bottom, phat.top):
-                    word = [labels[e] for e in zip(chain, chain[1:])]
+                    word = [fn(phat, x, y) for x, y in zip(chain, chain[1:])]
                     if all(a >= b for a, b in zip(word, word[1:])):
                         expected.append(chain)
                 assert list(labeling.decreasing_chains(phat, fn)) == expected, key
 
 
 def _brute_failures(poset, fn):
-    """Oracle: `check_interval` on every interval [x, y] with rk y - rk x >= 2."""
-    labels = labeling.edge_labels(poset, fn)
+    """Oracle: `check_interval` on every interval [x, y] with rk y - rk x >= 2,
+    on labels taken one cover at a time from `fn`."""
+    rows = [tuple(fn(poset, x, y) for y in ys) for x, ys in enumerate(poset.up)]
     out = []
     for x in range(len(poset)):
         for y in range(len(poset)):
             if poset.leq(x, y) and poset.rank[y] - poset.rank[x] >= 2:
-                fail = labeling.check_interval(poset, labels, x, y)
+                fail = labeling.check_interval(poset, rows, x, y)
                 if fail is not None:
                     out.append((fail.x, fail.y, fail.reason, fail.witnesses))
     return out

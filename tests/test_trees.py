@@ -148,6 +148,36 @@ def test_bijection_z3_three_colors_nontrivial_action():
     _roundtrip_all(2, cyc)
 
 
+def test_decreasing_chains_and_bijection_build_no_up_sets():
+    """Every element lies below the top, so the walk to it prunes nothing
+    and neither the decreasing chains nor the bijection check build the
+    up-set table."""
+    action = groups.trivial_action(Z2, 2)
+    phat = adjoin_top(build_dowling(3, action))
+    assert sum(1 for _ in labeling.decreasing_chains(phat, labeling.label_lambda)) == 15
+    assert trees.bijection_failures(phat, 3, action) == (15, 15, [])
+    assert "above" not in phat.__dict__
+
+
+def test_bijection_failures_reports_a_tree_enumerated_twice(monkeypatch):
+    """A duplicate tree passes both round trips and leaves the set of trees
+    unchanged; streamed, its second copy finds its image already met."""
+    action = groups.trivial_action(Z2, 2)
+    phat = adjoin_top(build_dowling(2, action))
+    enumerate_blooming = trees.enumerate_blooming
+
+    def first_twice(*args, **kwargs):
+        ts = enumerate_blooming(*args, **kwargs)
+        first = next(ts)
+        yield first
+        yield first
+        yield from ts
+
+    monkeypatch.setattr(trees, "enumerate_blooming", first_twice)
+    assert trees.bijection_failures(phat, 2, action) == (
+        3, 4, ["psi's images are not the blooming trees, each once"])
+
+
 def test_bijection_empty_color_set():
     _roundtrip_all(2, groups.trivial_action(Z3, 0))
     _roundtrip_all(3, groups.trivial_action(Z2, 0))
