@@ -8,7 +8,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from . import catalog, groups, labeling, reduction, topology, trees
+from . import catalog, labeling, reduction, topology, trees
 from .dowling import adjoin_top, build_dowling, build_subposet
 from .elements import bottom_element, make_element, top_element
 from .poset import characteristic_polynomial, moebius, Polynomial, sphere_product
@@ -135,22 +135,14 @@ def criterion_4():
                        + _unless(expected == figure, "figure counts 18 / 3 do not match"))
 
 
-def _bijection_points():
-    for n in (1, 2, 3):
-        for gname in ("Z2", "Z3"):
-            for m in (0, 2, 3):
-                for aname, action in catalog.actions_for(gname, m):
-                    yield f"n={n},G={gname},m={m},act={aname}", n, action
-
-
 @_criterion(5, "the chain/tree bijection round-trips both ways")
 def criterion_5():
-    for key, n, action in _bijection_points():
+    for key, n, action in catalog.dowling_grid(group_names=("Z2", "Z3"), set_sizes=(0, 2, 3)):
         _, _, messages = trees.bijection_failures(_dhat(n, action), n, action)
         yield [f"{key}: {msg}" for msg in messages]
     # the worked figure instance: n=4, |G|=3, |S|=5
-    z3 = catalog.group_by_name("Z3")
-    act = groups.trivial_action(z3, 5)
+    act = dict(catalog.actions_for("Z3", 5))["trivial"]
+    z3 = act.group
     chain = [
         bottom_element(4),
         make_element(z3, 4, [((1, 2), (0, 2)), ((3,), (0,)), ((4,), (0,))], []),
@@ -184,28 +176,23 @@ def criterion_6():
 
 @_criterion(7, "non-shellable counterexamples have the predicted homology")
 def criterion_7():
-    z2 = catalog.group_by_name("Z2")
-    z4 = catalog.group_by_name("Z4")
-    swap2 = groups.action_from_permutations(z2, [[0, 1], [1, 0]])
-    swap4 = groups.action_from_permutations(z4, [[0, 1], [1, 0], [0, 1], [1, 0]])
-    p2 = build_subposet(2, swap2, [])
-    h2 = topology.homology(topology.order_complex(p2))
+    swap2 = dict(catalog.actions_for("Z2", 2))["swap"]
+    swap4 = dict(catalog.actions_for("Z4", 2))["swap"]
+    h2 = topology.homology(topology.order_complex(build_subposet(2, swap2, [])))
     yield _unless(h2.reduced_betti == [1, 0] and not any(h2.torsion),
                   f"Z2 counterexample betti {h2.reduced_betti}")
-    p4 = build_subposet(2, swap4, [])
-    h4 = topology.homology(topology.order_complex(p4))
+    cert4 = topology.certify_wedge(build_subposet(2, swap4, []), 0, 1)
+    h4 = cert4.profile
     yield _unless(h4.reduced_betti == [1, 2] and not any(h4.torsion),
                   f"Z4 counterexample betti {h4.reduced_betti}")
-    yield _unless(not topology.certify_wedge(p4, 0, 1).passed,
+    yield _unless(not cert4.passed,
                   "Z4 counterexample unexpectedly certifies as a wedge")
 
 
 def _closure_configs():
-    z2 = catalog.group_by_name("Z2")
-    z3 = catalog.group_by_name("Z3")
-    swap2 = groups.action_from_permutations(z2, [[0, 1], [1, 0]])
-    swap3 = groups.action_from_permutations(z2, [[0, 1, 2], [1, 0, 2]])
-    cyc3 = groups.action_from_permutations(z3, [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    swap2 = dict(catalog.actions_for("Z2", 2))["swap"]
+    swap3 = dict(catalog.actions_for("Z2", 3))["swap"]
+    cyc3 = dict(catalog.actions_for("Z3", 3))["cycle"]
     for n in (2, 3):
         yield f"n={n},Z2-swap,m=2,T=[]", n, swap2, [], 0, n - 2
         yield f"n={n},Z2-swap,m=3,T=[2]", n, swap3, [2], 0, n - 1

@@ -1,5 +1,8 @@
 """Edge classification, the two edge labelings, and the exhaustive
-lexicographic-shellability verifier."""
+lexicographic-shellability verifier.
+
+A labeling `labeling(poset, x)` returns the labels of x's covers as a tuple
+parallel to `poset.up[x]`, and is called once per node."""
 
 from __future__ import annotations
 
@@ -105,34 +108,25 @@ def recorded_move(poset, xi, yi) -> EdgeType:
     return et
 
 
-def label_lambda(poset, xi, yi) -> EdgeLabel:
-    return lambda_of_move(recorded_move(poset, xi, yi))
+def _recorded_row(poset, xi):
+    """The moves the build recorded for x's covers, parallel to `up[x]`;
+    NotACover when a cover records none."""
+    row = poset.moves[xi]
+    if None in row:
+        y = poset.up[xi][row.index(None)]
+        raise NotACover(f"({xi}, {y}) is not a single-move cover edge")
+    return row
 
 
-def label_mu(poset, xi, yi) -> EdgeLabel:
-    return _mu_of_move(recorded_move(poset, xi, yi), _zero_colors(poset.elements[xi]))
+def label_lambda(poset, xi):
+    """The labels of x's covers in the full bounded poset, parallel to `up[x]`."""
+    return tuple(map(lambda_of_move, _recorded_row(poset, xi)))
 
 
-def _lambda_row(poset, xi):
-    return tuple(map(lambda_of_move, poset.moves[xi]))
-
-
-def _mu_row(poset, xi):
+def label_mu(poset, xi):
+    """The subposet labels of x's covers, parallel to `up[x]`."""
     used = _zero_colors(poset.elements[xi])
-    return tuple(_mu_of_move(et, used) for et in poset.moves[xi])
-
-
-_NODE_LABELS = {label_lambda: _lambda_row, label_mu: _mu_row}
-
-
-def _node_labels(poset, labeling):
-    """The cover labels of each node, parallel to `up`: one call per node
-    for `label_lambda` and `label_mu` on recorded moves, else one per cover
-    (which raises NotACover on a cover with no recorded move)."""
-    row = _NODE_LABELS.get(labeling)
-    if row is None or any(None in moves for moves in poset.moves):
-        return [tuple(labeling(poset, x, y) for y in ys) for x, ys in enumerate(poset.up)]
-    return [row(poset, x) for x in range(len(poset.up))]
+    return tuple(_mu_of_move(et, used) for et in _recorded_row(poset, xi))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +153,7 @@ def _ranked_labels(poset, labeling):
     the distinct labels, and the width of a count vector over them: slot
     k + 1 counts chains ending in label k, slot 0 and the last slot the
     empty chain, below or above every label."""
-    rows = _node_labels(poset, labeling)
+    rows = [labeling(poset, x) for x in range(len(poset))]
     order = {lab: k for k, lab in enumerate(sorted(set(itertools.chain.from_iterable(rows))))}
     return len(order) + 2, [tuple(map(order.__getitem__, row)) for row in rows]
 
@@ -200,7 +194,7 @@ def decreasing_chains(poset, labeling):
     are checked at the call, not at the first step of the iteration."""
     if poset.bottom is None or poset.top is None:
         raise NotBounded("decreasing chains require a bounded poset")
-    rows = _node_labels(poset, labeling)
+    rows = [labeling(poset, x) for x in range(len(poset))]
     walk = saturated_chains(poset, poset.bottom, poset.top, rows, decreasing=True)
     return (chain for chain, _ in walk)
 

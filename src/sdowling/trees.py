@@ -141,12 +141,13 @@ def _tree_of_moves(moves, n, action):
         raise NotMaximal("the chain does not run from the bottom to the top")
     root = labels[0]
     children = {u: [] for u in labels}
+    bloomed = dict.fromkeys(labels, 0)  # the blooms among each node's children
 
     def pad_to(u, count):
-        missing = count - children[u].count(BLOOM)
-        if missing < 0:
+        if count < bloomed[u]:
             raise NotDecreasing("bloom requirement decreased along the chain")
-        children[u] += [BLOOM] * missing
+        children[u] += [BLOOM] * (count - bloomed[u])
+        bloomed[u] = count
 
     # each edge hangs a child below a parent after as many of the parent's
     # blooms as its label leaves: a coloring hangs the block minimum below
@@ -196,32 +197,27 @@ def psi_inv(tree, n, action):
 def bijection_failures(poset, n, action):
     """Round-trip psi and psi_inv both ways between the decreasing maximal
     chains of the bounded poset, taken from the bottom to the adjoined top
-    as elements, and the blooming trees they should biject with.  The trees
-    are streamed: each must be an image of psi not met before, and every
-    image must be met.
+    as elements, and the blooming trees they should biject with.  Nothing
+    is stored: psi_inv(psi(chain)) == chain makes psi injective, and
+    psi_inv accepts only blooming trees, so psi's images are the blooming
+    trees, each once, when the chains and the duplicate-free enumeration
+    of the trees count the same.
 
     Returns (chain_count, tree_count, messages); no messages means psi is a
     bijection and psi_inv its inverse.
     """
     q, r, labels = _tree_family(n, action)
-    messages = []
-    images = set()
-    chain_count = 0
+    chain_count, chains_trip = 0, True
     for index_chain in decreasing_chains(poset, label_lambda):
         chain_count += 1
         moves = [recorded_move(poset, x, y) for x, y in zip(index_chain, index_chain[1:])]
-        t = _tree_of_moves(moves, n, action)
-        images.add(t)
-        if psi_inv(t, n, action) != [poset.elements[i] for i in index_chain]:
-            messages.append("psi_inv(psi(chain)) != chain")
-    tree_count, matched, round_trips = 0, True, True
+        chain = [poset.elements[i] for i in index_chain]
+        chains_trip = chains_trip and psi_inv(_tree_of_moves(moves, n, action), n, action) == chain
+    tree_count, trees_trip = 0, True
     for t in enumerate_blooming(len(labels), q, r, labels=labels):
         tree_count += 1
-        matched = matched and t in images
-        images.discard(t)
-        round_trips = round_trips and psi(psi_inv(t, n, action), action) == t
-    if images or not matched:
-        messages.append("psi's images are not the blooming trees, each once")
-    if not round_trips:
-        messages.append("psi(psi_inv(tree)) != tree")
-    return chain_count, tree_count, messages
+        trees_trip = trees_trip and psi(psi_inv(t, n, action), action) == t
+    checks = ((chains_trip, "psi_inv(psi(chain)) != chain"),
+              (chain_count == tree_count, "psi's images are not the blooming trees, each once"),
+              (trees_trip, "psi(psi_inv(tree)) != tree"))
+    return chain_count, tree_count, [message for ok, message in checks if not ok]

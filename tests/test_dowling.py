@@ -21,7 +21,7 @@ from sdowling.elements import (
     top_element,
 )
 from sdowling.errors import AlreadyBounded, NonInvariantT, NotACover, SizeLimitExceeded
-from sdowling.labeling import classify_cover, label_lambda, label_mu, verify_el
+from sdowling.labeling import classify_cover, label_lambda, label_mu, recorded_move, verify_el
 from sdowling.poset import RankedPoset, induced_covers, is_graded
 
 
@@ -277,8 +277,10 @@ def test_induced_cover_that_is_no_single_move(monkeypatch):
     with pytest.raises(NotACover):
         classify_cover(p.elements[p.bottom], p.elements[y])
     with pytest.raises(NotACover):
-        label_lambda(p, p.bottom, y)
+        recorded_move(p, p.bottom, y)
     for fn in (label_lambda, label_mu):
+        with pytest.raises(NotACover):
+            fn(p, p.bottom)
         with pytest.raises(NotACover):
             verify_el(adjoin_top(p), fn)
 

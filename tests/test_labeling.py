@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,8 +40,9 @@ def test_classify_cover_rejects_non_covers():
 
 def _label(fn, phat, x, y):
     """The label `fn` gives the cover (x, y) of the built poset, named by its
-    elements."""
-    return fn(phat, phat.elements.index(x), phat.elements.index(y))
+    elements: the entry for y in x's row."""
+    xi = phat.elements.index(x)
+    return fn(phat, xi)[phat.up[xi].index(phat.elements.index(y))]
 
 
 def test_lambda_labels():
@@ -73,7 +75,7 @@ def test_label_wrappers_check_covers():
     action = groups.trivial_action(Z2, 1)
     phat = adjoin_top(build_dowling(2, action))
     with pytest.raises(NotACover):
-        labeling.label_lambda(phat, phat.bottom, phat.top)
+        labeling.recorded_move(phat, phat.bottom, phat.top)
 
 
 def test_verify_el_passes_small_full_poset():
@@ -114,13 +116,13 @@ def test_decreasing_count_equals_moebius():
 
 def test_mu_equals_lambda_on_merge_edges():
     phat = adjoin_top(build_dowling(2, SWAP3))
-    for x, y in phat.cover_edges():
-        el_y = phat.elements[y]
-        if el_y.is_top:
-            continue
-        et = labeling.classify_cover(phat.elements[x], el_y)
-        if et.kind != "colored":
-            assert labeling.label_mu(phat, x, y) == labeling.label_lambda(phat, x, y)
+    for x, ys in enumerate(phat.up):
+        for y, mu, lam in zip(ys, labeling.label_mu(phat, x), labeling.label_lambda(phat, x)):
+            el_y = phat.elements[y]
+            if el_y.is_top:
+                continue
+            if labeling.classify_cover(phat.elements[x], el_y).kind != "colored":
+                assert mu == lam
 
 
 def test_open_question_both_labelings_fail_on_filtered_z2_poset():
@@ -157,9 +159,9 @@ def test_decreasing_chains_match_brute_force_on_grid():
         ]
         for phat in posets:
             for fn in (labeling.label_lambda, labeling.label_mu):
+                rows = [fn(phat, x) for x in range(len(phat))]
                 expected = []
-                for chain, _ in saturated_chains(phat, phat.bottom, phat.top):
-                    word = [fn(phat, x, y) for x, y in zip(chain, chain[1:])]
+                for chain, word in saturated_chains(phat, phat.bottom, phat.top, rows):
                     if all(a >= b for a, b in zip(word, word[1:])):
                         expected.append(chain)
                 assert list(labeling.decreasing_chains(phat, fn)) == expected, key
@@ -167,8 +169,8 @@ def test_decreasing_chains_match_brute_force_on_grid():
 
 def _brute_failures(poset, fn):
     """Oracle: `check_interval` on every interval [x, y] with rk y - rk x >= 2,
-    on labels taken one cover at a time from `fn`."""
-    rows = [tuple(fn(poset, x, y) for y in ys) for x, ys in enumerate(poset.up)]
+    on the rows `fn` gives."""
+    rows = [fn(poset, x) for x in range(len(poset))]
     out = []
     for x in range(len(poset)):
         for y in range(len(poset)):
@@ -224,6 +226,36 @@ def test_verify_el_matches_check_interval_on_grid():
     assert reasons == {"NoIncreasing", "MultipleIncreasing"}
 
 
+def _spy(fn):
+    """A labeling that gives `fn`'s rows and counts its calls per node."""
+    calls = Counter()
+
+    def spy(poset, x):
+        calls[x] += 1
+        return fn(poset, x)
+
+    return spy, calls
+
+
+def test_a_labeling_is_called_once_per_node():
+    """The EL check, the chain walk and the chain count read each node's row
+    with one call, for lambda, mu and a hand-written labeling alike, on
+    posets that pass and posets that fail."""
+    cases = [(phat, fn)
+             for phat in (adjoin_top(build_dowling(3, SWAP3)),
+                          adjoin_top(build_subposet(3, SWAP3, [])))
+             for fn in (labeling.label_lambda, labeling.label_mu)]
+    cases.append(_labelled_poset([0, 1, 1, 2], {(0, 1): 1, (1, 3): 2, (0, 2): 1, (2, 3): 0}))
+    for poset, fn in cases:
+        for walker in (labeling.verify_el, labeling.decreasing_chains,
+                       labeling.count_decreasing_chains):
+            spy, calls = _spy(fn)
+            result = walker(poset, spy)
+            if walker is labeling.decreasing_chains:
+                list(result)
+            assert calls == Counter(range(len(poset))), (walker.__name__, fn)
+
+
 def test_verify_el_builds_no_up_sets_on_a_passing_poset():
     phat = adjoin_top(build_dowling(3, groups.trivial_action(Z2, 2)))
     assert labeling.verify_el(phat, labeling.label_lambda).passed
@@ -249,9 +281,9 @@ def test_verify_el_witnesses_on_n4_swap_failures_are_unchanged():
 
 def _labelled_poset(ranks, covers):
     """Bounded poset on 0..len(ranks)-1 (bottom 0, top last) and a labeling
-    that reads each cover's label from `covers`."""
+    that reads the label of each of x's covers from `covers`."""
     poset = RankedPoset(range(len(ranks)), covers, ranks, 0, len(ranks) - 1)
-    return poset, lambda p, x, y: covers[(x, y)]
+    return poset, lambda p, x: tuple(covers[(x, y)] for y in p.up[x])
 
 
 @pytest.mark.parametrize("ranks, covers, expected", [

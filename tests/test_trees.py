@@ -161,7 +161,7 @@ def test_decreasing_chains_and_bijection_build_no_up_sets():
 
 def test_bijection_failures_reports_a_tree_enumerated_twice(monkeypatch):
     """A duplicate tree passes both round trips and leaves the set of trees
-    unchanged; streamed, its second copy finds its image already met."""
+    unchanged; the trees then count one more than the chains."""
     action = groups.trivial_action(Z2, 2)
     phat = adjoin_top(build_dowling(2, action))
     enumerate_blooming = trees.enumerate_blooming
@@ -176,6 +176,33 @@ def test_bijection_failures_reports_a_tree_enumerated_twice(monkeypatch):
     monkeypatch.setattr(trees, "enumerate_blooming", first_twice)
     assert trees.bijection_failures(phat, 2, action) == (
         3, 4, ["psi's images are not the blooming trees, each once"])
+
+
+def test_bijection_failures_reports_a_tree_the_enumeration_drops(monkeypatch):
+    """A dropped tree passes both round trips; the trees then count one
+    fewer than the chains."""
+    action = groups.trivial_action(Z2, 2)
+    phat = adjoin_top(build_dowling(2, action))
+    enumerate_blooming = trees.enumerate_blooming
+
+    def all_but_first(*args, **kwargs):
+        ts = enumerate_blooming(*args, **kwargs)
+        next(ts)
+        yield from ts
+
+    monkeypatch.setattr(trees, "enumerate_blooming", all_but_first)
+    assert trees.bijection_failures(phat, 2, action) == (
+        3, 2, ["psi's images are not the blooming trees, each once"])
+
+
+def test_bijection_failures_reports_each_failed_direction_once():
+    """Every chain fails its round trip against elements that are all the
+    bottom, and the failure is reported once."""
+    action = groups.trivial_action(Z2, 2)
+    phat = adjoin_top(build_dowling(2, action))
+    phat.elements = [phat.elements[phat.bottom]] * len(phat)
+    assert trees.bijection_failures(phat, 2, action) == (
+        3, 3, ["psi_inv(psi(chain)) != chain"])
 
 
 def test_bijection_empty_color_set():
