@@ -8,6 +8,9 @@ nested lists json.dumps writes for a tree lose nothing.
 
 from __future__ import annotations
 
+import itertools
+from functools import partial
+
 from .dowling import apply_moves, cover_moves
 from .elements import bottom_element, top_element
 from .errors import MalformedTree, NotDecreasing, NotMaximal, UnsupportedCase
@@ -19,8 +22,8 @@ DEFAULT_MAX_TREES = 1_000_000
 
 def count_blooming(nodes, q, r):
     """Number of blooming trees on the given node count: the insertion count."""
-    if nodes < 1:
-        raise ValueError("need at least one node")
+    if nodes < 1 or q < 0 or r < 0:
+        raise ValueError("need at least one node and non-negative bloom counts q, r")
     prod = 1
     for i in range(nodes - 1):
         prod *= q + 1 + (r + 2) * i
@@ -29,39 +32,36 @@ def count_blooming(nodes, q, r):
 
 def _insertions(tree, new_node):
     """All trees obtained by attaching new_node at one child-gap of any
-    labeled node.  Each result is produced exactly once."""
+    labeled node, each exactly once: the root's gaps first, then each
+    labeled child's own insertions, in child order."""
     label, children = tree
-    for i in range(len(children) + 1):
-        yield (label, children[:i] + (new_node,) + children[i:])
+    out = [(label, children[:i] + (new_node,) + children[i:]) for i in range(len(children) + 1)]
     for i, ch in enumerate(children):
         if ch != BLOOM:
-            for sub in _insertions(ch, new_node):
-                yield (label, children[:i] + (sub,) + children[i + 1 :])
+            head, tail = children[:i], children[i + 1 :]
+            out += [(label, head + (sub,) + tail) for sub in _insertions(ch, new_node)]
+    return out
 
 
 def enumerate_blooming(nodes, q, r, labels=None):
-    """Generate every blooming tree on the given labels, duplicate-free.
+    """Iterate over every blooming tree on the given labels, duplicate-free.
 
     Follows the incremental insertion argument: node k is attached, together
     with its r blooms, at every legal position of every tree on k-1 nodes.
+    Each level maps _insertions lazily over the one before, so the trees
+    stream depth-first with one insertion list alive per level.
     """
+    if nodes < 1 or q < 0 or r < 0:
+        raise ValueError("need at least one node and non-negative bloom counts q, r")
     labels = sorted(range(nodes) if labels is None else labels)
-    if nodes < 1:
-        raise ValueError("need at least one node")
-    if len(labels) != nodes:
-        raise ValueError("label count does not match node count")
+    if len(labels) != nodes or len(set(labels)) != nodes:
+        raise ValueError("need one distinct label per node")
 
-    root = (labels[0], (BLOOM,) * q)
-
-    def recurse(tree, remaining):
-        if not remaining:
-            yield tree
-            return
-        new_node = (remaining[0], (BLOOM,) * r)
-        for t in _insertions(tree, new_node):
-            yield from recurse(t, remaining[1:])
-
-    yield from recurse(root, labels[1:])
+    level = iter([(labels[0], (BLOOM,) * q)])
+    for label in labels[1:]:
+        insert = partial(_insertions, new_node=(label, (BLOOM,) * r))
+        level = itertools.chain.from_iterable(map(insert, level))
+    return level
 
 
 def validate_blooming(tree, q, r, labels):

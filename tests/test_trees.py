@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +36,75 @@ def test_enumeration_matches_count_and_is_duplicate_free(k, q, r):
         seen.add(t)
         trees.validate_blooming(t, q, r, range(k))
     assert len(seen) == trees.count_blooming(k, q, r)
+
+
+def _insertions_recursive(tree, new_node):
+    """All trees obtained by attaching new_node at one child-gap of any
+    labeled node.  Each result is produced exactly once."""
+    label, children = tree
+    for i in range(len(children) + 1):
+        yield (label, children[:i] + (new_node,) + children[i:])
+    for i, ch in enumerate(children):
+        if ch != trees.BLOOM:
+            for sub in _insertions_recursive(ch, new_node):
+                yield (label, children[:i] + (sub,) + children[i + 1 :])
+
+
+def _enumerate_blooming_recursive(nodes, q, r, labels=None):
+    """The enumeration as a recursive generator, one frame per level: the
+    oracle for enumerate_blooming, order included."""
+    labels = sorted(range(nodes) if labels is None else labels)
+    root = (labels[0], (trees.BLOOM,) * q)
+
+    def recurse(tree, remaining):
+        if not remaining:
+            yield tree
+            return
+        new_node = (remaining[0], (trees.BLOOM,) * r)
+        for t in _insertions_recursive(tree, new_node):
+            yield from recurse(t, remaining[1:])
+
+    yield from recurse(root, labels[1:])
+
+
+@pytest.mark.parametrize("k, q, r, labels", [
+    *((k, q, r, None) for k in range(1, 6) for q in range(4) for r in range(4)),
+    (6, 2, 2, None),
+    (4, 1, 2, [2, 5, 9, 11]),
+    (4, 0, 3, [11, 2, 9, 5]),
+])
+def test_enumeration_matches_recursive_oracle_in_order(k, q, r, labels):
+    assert (list(trees.enumerate_blooming(k, q, r, labels=labels))
+            == list(_enumerate_blooming_recursive(k, q, r, labels=labels)))
+
+
+def test_enumeration_streams():
+    """Only one insertion list per level is alive at a time: no level and
+    no subtree memo is held while the trees are iterated."""
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in trees.enumerate_blooming(6, 3, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == trees.count_blooming(6, 3, 3) == 229_824
+    assert peak < 256 * 1024, peak
+
+
+@pytest.mark.parametrize("q, r", [(-1, 0), (0, -1), (-2, -2)])
+def test_negative_bloom_counts_are_rejected(q, r):
+    with pytest.raises(ValueError):
+        trees.count_blooming(3, q, r)
+    with pytest.raises(ValueError):
+        trees.enumerate_blooming(3, q, r)
+
+
+def test_repeated_labels_are_rejected():
+    for labels in ([1, 1], [0, 2, 2]):
+        with pytest.raises(ValueError):
+            trees.enumerate_blooming(len(labels), 0, 0, labels=labels)
+    with pytest.raises(ValueError):
+        trees.enumerate_blooming(2, 0, 0, labels=[3, 4, 4])  # more labels than nodes
 
 
 def test_enumeration_with_custom_labels():
