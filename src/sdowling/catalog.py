@@ -23,10 +23,15 @@ def group_by_name(name):
     return _GROUPS[name]()
 
 
-def _swap_first_two(m):
-    perm = list(range(m))
-    perm[0], perm[1] = 1, 0
-    return perm
+# the nontrivial action of each group that admits one: its name, a cycle
+# on the first colors, and the power of that cycle by which each group
+# element acts; Z4 acts through its quotient Z2
+_ACTIONS = {
+    "Z2": ("swap", 2, (0, 1)),
+    "Z4": ("swap", 2, (0, 1, 0, 1)),
+    "Z2xZ2": ("swap", 2, (0, 0, 1, 1)),
+    "Z3": ("cycle", 3, (0, 1, 2)),
+}
 
 
 def actions_for(group_name, m):
@@ -36,27 +41,12 @@ def actions_for(group_name, m):
     if m < 0:
         raise ValueError(f"color count must be at least 0, got {m}")
     group = group_by_name(group_name)
-    ident = list(range(m))
     out = [("trivial", groups.trivial_action(group, m))]
-    if m >= 2:
-        swap = _swap_first_two(m)
-        if group_name == "Z2":
-            out.append(("swap", groups.action_from_permutations(group, [ident, swap])))
-        elif group_name == "Z4":
-            # the generator acts with order two (through the quotient)
-            out.append(
-                ("swap", groups.action_from_permutations(group, [ident, swap, ident, swap]))
-            )
-        elif group_name == "Z2xZ2":
-            out.append(
-                ("swap", groups.action_from_permutations(group, [ident, ident, swap, swap]))
-            )
-        elif group_name == "Z3" and m >= 3:
-            cyc = list(range(m))
-            cyc[0], cyc[1], cyc[2] = 1, 2, 0
-            cyc_inv = list(range(m))
-            cyc_inv[0], cyc_inv[1], cyc_inv[2] = 2, 0, 1
-            out.append(("cycle", groups.action_from_permutations(group, [ident, cyc, cyc_inv])))
+    if group_name in _ACTIONS:
+        name, length, powers = _ACTIONS[group_name]
+        if m >= length:
+            perms = [[(s + k) % length if s < length else s for s in range(m)] for k in powers]
+            out.append((name, groups.action_from_permutations(group, perms)))
     return out
 
 
@@ -82,8 +72,4 @@ def invariant_subsets(action):
         # one intermediate choice: forced part plus the smallest fixed color
         fixed = [s for s in full if s not in forced]
         candidates.insert(1, tuple(sorted(forced + fixed[:1])))
-    seen = []
-    for T in candidates:
-        if T not in seen:
-            seen.append(T)
-    return seen
+    return list(dict.fromkeys(candidates))

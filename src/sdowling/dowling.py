@@ -4,6 +4,7 @@ the invariant subposets cut out by the orbit-count filter."""
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 from . import groups
 from .elements import (
@@ -13,10 +14,17 @@ from .elements import (
     top_element,
 )
 from .errors import AlreadyBounded, NonInvariantT, SizeLimitExceeded
-from .labeling import EdgeType
 from .poset import RankedPoset, induced_covers
 
 DEFAULT_MAX_ELEMENTS = 5_000_000
+
+
+class EdgeType(NamedTuple):
+    kind: str  # "merge" | "colored" | "top"
+    min_a: int = -1
+    min_b: int = -1
+    alpha: int = 0  # the merge's twist; the identity 0 exactly when coherent
+    color: int = -1  # color of the freshly colored block minimum
 
 
 def _move_table(n, action, move):
@@ -43,7 +51,7 @@ def cover_moves(n, action):
     def entry(move):
         return move, _move_table(n, action, move).__getitem__
 
-    merges = [[[entry(EdgeType("noncoherent" if g else "coherent", a + 1, b + 1, g))
+    merges = [[[entry(EdgeType("merge", a + 1, b + 1, g))
                 for g in range(action.group.order)] for b in range(n)] for a in range(n)]
     colorings = [[entry(EdgeType("colored", min_b=a + 1, color=action.apply(0, s)))
                   for s in range(action.set_size)] for a in range(n)]
@@ -136,13 +144,8 @@ def adjoin_top(poset) -> RankedPoset:
     if poset.top is not None:
         raise AlreadyBounded("poset already has an adjoined top")
     elements = list(poset.elements)
-    first = elements[0] if elements else None
-    if isinstance(first, DowlingElement):
-        new_top = top_element(first.n)
-    else:
-        new_top = "1^"
     ti = len(elements)
-    elements.append(new_top)
+    elements.append(top_element(elements[0].n))
     edges = list(poset.cover_edges())
     moves = [move for row in poset.moves for move in row]
     maximal = [i for i in range(len(poset.elements)) if not poset.up[i]]
@@ -195,12 +198,8 @@ def poset_to_json(poset, ascii_only=False):
             {
                 "index": i,
                 "rank": poset.rank[i],
-                "label": _label(el, ascii_only),
-                **(
-                    element_to_json(el)
-                    if isinstance(el, DowlingElement)
-                    else {}
-                ),
+                "label": bracket_notation(el, ascii_only=ascii_only),
+                **element_to_json(el),
             }
             for i, el in enumerate(poset.elements)
         ],
@@ -208,17 +207,11 @@ def poset_to_json(poset, ascii_only=False):
     }
 
 
-def _label(el, ascii_only):
-    if isinstance(el, DowlingElement):
-        return bracket_notation(el, ascii_only=ascii_only)
-    return str(el)
-
-
 def poset_to_dot(poset, ascii_only=True):
     """DOT rendering of the Hasse diagram with rank-based layers."""
     lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=box];"]
     for i, el in enumerate(poset.elements):
-        text = _label(el, ascii_only).replace('"', '\\"')
+        text = bracket_notation(el, ascii_only=ascii_only).replace('"', '\\"')
         lines.append(f'  n{i} [label="{text}"];')
     by_rank = {}
     for i in range(len(poset.elements)):

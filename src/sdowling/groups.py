@@ -108,16 +108,9 @@ def trivial_action(group, set_size) -> GroupAction:
 
 
 def orbits(action):
-    """Orbit partition of the color set, each orbit sorted, sorted by minimum."""
-    seen = set()
-    out = []
-    for s in range(action.set_size):
-        if s in seen:
-            continue
-        orb = {action.apply(g, s) for g in range(action.group.order)}
-        seen |= orb
-        out.append(sorted(orb))
-    return out
+    """Orbit partition of the color set, each orbit sorted, sorted by minimum:
+    the orbit of each color that is its orbit's minimum."""
+    return [orb for s in range(action.set_size) if (orb := orbit_of(action, s))[0] == s]
 
 
 def orbit_of(action, s):

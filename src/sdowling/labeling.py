@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
+from .dowling import EdgeType
 from .errors import NotACover, NotBounded
 from .poset import bits, saturated_chains
 
@@ -25,19 +26,6 @@ class EdgeLabel(NamedTuple):
     tag: int
     a: int
     b: int = NO_THIRD
-
-
-class EdgeType(NamedTuple):
-    kind: str  # "coherent" | "noncoherent" | "colored" | "top"
-    min_a: int = -1
-    min_b: int = -1
-    alpha: int = 0  # discrepancy in G \ {e} for non-coherent merges
-    color: int = -1  # color of the freshly colored block minimum
-
-    @property
-    def move(self):
-        """The cover move: "merge" (coherent or not), "colored" or "top"."""
-        return "merge" if self.kind in ("coherent", "noncoherent") else self.kind
 
 
 def classify_cover(x, y) -> EdgeType:
@@ -57,10 +45,7 @@ def classify_cover(x, y) -> EdgeType:
         min_a, min_b = sorted(p[0] for p in pieces)
         cmap = dict(zip(support, colors))
         # canonical form colors min C = min_a by the identity
-        alpha = cmap[min_b]
-        if alpha == 0:
-            return EdgeType("coherent", min_a=min_a, min_b=min_b)
-        return EdgeType("noncoherent", min_a=min_a, min_b=min_b, alpha=alpha)
+        return EdgeType("merge", min_a=min_a, min_b=min_b, alpha=cmap[min_b])
     # color: y moved one block of x into the zero block
     supports_y = {s for s, _ in y.blocks}
     gone = [s for s, _ in x.blocks if s not in supports_y]
@@ -77,12 +62,12 @@ def lambda_of_move(et) -> EdgeLabel:
     object per distinct move."""
     if et.kind == "top":
         return EdgeLabel(1, 2)
-    if et.kind == "coherent":
+    if et.kind == "colored":
+        return EdgeLabel(1, et.color + 1)
+    if et.alpha == 0:  # a coherent merge
         return EdgeLabel(0, max(et.min_a, et.min_b))
-    if et.kind == "noncoherent":
-        # order on G \ {e} is the index order, so position == element index
-        return EdgeLabel(2, min(et.min_a, et.min_b), et.alpha)
-    return EdgeLabel(1, et.color + 1)
+    # order on G \ {e} is the index order, so position == element index
+    return EdgeLabel(2, min(et.min_a, et.min_b), et.alpha)
 
 
 def _mu_of_move(et, used) -> EdgeLabel:

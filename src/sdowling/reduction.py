@@ -121,13 +121,13 @@ def reduce_and_verify(n, action, T, spec, max_elements=DEFAULT_MAX_ELEMENTS):
         fx, fy = f_of[x], f_of[y]
         et = recorded_move(poset, x, y)
         f_et = poset.move(fx, fy)
-        image_move = f_et.move if f_et else None
+        image_kind = f_et.kind if f_et else None
         if et.kind == "colored" and et.color in orbit:
-            if fx != fy and image_move != "merge":
+            if fx != fy and image_kind != "merge":
                 violations.append(
                     f"orbit-colored edge ({x},{y}) maps to neither a fixed pair nor a merge"
                 )
-        elif image_move != et.move:
+        elif image_kind != et.kind:
             violations.append(
                 f"edge ({x},{y}) of kind {et.kind} does not map to an edge of the same kind"
             )

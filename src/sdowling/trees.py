@@ -155,7 +155,7 @@ def _tree_of_moves(moves, n, action):
     for et, lab in zip(moves[:-1], words):
         if et.kind == "colored":
             u, blooms = root, m - lab.a
-        elif et.kind == "noncoherent":
+        elif et.kind == "merge" and et.alpha:
             u, blooms = et.min_a, k - lab.b
         else:
             raise NotDecreasing("decreasing chains contain no coherent merges")

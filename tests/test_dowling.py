@@ -144,8 +144,7 @@ def test_moves_and_classify_cover_invert_each_other(n):
                     for g in range(group.order):
                         covers.append(_after(x, merges[a - 1][b - 1][g], action))
                         et = classify_cover(x, covers[-1])
-                        assert (et.min_a, et.min_b, et.alpha) == (a, b, g), key
-                        assert (et.kind == "coherent") == (g == 0), key
+                        assert (et.kind, et.min_a, et.min_b, et.alpha) == ("merge", a, b, g), key
                 for s in range(action.set_size):
                     covers.append(_after(x, colorings[b - 1][s], action))
                     et = classify_cover(x, covers[-1])

@@ -23,9 +23,10 @@ def test_classify_cover_kinds():
     coherent = make_element(Z2, 3, [((1, 2), (0, 0)), ((3,), (0,))], [])
     noncoh = make_element(Z2, 3, [((1, 2), (0, 1)), ((3,), (0,))], [])
     colored = make_element(Z2, 3, [((1,), (0,)), ((2,), (0,))], [(3, 1)])
-    assert labeling.classify_cover(x, coherent).kind == "coherent"
+    et = labeling.classify_cover(x, coherent)
+    assert et.kind == "merge" and et.alpha == 0
     et = labeling.classify_cover(x, noncoh)
-    assert et.kind == "noncoherent" and et.alpha == 1
+    assert et.kind == "merge" and et.alpha == 1
     et = labeling.classify_cover(x, colored)
     assert et.kind == "colored" and et.color == 1 and et.min_b == 3
     assert labeling.classify_cover(x, top_element(3)).kind == "top"

@@ -334,7 +334,7 @@ def _psi_inv_by_make_element(tree, n, action):
     chain = [bottom_element(n)]
     for u, v, i in couples:
         et = (EdgeType("colored", min_b=v, color=m - i - 1) if u == 0
-              else EdgeType("noncoherent", min_a=u, min_b=v, alpha=k - i))
+              else EdgeType("merge", min_a=u, min_b=v, alpha=k - i))
         chain.append(_apply_by_make_element(chain[-1], et, action))
     return chain + [top_element(n)]
 
