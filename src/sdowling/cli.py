@@ -189,12 +189,7 @@ def cmd_bijection(args):
 def cmd_homology(args):
     _, poset = _build_base(args)
     cx = topology.order_complex(poset, max_faces=args.max_faces)
-    prof = topology.homology(cx)
-    _emit(args, {
-        "betti": prof.reduced_betti,
-        "torsion": prof.torsion,
-        "faceCounts": prof.face_counts,
-    })
+    _emit(args, topology.homology(cx).to_json())
     return 0
 
 

@@ -56,7 +56,8 @@ def closure_f(x, spec, action):
 
 
 def _relabel_zero(element, color_map, group):
-    zero = tuple((p, color_map[s]) for p, s in element.zero)
+    # a removed color maps to None, which no element of the reduced poset has
+    zero = tuple((p, color_map.get(s)) for p, s in element.zero)
     return make_element(group, element.n, element.blocks, zero)
 
 

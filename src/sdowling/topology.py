@@ -160,6 +160,22 @@ class HomologyProfile:
     def empty(self):  # empty complex: only reduced H_(-1) = Z survives
         return not self.face_counts
 
+    def is_wedge(self, dim, count):
+        """Is this the homology of a wedge of `count` spheres of dimension `dim`?"""
+        if self.empty:
+            # the empty complex is one sphere of dimension -1
+            return dim == -1 and count == 1
+        # free, and `count` in `dim` only; a dimension past the top may expect only 0
+        return (
+            not any(self.torsion)
+            and all(b == (count if d == dim else 0) for d, b in enumerate(self.reduced_betti))
+            and (0 <= dim < len(self.reduced_betti) or count == 0)
+        )
+
+    def to_json(self):
+        return {"betti": self.reduced_betti, "torsion": self.torsion,
+                "faceCounts": self.face_counts}
+
 
 def _boundary_entries(faces, d):
     """Sparse boundary matrix taking dimension-d faces to dimension d-1."""
@@ -196,42 +212,24 @@ class CertificateReport:
     expected_dim: int
     expected_count: int
     profile: HomologyProfile
-    note: str = ""
 
     def to_json(self):
         return {
             "verdict": "homology-consistent" if self.passed else "mismatch",
             "expected_dimension": self.expected_dim,
             "expected_spheres": self.expected_count,
-            "betti": self.profile.reduced_betti,
-            "torsion": self.profile.torsion,
-            "faceCounts": self.profile.face_counts,
-            "note": self.note,
+            **self.profile.to_json(),
+            "note": "empty complex" if self.profile.empty else "",
         }
 
 
 def certify_wedge(poset, expected_dim, expected_count, max_faces=DEFAULT_MAX_FACES):
     """Compare the proper part's homology against a predicted single free
     Betti number in a predicted dimension."""
-    cx = order_complex(poset, max_faces=max_faces)
-    profile = homology(cx)
-    betti = profile.reduced_betti
-    if profile.empty:
-        # the empty complex is one sphere of dimension -1
-        passed = expected_dim == -1 and expected_count == 1
-    else:
-        # free, and the expected count in the expected dimension only; a
-        # dimension past the top may only expect no spheres
-        passed = (
-            not any(profile.torsion)
-            and all(b == (expected_count if d == expected_dim else 0)
-                    for d, b in enumerate(betti))
-            and (0 <= expected_dim < len(betti) or expected_count == 0)
-        )
+    profile = homology(order_complex(poset, max_faces=max_faces))
     return CertificateReport(
-        passed=passed,
+        passed=profile.is_wedge(expected_dim, expected_count),
         expected_dim=expected_dim,
         expected_count=expected_count,
         profile=profile,
-        note="empty complex" if profile.empty else "",
     )

@@ -297,6 +297,14 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("Z2:2:swap:x", "bad builtin action spec 'Z2:2:swap:x'"),
+    ("Z2:2:cycle", "no action 'cycle' for Z2 on 2 colors; have ['swap', 'trivial']"),
+])
+def test_bad_builtin_action_specs_exit_2(capsys, spec, message):
+    assert run(capsys, "build", "--group", spec, "--n", "2") == (2, "", f"error: {message}\n")
+
+
 def test_usage_error_exit_2(capsys):
     assert cli.main(["no-such-command"]) == 2
     capsys.readouterr()

@@ -32,9 +32,27 @@ def test_direct_product_order():
 
 
 def test_validate_group_rejects_non_associative():
-    # a quasigroup table that breaks associativity
-    table = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
-    with pytest.raises((NonAssociative, NoInverse)):
+    # an identity and an inverse for each element, so only associativity
+    # fails: (1 * 1) * 2 = 2 but 1 * (1 * 2) = 0
+    table = [[0, 1, 2], [1, 0, 1], [2, 2, 0]]
+    with pytest.raises(NonAssociative) as exc:
+        groups.validate_group(table)
+    assert exc.value.triple == (1, 1, 2)
+
+
+def test_validate_group_rejects_missing_inverse():
+    table = [[0, 1, 2], [1, 1, 1], [2, 1, 0]]
+    with pytest.raises(NoInverse) as exc:
+        groups.validate_group(table)
+    assert exc.value.element == 1
+
+
+@pytest.mark.parametrize("table,message", [
+    ([], "empty multiplication table"),
+    ([[0, 1], [1]], "row 1 has length 1, expected 2"),
+])
+def test_validate_group_rejects_malformed_tables(table, message):
+    with pytest.raises(InputFormatError, match=f"^{message}$"):
         groups.validate_group(table)
 
 
@@ -103,6 +121,16 @@ def test_validate_action_rejects_non_action():
         groups.validate_action(z2, [[0, 1], [1, 1]])
 
 
+@pytest.mark.parametrize("act,message", [
+    ([[0, 1]], "action table has 1 rows, expected 2"),
+    ([[0, 1], [1]], "action row 1 has length 1, expected 2"),
+    ([[1, 0], [0, 1]], "identity does not fix color 0"),
+])
+def test_validate_action_rejects_malformed_tables(act, message):
+    with pytest.raises(InputFormatError, match=f"^{message}$"):
+        groups.validate_action(groups.cyclic_group(2), act)
+
+
 def test_action_json_round_trip(tmp_path):
     z2 = groups.cyclic_group(2)
     act = groups.action_from_permutations(z2, [[0, 1], [1, 0]])
@@ -120,6 +148,12 @@ def test_action_json_round_trip(tmp_path):
 def test_load_action_json_reports_bad_entries():
     data = {"order": 2, "mult": [[0, 1], [1, 0]], "set_size": 1, "act": [[0], [5]]}
     with pytest.raises(InputFormatError):
+        groups.load_action_json(data)
+
+
+@pytest.mark.parametrize("data", [[], "Z2", None])
+def test_load_action_json_requires_an_object(data):
+    with pytest.raises(InputFormatError, match="^group-action spec must be a JSON object$"):
         groups.load_action_json(data)
 
 

@@ -95,6 +95,8 @@ def test_verify_el_requires_bounds():
         labeling.verify_el(poset, labeling.label_lambda)
     with pytest.raises(NotBounded):
         labeling.decreasing_chains(poset, labeling.label_lambda)
+    with pytest.raises(NotBounded):
+        labeling.count_decreasing_chains(poset, labeling.label_lambda)
 
 
 def test_verify_el_fails_on_counterexample_subposet():

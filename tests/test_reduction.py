@@ -1,11 +1,11 @@
 import pytest
 
 from sdowling import acceptance, groups, reduction, topology
-from sdowling.dowling import build_subposet
+from sdowling.dowling import adjoin_top, build_dowling, build_subposet
 from sdowling.elements import make_element, top_element
 from sdowling.errors import InvalidSpec
 from sdowling.labeling import classify_cover
-from sdowling.poset import induced_covers
+from sdowling.poset import RankedPoset, induced_covers
 
 Z2 = groups.cyclic_group(2)
 Z3 = groups.cyclic_group(3)
@@ -88,6 +88,84 @@ def test_edge_analysis_flags_every_edge_against_the_other_orbit(monkeypatch, n):
                sum(v.startswith("orbit-colored") for v in report.violations)]
     assert flagged == [sum(c in (0, 1) for c in colors), sum(c in (2, 3) for c in colors)]
     assert min(flagged) > 0
+
+
+def _verify_with_images(monkeypatch, images):
+    """reduce_and_verify on n=2, Z2 swap, T = [] with the closure map
+    replaced by `images`, from element index to element index (None for the
+    top, which the subposet lacks); indices it omits are fixed.  The
+    subposet is a tree: atoms 1 and 2 below 3, 4 and 5, 6."""
+    elements = build_subposet(2, SWAP2, []).elements
+    table = {elements[i]: top_element(2) if j is None else elements[j]
+             for i, j in images.items()}
+    monkeypatch.setattr(reduction, "closure_f", lambda x, spec, action: table.get(x, x))
+    _, _, report = reduction.reduce_and_verify(2, SWAP2, [], reduction.make_spec(SWAP2, [], 0))
+    assert report.passed is False
+    return report.violations
+
+
+@pytest.mark.parametrize("images,message", [
+    ({4: None}, "f(element 4) left the subposet"),
+    ({i: 1 for i in range(7)}, "f(2) = 1 is not <= 2"),
+    ({1: 2, 2: 1}, "cover (1,3) maps to incomparable (2,3)"),
+    ({3: 1, 1: 0}, "f is not idempotent at 3: f^2 != f"),
+    ({i: 0 for i in range(7)}, "f^-1(bottom) = [0, 1, 2, 3, 4, 5, 6], expected only the bottom"),
+])
+def test_wrong_closure_maps_are_reported(monkeypatch, images, message):
+    assert message in _verify_with_images(monkeypatch, images)
+
+
+def test_image_elements_with_a_removed_color_are_reported(monkeypatch):
+    """The identity keeps the removed orbit's colors, which no element of
+    the reduced poset has: each such element is a violation, not a crash."""
+    monkeypatch.setattr(reduction, "closure_f", lambda x, spec, action: x)
+    poset, _, report = reduction.reduce_and_verify(2, SWAP3, [], reduction.make_spec(SWAP3, [], 0))
+    assert report.passed is False
+    stray = [i for i, el in enumerate(poset.elements) if any(s in (0, 1) for _, s in el.zero)]
+    assert stray
+    assert [v for v in report.violations if "no counterpart" in v] == [
+        f"image element {i} has no counterpart in the reduced poset" for i in stray]
+
+
+def test_image_covers_that_differ_from_the_reduced_poset_are_reported(monkeypatch):
+    monkeypatch.setattr(reduction, "induced_covers",
+                        lambda poset, image: induced_covers(poset, image)[1:])
+    _, _, report = reduction.reduce_and_verify(2, SWAP2, [], reduction.make_spec(SWAP2, [], 0))
+    assert report.passed is False
+    assert report.violations == [
+        "induced covers on the image differ from the reduced poset",
+        "image is not isomorphic to the independently built reduced poset",
+    ]
+
+
+def _closure_failures_with(monkeypatch, before, after):
+    """Criterion 8's check of its first configuration (n=2, Z2 swap, T = [],
+    dimension 0) when the reduction returns `before` and `after` and
+    passes its closure check."""
+    key, *config = next(acceptance._closure_configs())
+    monkeypatch.setattr(reduction, "reduce_and_verify",
+                        lambda *_: (before, after, reduction.ClosureReport(passed=True)))
+    return key, acceptance._closure_failures(key, *config)
+
+
+def test_closure_failures_reject_a_reduction_that_changes_homology(monkeypatch):
+    # the Z4 counterexample has homology in two dimensions
+    z4 = build_subposet(2, groups.action_from_permutations(Z4, [[0, 1], [1, 0]] * 2), [])
+    key, failures = _closure_failures_with(monkeypatch, build_subposet(2, SWAP2, []), z4)
+    assert failures == [f"{key}: betti [1, 0] -> [1, 2] not both a wedge of 1 spheres "
+                        "in dimension 0"]
+
+
+@pytest.mark.parametrize("empty_first", [True, False])
+def test_closure_failures_tell_an_empty_proper_part_from_a_contractible_one(monkeypatch,
+                                                                           empty_first):
+    """The empty complex is one (-1)-sphere, not a contractible space."""
+    empty = adjoin_top(build_dowling(1, groups.trivial_action(groups.trivial_group(), 0)))
+    chain = RankedPoset([0, 1, 2], [(0, 1), (1, 2)], [0, 1, 2], bottom=0)
+    pair = (empty, chain) if empty_first else (chain, empty)
+    key, failures = _closure_failures_with(monkeypatch, *pair)
+    betti = "[] -> [0, 0]" if empty_first else "[0, 0] -> []"
+    assert failures == [f"{key}: betti {betti} not both a wedge of 0 spheres in dimension 0"]
 
 
 def test_reduction_preserves_homology():

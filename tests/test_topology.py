@@ -12,6 +12,7 @@ from sdowling.dowling import adjoin_top, build_dowling, build_subposet
 from sdowling.errors import SizeLimitExceeded
 from sdowling.poset import RankedPoset, moebius
 from sdowling.topology import (
+    HomologyProfile,
     SimplicialComplex,
     certify_wedge,
     homology,
@@ -206,7 +207,28 @@ def test_certify_wedge_empty_proper_part():
         cert = certify_wedge(phat, -1, 1)
     assert cert.profile.empty
     assert cert.passed
+    assert cert.to_json()["note"] == "empty complex"
     assert not certify_wedge(phat, 0, 0).passed
+
+
+def test_is_wedge_rule():
+    two_circles = HomologyProfile([0, 2], [[], []], [4, 5])
+    assert two_circles.is_wedge(1, 2)
+    for dim, count in ((1, 1), (0, 2), (2, 2), (-1, 1)):
+        assert not two_circles.is_wedge(dim, count), (dim, count)
+    # torsion is never a wedge of spheres, not even of none
+    rp2 = homology(_rp2())
+    assert rp2.reduced_betti == [0, 0, 0]
+    assert not any(rp2.is_wedge(dim, 0) for dim in range(-1, 5))
+    # the empty complex is one (-1)-sphere and nothing else
+    empty = HomologyProfile([], [], [])
+    assert empty.is_wedge(-1, 1)
+    for dim, count in ((-1, 0), (-1, 2), (0, 0), (0, 1), (3, 0)):
+        assert not empty.is_wedge(dim, count), (dim, count)
+    # past the top dimension only the wedge of no spheres fits
+    segment = HomologyProfile([0, 0], [[], []], [2, 1])
+    assert segment.is_wedge(1, 0) and segment.is_wedge(2, 0) and segment.is_wedge(7, 0)
+    assert not segment.is_wedge(2, 1) and not segment.is_wedge(7, 3)
 
 
 def test_certify_wedge_at_n4_z3_three_colors():
