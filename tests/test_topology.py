@@ -15,6 +15,7 @@ from sdowling.topology import (
     HomologyProfile,
     SimplicialComplex,
     certify_wedge,
+    coreduction,
     homology,
     order_complex,
     smith_invariants,
@@ -290,3 +291,137 @@ def test_hall_and_euler_poincare_on_the_grid(n):
         spread += sum(1 for b in prof.reduced_betti if b) > 1
     # from n = 2 on, the swap actions with T = [] have homology in two degrees
     assert n == 1 or spread
+
+
+# the homology-n4 benchmark points: (n, group, colors, action name, T)
+HOMOLOGY_N4 = ((4, "Z2", 1, "trivial", None), (4, "Z2", 2, "trivial", None),
+               (4, "Z2", 2, "swap", []))
+
+
+def _homology_n4_posets():
+    for n, gname, m, aname, T in HOMOLOGY_N4:
+        action = dict(catalog.actions_for(gname, m))[aname]
+        key = f"n={n},G={gname},m={m},act={aname},T={T}"
+        yield key, build_dowling(n, action) if T is None else build_subposet(n, action, T)
+
+
+def test_matching_first_homology_matches_the_smith_oracle():
+    """On the n <= 3 grid with its invariant subposets, and on the three
+    homology-n4 points, the matching-first profile is the Smith profile."""
+    posets = [kp for n in (1, 2, 3) for kp in _grid_posets(n)]
+    posets += list(_homology_n4_posets())
+    for key, poset in posets:
+        cx = order_complex(poset)
+        assert homology(cx) == topology._smith_homology(cx), key
+
+
+def _matching_problems(faces, mate):
+    """What makes `mate` not an acyclic matching on the complex `faces`
+    (cell ids: 0 the empty face, then faces[0], faces[1], ... in order),
+    checked without the coreduction's removal order: pairs must be
+    symmetric codimension-one (facet, face) pairs, and the Hasse diagram
+    with every matched edge turned upward must have a topological order."""
+    cells = [()] + [f for fs in faces for f in fs]
+    if len(mate) != len(cells):
+        return [f"{len(mate)} mates for {len(cells)} cells"]
+    problems = []
+    for c, m in enumerate(mate):
+        if m is None:
+            continue
+        if mate[m] != c:
+            problems.append(f"cell {c} pairs with {m}, which pairs with {mate[m]}")
+        lo, hi = sorted((cells[c], cells[m]), key=len)
+        if len(hi) != len(lo) + 1 or not set(lo) < set(hi):
+            problems.append(f"pair {lo} {hi} is not a facet and a face")
+    # modified Hasse diagram: facet -> face when matched, face -> facet otherwise
+    index = {f: i for i, f in enumerate(cells)}
+    succ = [[] for _ in cells]
+    indeg = [0] * len(cells)
+    for b, face in enumerate(cells):
+        for i in range(len(face)):
+            a = index[face[:i] + face[i + 1 :]]
+            u, v = (a, b) if mate[a] == b else (b, a)
+            succ[u].append(v)
+            indeg[v] += 1
+    ready = [c for c, k in enumerate(indeg) if k == 0]
+    ordered = 0
+    while ready:
+        u = ready.pop()
+        ordered += 1
+        for v in succ[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+    if ordered < len(cells):
+        problems.append(f"{len(cells) - ordered} cells lie on or behind a directed cycle")
+    return problems
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coreduction_is_an_acyclic_matching_on_the_grid(n):
+    for key, poset in _grid_posets(n):
+        faces = order_complex(poset).faces
+        if faces:
+            assert _matching_problems(faces, coreduction(faces)) == [], key
+
+
+def test_matching_checker_rejects_a_non_face_pair(monkeypatch):
+    def cross_paired(faces):
+        # swap the lower cells of two edge-triangle pairs whose lower cell
+        # is not an edge of the other triangle
+        mate = coreduction(faces)
+        cells = [()] + [f for fs in faces for f in fs]
+        pairs = [(mate[c], c) for c, face in enumerate(cells)
+                 if len(face) == 3 and mate[c] is not None and len(cells[mate[c]]) == 2]
+        (f1, c1), (f2, c2) = next(
+            (p, q) for p in pairs for q in pairs
+            if not set(cells[q[0]]) < set(cells[p[1]]))
+        mate[c1], mate[f2], mate[c2], mate[f1] = f2, c1, f1, c2
+        return mate
+
+    monkeypatch.setattr(topology, "coreduction", cross_paired)
+    faces = order_complex(build_dowling(3, groups.trivial_action(Z2, 2))).faces
+    problems = _matching_problems(faces, topology.coreduction(faces))
+    assert any("not a facet and a face" in p for p in problems), problems
+
+
+def test_matching_checker_rejects_a_cycle():
+    # the triangle boundary with each vertex paired to the next edge around
+    # it is a closed gradient path
+    faces = [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]]
+    # ids: 0 empty, 1-3 vertices, 4 = (0,1), 5 = (0,2), 6 = (1,2)
+    mate = [None, 4, 6, 5, 1, 3, 2]
+    assert _matching_problems(faces, mate) == ["7 cells lie on or behind a directed cycle"]
+
+
+def _smith_spy(monkeypatch):
+    calls = []
+    original = topology.smith_invariants
+
+    def spy(entries):
+        calls.append(len(entries))
+        return original(entries)
+
+    monkeypatch.setattr(topology, "smith_invariants", spy)
+    return calls
+
+
+def test_homology_falls_back_to_smith_off_one_dimension(monkeypatch):
+    calls = _smith_spy(monkeypatch)
+    # criterion 7's counterexample: critical cells in two dimensions
+    cx = order_complex(build_subposet(2, SWAP4, []))
+    prof = homology(cx)
+    assert calls
+    assert (prof.reduced_betti, prof.torsion) == ([1, 2], [[], []])
+    # RP^2: Z/2 torsion in dimension 1, which no critical count shows
+    calls.clear()
+    prof = homology(_rp2())
+    assert calls
+    assert (prof.reduced_betti, prof.torsion) == ([0, 0, 0], [[], [2], []])
+
+
+def test_homology_skips_smith_on_a_perfect_matching(monkeypatch):
+    calls = _smith_spy(monkeypatch)
+    prof = homology(order_complex(build_dowling(3, groups.trivial_action(Z2, 2))))
+    assert calls == []
+    assert prof.reduced_betti == [0, 0, 15] and prof.torsion == [[], [], []]
