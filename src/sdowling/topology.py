@@ -195,7 +195,8 @@ def _boundary_entries(faces, d):
 
 
 def coreduction(faces):
-    """Greedy coreduction of a simplicial complex: an acyclic matching.
+    """Greedy coreduction of a non-empty simplicial complex: an acyclic
+    matching.
 
     Cells have int ids: 0 is the empty face, then the faces of `faces[0]`,
     `faces[1]`, ... in list order.  The empty face is paired with the first

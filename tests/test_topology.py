@@ -293,23 +293,15 @@ def test_hall_and_euler_poincare_on_the_grid(n):
     assert n == 1 or spread
 
 
-# the homology-n4 benchmark points: (n, group, colors, action name, T)
-HOMOLOGY_N4 = ((4, "Z2", 1, "trivial", None), (4, "Z2", 2, "trivial", None),
-               (4, "Z2", 2, "swap", []))
-
-
-def _homology_n4_posets():
-    for n, gname, m, aname, T in HOMOLOGY_N4:
-        action = dict(catalog.actions_for(gname, m))[aname]
-        key = f"n={n},G={gname},m={m},act={aname},T={T}"
-        yield key, build_dowling(n, action) if T is None else build_subposet(n, action, T)
-
-
 def test_matching_first_homology_matches_the_smith_oracle():
     """On the n <= 3 grid with its invariant subposets, and on the three
-    homology-n4 points, the matching-first profile is the Smith profile."""
+    homology-n4 benchmark points, the matching-first profile is the Smith
+    profile."""
     posets = [kp for n in (1, 2, 3) for kp in _grid_posets(n)]
-    posets += list(_homology_n4_posets())
+    swap2 = dict(catalog.actions_for("Z2", 2))["swap"]
+    posets += [("n=4,Z2:1", build_dowling(4, groups.trivial_action(Z2, 1))),
+               ("n=4,Z2:2", build_dowling(4, groups.trivial_action(Z2, 2))),
+               ("n=4,Z2:2:swap,T=[]", build_subposet(4, swap2, []))]
     for key, poset in posets:
         cx = order_complex(poset)
         assert homology(cx) == topology._smith_homology(cx), key
