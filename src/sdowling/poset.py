@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import NotComparable, NotGraded
@@ -14,10 +15,13 @@ class RankedPoset:
 
     Elements are opaque objects indexed 0..size-1; `up[i]` lists the indices
     that cover i, and `moves[i]`, parallel to it, the move that makes each
-    cover (None where none was given).  The order is stored once, as
-    up-sets: bit y of `above[x]` is set iff x <= y, built lazily on first
-    use; `labeling.verify_el` reads it only to break a tie between least
-    label words or to walk a failing interval.
+    cover (None where none was given); a cover raises the rank.  The order
+    is stored once, as up-sets: bit y of `above[x]` is set iff x <= y,
+    built lazily on first use.  Möbius values and the characteristic
+    polynomial never build it.  Its readers are `topology.order_complex`,
+    `induced_covers`, `saturated_chains` to a bound other than the top,
+    `labeling.verify_el` only to break a tie between least label words or
+    to walk a failing interval, and `reduction.reduce_and_verify`.
     Immutable after construction.
     """
 
@@ -130,24 +134,47 @@ def saturated_chains(poset, x, y, rows=None, decreasing=False):
 
 def moebius(poset, x, y):
     """Möbius function value mu(x, y)."""
-    if not poset.leq(x, y):
+    row = moebius_row(poset, x)
+    if y not in row:
         raise NotComparable(f"elements {x} and {y} are not comparable")
-    return moebius_row(poset, x)[y]
+    return row[y]
 
 
 def moebius_row(poset, x):
-    """mu(x, z) for every z >= x, as a dict keyed by z, by one forward pass
-    in rank order: each z, once its value is final, adds it to the running
-    sum of every element strictly above it, so mu(x, z) = -sum of mu(x, w)
-    over x <= w < z is ready when z is reached.
+    """mu(x, z) for every z >= x, as a dict keyed by z, by one upward sweep
+    in rank order that never reads `poset.above`.
+
+    Each z >= x gets a bit, in the order the sweep reaches it, and a
+    down-set mask of [x, z]: down(z) = {z} together with down(c) for every
+    lower cover c >= x.  An element joins the layer of its rank when a
+    lower cover first reaches it; covers raise the rank, so its down-set
+    is complete when its layer comes.  A finished z ORs its down-set into
+    each of its upper covers at once and keeps none, so only the partial
+    down-sets of elements not yet swept stay alive: two adjacent ranks in
+    a graded poset, more where a cover skips a rank.  With one mask per
+    distinct nonzero value v holding the elements w with mu(x, w) = v,
+    mu(x, z) = -sum of v * |strict down(z) & mask_v|.
     """
-    above = poset.above
-    row, sums = {}, {}
-    for z in sorted(bits(above[x]), key=poset.rank.__getitem__):
-        mu = row[z] = 1 if z == x else -sums.pop(z)
-        if mu:
-            for w in bits(above[z] ^ (1 << z)):
-                sums[w] = sums.get(w, 0) + mu
+    up, rank = poset.up, poset.rank
+    layers = [[] for _ in range(poset.max_rank + 1)]
+    layers[rank[x]].append(x)
+    down = {x: 0}  # the strict down-set of each reached element, so far
+    row, masks = {}, {}
+    for layer in layers[rank[x]:]:
+        for z in layer:
+            strict = down.pop(z)
+            counts = map(int.bit_count, map(strict.__and__, masks.values()))
+            mu = row[z] = 1 if z == x else -sum(map(operator.mul, masks, counts))
+            bit = 1 << len(row) - 1
+            if mu:
+                masks[mu] = masks.get(mu, 0) | bit
+            full = strict | bit
+            for y in up[z]:
+                if y in down:
+                    down[y] |= full
+                else:
+                    down[y] = full
+                    layers[rank[y]].append(y)
     return row
 
 

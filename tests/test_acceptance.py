@@ -8,7 +8,9 @@ is not an EL-labeling there; see tests/test_labeling.py for the focused
 counterexample.  The criterion is asserted as stated rather than weakened.
 """
 
-from sdowling import acceptance
+import functools
+
+from sdowling import acceptance, catalog
 
 
 def _check(criterion_fn):
@@ -64,3 +66,15 @@ def test_registered_criteria_keep_their_names_and_order():
     # perfbench wraps each registered criterion and names its span after it
     names = [fn.__name__ for fn in acceptance.ALL_CRITERIA]
     assert names == [f"criterion_{k}" for k in range(1, 11)]
+
+
+def test_criteria_9_and_10_build_no_up_sets(monkeypatch):
+    """chi and mu over the grid read no up-set table: fresh caches, so every
+    cached poset below was built by these two criteria."""
+    for name in ("_d", "_dhat", "_el_lambda"):
+        monkeypatch.setattr(acceptance, name,
+                            functools.cache(getattr(acceptance, name).__wrapped__))
+    assert acceptance.criterion_9().passed and acceptance.criterion_10().passed
+    for _, n, action in catalog.dowling_grid():
+        assert "above" not in acceptance._d(n, action).__dict__
+        assert "above" not in acceptance._dhat(n, action).__dict__

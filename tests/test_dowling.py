@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -307,6 +308,35 @@ def test_rank_sizes_small_case():
     assert by_rank[0] == 1
     assert by_rank[1] == 2 + 2  # two merges, two single colorings
     assert by_rank[2] == 1  # everything colored
+
+
+@functools.cache
+def stirling2(n, k):
+    """Stirling number of the second kind: partitions of n things into k blocks."""
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def test_whitney_numbers_match_the_closed_form():
+    """Rank sizes of every full poset with n <= 4 against
+    W_r = sum_z C(n, z) |S|^z |G|^(r-z) S(n-z, n-r): z elements go to the
+    zero block, the other n - z into n - r blocks colored up to one group
+    element per block."""
+    grid = list(catalog.dowling_grid(ns=(1, 2, 3, 4)))
+    assert len(grid) == 108
+    for key, n, action in grid:
+        g, m = action.group.order, action.set_size
+        sizes = [0] * (n + 1)
+        for r in build_dowling(n, action).rank:
+            sizes[r] += 1
+        assert sizes == [
+            sum(math.comb(n, z) * m ** z * g ** (r - z) * stirling2(n - z, n - r)
+                for z in range(r + 1))
+            for r in range(n + 1)
+        ], key
 
 
 def test_max_elements_cap():

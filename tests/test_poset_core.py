@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import example, given, strategies as st
 
-from sdowling import catalog
+from sdowling import catalog, groups, poset as poset_module
 from sdowling.dowling import adjoin_top, build_dowling, build_subposet
 from sdowling.errors import NotComparable, NotGraded
 from sdowling.poset import (
@@ -37,6 +37,69 @@ def chain_poset(k):
                        list(range(k)), bottom=0, top=k - 1)
 
 
+def skipping_poset():
+    """0 < a < b < 1 and 0 < c < 1, ranked 0, 1, 2, 3 and c at 1: the cover
+    c < 1 skips rank 2, and mu(0, 1) = 1."""
+    return RankedPoset(["0", "a", "b", "c", "1"], [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)],
+                       [0, 1, 2, 1, 3], bottom=0, top=4)
+
+
+@st.composite
+def finite_posets(draw):
+    """A poset on at most 8 elements whose covers raise the rank by any
+    amount: random relations between lower and higher ranks, reduced to
+    their covers.  Index order need not follow rank order."""
+    k = draw(st.integers(min_value=1, max_value=8))
+    ranks = draw(st.lists(st.integers(min_value=0, max_value=k), min_size=k, max_size=k))
+    pairs = [(x, y) for x in range(k) for y in range(k) if ranks[x] < ranks[y]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    relations = RankedPoset(range(k), [e for e, kept in zip(pairs, keep) if kept], ranks,
+                            bottom=None)
+    return RankedPoset(range(k), induced_covers(relations, range(k)), ranks, bottom=None)
+
+
+def moebius_mismatches(p):
+    """(x, y, found, expected) wherever moebius(p, x, y) disagrees with the
+    definition mu(x, y) = -sum of mu(x, z) over x <= z < y, read from leq
+    alone; None stands for NotComparable, raised or expected."""
+    out = []
+    for x in range(len(p)):
+        mu = {}
+        for y in sorted(range(len(p)), key=p.rank.__getitem__):
+            expected = None
+            if p.leq(x, y):
+                expected = mu[y] = 1 if y == x else -sum(
+                    v for z, v in mu.items() if p.leq(z, y))
+            try:
+                found = moebius(p, x, y)
+            except NotComparable:
+                found = None
+            if found != expected:
+                out.append((x, y, found, expected))
+    return out
+
+
+def adjacent_rank_sweep(poset, x):
+    """A wrong moebius_row that keeps the down-sets of the previous rank
+    only; right on every graded poset."""
+    below = {}
+    for a, b in poset.cover_edges():
+        below.setdefault(b, []).append(a)
+    row, prev = {x: 1}, {x: 1 << x}
+    for r in range(poset.rank[x] + 1, poset.max_rank + 1):
+        cur = {}
+        for z in range(len(poset)):
+            if poset.rank[z] == r:
+                m = 0
+                for c in below.get(z, ()):
+                    m |= prev.get(c, 0)
+                if m:
+                    cur[z] = m | 1 << z
+                    row[z] = -sum(row[w] for w in bits(m))
+        prev = cur
+    return row
+
+
 def test_boolean_lattice_moebius():
     b3 = boolean_lattice(3)
     # mu(0, x) = (-1)^|x| on the boolean lattice
@@ -56,6 +119,38 @@ def test_moebius_requires_comparability():
     p = RankedPoset(["a", "b", "c"], [(0, 1), (0, 2)], [0, 1, 1], bottom=0)
     with pytest.raises(NotComparable):
         moebius(p, 1, 2)
+    assert "above" not in p.__dict__
+
+
+def test_moebius_and_characteristic_polynomial_build_no_up_sets():
+    action = groups.trivial_action(groups.cyclic_group(2), 2)
+    d = build_dowling(3, action)
+    phat = adjoin_top(d)
+    assert moebius(phat, phat.bottom, phat.top) == 15
+    assert characteristic_polynomial(d) == Polynomial.from_roots([2, 4, 6])
+    assert "above" not in phat.__dict__ and "above" not in d.__dict__
+
+
+def test_moebius_on_a_cover_that_skips_a_rank():
+    p = skipping_poset()
+    assert not is_graded(p)
+    assert moebius(p, 0, 4) == 1
+    assert moebius_mismatches(p) == []
+
+
+@given(finite_posets())
+@example(skipping_poset())
+def test_moebius_from_every_source_on_ungraded_posets(p):
+    assert moebius_mismatches(p) == []
+
+
+def test_moebius_check_rejects_a_two_adjacent_rank_sweep(monkeypatch):
+    """The grid is graded, so only a rank-skipping cover tells the sweep
+    from one that keeps two adjacent ranks of down-sets."""
+    monkeypatch.setattr(poset_module, "moebius_row", adjacent_rank_sweep)
+    assert moebius_mismatches(boolean_lattice(3)) == []
+    assert moebius(skipping_poset(), 0, 4) == 0
+    assert (0, 4, 0, 1) in moebius_mismatches(skipping_poset())
 
 
 def test_leq_and_interval_members():
@@ -97,10 +192,7 @@ def test_up_sets_and_moebius_from_every_source():
                             seen.add(y)
                             stack.append(y)
                 assert list(bits(p.above[x])) == sorted(seen), key
-                mu = {}
-                for y in sorted(seen, key=p.rank.__getitem__):
-                    mu[y] = 1 if y == x else -sum(v for z, v in mu.items() if p.leq(z, y))
-                    assert moebius(p, x, y) == mu[y], (key, x, y)
+            assert moebius_mismatches(p) == [], key
 
 
 def test_gradedness_and_hasse():
