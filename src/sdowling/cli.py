@@ -2,8 +2,8 @@
 
 Every subcommand prints one JSON document on stdout (sorted keys, compact by
 default, indented with --pretty) and keeps diagnostics on stderr.  Exit codes:
-0 success / verification passed, 1 verification failed or a size cap was hit,
-2 malformed arguments or input.
+0 success / verification passed, 1 verification failed, a size cap was hit or
+memory ran out, 2 malformed arguments or input.
 """
 
 from __future__ import annotations
@@ -351,6 +351,9 @@ def main(argv=None):
         return 2
     except SDowlingError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -4,6 +4,8 @@ the invariant subposets cut out by the orbit-count filter."""
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from typing import NamedTuple
 
 from . import groups
@@ -14,7 +16,7 @@ from .elements import (
     top_element,
 )
 from .errors import AlreadyBounded, NonInvariantT, SizeLimitExceeded
-from .poset import RankedPoset, induced_covers
+from .poset import RankedPoset, induced_rows
 
 DEFAULT_MAX_ELEMENTS = 5_000_000
 
@@ -27,13 +29,13 @@ class EdgeType(NamedTuple):
     color: int = -1  # color of the freshly colored block minimum
 
 
-def _move_table(n, action, move):
-    """A cover move as a table over code values (see `build_dowling`): a
-    merge gives block min_b's positions block min_a's value, twisting their
-    color c by alpha; a coloring puts them in the zero block with color
-    c . color."""
+def _move_table(n, action, move, size):
+    """A cover move as a table of `size` entries over code values (see
+    `build_dowling`): a merge gives block min_b's positions block min_a's
+    value, twisting their color c by alpha; a coloring puts them in the
+    zero block with color c . color.  Every other value maps to itself."""
     order = action.group.order
-    table = list(range(n * order + action.set_size))
+    table = list(range(size))
     b = (move.min_b - 1) * order
     for c in range(order):
         if move.kind == "colored":
@@ -43,19 +45,40 @@ def _move_table(n, action, move):
     return table
 
 
-@functools.cache
-def cover_moves(n, action):
-    """Every move on {1..n} as (EdgeType, lookup of its table), one object
-    per move: merges[a][b] by twist for block minima a < b counted from 0,
-    and colorings[a] by color."""
-    def entry(move):
-        return move, _move_table(n, action, move).__getitem__
+class CoverMoves(NamedTuple):
+    merges: list  # merges[a][b][g]: (EdgeType, table) for block minima a < b from 0
+    colorings: list  # colorings[a][s]: (EdgeType, table)
+    bottom: object  # the code of the bottom element
+    step: object  # step(code, table): the code a move makes of code
 
-    merges = [[[entry(EdgeType("merge", a + 1, b + 1, g))
-                for g in range(action.group.order)] for b in range(n)] for a in range(n)]
+
+def _tuple_step(code, table):
+    return tuple(map(table.__getitem__, code))
+
+
+@functools.cache
+def cover_moves(n, action) -> CoverMoves:
+    """Every move on {1..n} as (EdgeType, table), one object per move:
+    merges[a][b] by twist for block minima a < b counted from 0, and
+    colorings[a] by color.
+
+    The code type is chosen here, once.  When every code value fits in a
+    byte (n*|G| + |S| <= 256, as at every catalog point), codes are
+    `bytes`, a table is a 256-byte translation and a move is
+    `bytes.translate`; wider alphabets, possible only through action
+    files, keep codes as tuples of ints, read through a tuple table."""
+    order = action.group.order
+    width = n * order + action.set_size
+    pack, size, step = (bytes, 256, bytes.translate) if width <= 256 else (tuple, width, _tuple_step)
+
+    def entry(move):
+        return move, pack(_move_table(n, action, move, size))
+
+    merges = [[[entry(EdgeType("merge", a + 1, b + 1, g)) for g in range(order)] if a < b else []
+               for b in range(n)] for a in range(n)]
     colorings = [[entry(EdgeType("colored", min_b=a + 1, color=action.apply(0, s)))
                   for s in range(action.set_size)] for a in range(n)]
-    return merges, colorings
+    return CoverMoves(merges, colorings, pack(range(0, n * order, order)), step)
 
 
 def _decode(code, n, order, shared):
@@ -88,9 +111,10 @@ def apply_moves(n, moves, action):
     minima of the element it applies to."""
     order = action.group.order
     decoded = _decoded(n, action)
-    code, out = tuple(range(0, n * order, order)), []
-    for _, get in moves:
-        code = tuple(map(get, code))
+    _, _, code, step = cover_moves(n, action)
+    out = []
+    for _, table in moves:
+        code = step(code, table)
         y = decoded.get(code)
         if y is None:
             y = decoded[code] = _decode(code, n, order, {})
@@ -102,57 +126,68 @@ def build_dowling(n, action, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     """Full poset on {1..n} for the given action, generated breadth-first
     from the bottom element and deduplicated by canonical element.
 
-    The search runs on codes, tuples of n small ints: position p holds
-    (min(block) - 1)*|G| + color in a block, and n*|G| + s in the zero block
-    with color s.  A code is canonical as built, since the block minimum
-    carries e and a merge keeps the smaller minimum, so equal elements are
-    equal tuples with nothing sorted.  A code's covers are merges of its
-    block minima a < b by twist, then colorings by minimum and color; each
-    distinct code is decoded into a DowlingElement once."""
+    The search runs on codes, one value per position (bytes, or tuples of
+    ints past a byte; see `cover_moves`): position p holds
+    (min(block) - 1)*|G| + color in a block, and n*|G| + s in the zero
+    block with color s.  A code is canonical as built, since the block
+    minimum carries e and a merge keeps the smaller minimum, so equal
+    elements are equal codes with nothing sorted.  A code's covers are
+    merges of its block minima a < b by twist, then colorings by minimum
+    and color; the tables and moves of each set of minima are listed once.
+    Each code's covers become one Hasse row, sorted by index with its moves
+    parallel, handed to `RankedPoset.from_rows` as written; each distinct
+    code is decoded into a DowlingElement once."""
     if n < 1:
         raise ValueError("n must be >= 1")
     order = action.group.order
-    merges, colorings = cover_moves(n, action)
-    codes = [tuple(p * order for p in range(n))]
-    index = {codes[0]: 0}
-    edges, moves = [], []
-    for xi, x in enumerate(codes):  # codes grows behind the cursor: a FIFO queue
-        minima = [p for p in range(n) if x[p] == p * order]
-        covers = [m for i, a in enumerate(minima) for b in minima[i + 1 :] for m in merges[a][b]]
-        for move, get in covers + [m for a in minima for m in colorings[a]]:
-            y = tuple(map(get, x))
-            yi = index.get(y)
-            if yi is None:
-                yi = len(codes)
-                if yi >= max_elements:
-                    raise SizeLimitExceeded(
-                        f"element count exceeded the cap of {max_elements}"
-                    )
-                index[y] = yi
-                codes.append(y)
-            edges.append((xi, yi))
-            moves.append(move)
+    merges, colorings, bottom, step = cover_moves(n, action)
+    codes, index = [bottom], {bottom: 0}
+    up, moves, by_minima = [], [], {}
+    for x in codes:  # codes grows behind the cursor: a FIFO queue
+        key = tuple(map(operator.eq, x, bottom))  # which positions are block minima
+        row = by_minima.get(key)
+        if row is None:
+            minima = list(itertools.compress(range(n), key))
+            entries = [m for i, a in enumerate(minima) for b in minima[i + 1 :] for m in merges[a][b]]
+            entries += [m for a in minima for m in colorings[a]]
+            row = by_minima[key] = ([t for _, t in entries], [m for m, _ in entries])
+        tables, row_moves = row
+        ys = list(map(step, itertools.repeat(x), tables))
+        new = list(itertools.filterfalse(index.__contains__, ys))
+        if new:
+            if len(codes) + len(new) > max_elements:
+                raise SizeLimitExceeded(f"element count exceeded the cap of {max_elements}")
+            index.update(zip(new, range(len(codes), len(codes) + len(new))))
+            codes += new
+        yis = list(map(index.__getitem__, ys))
+        by_index = sorted(range(len(yis)), key=yis.__getitem__)
+        up.append(tuple(map(yis.__getitem__, by_index)))
+        moves.append(tuple(map(row_moves.__getitem__, by_index)))
+    del index
     shared = {}
     elements = [_decode(x, n, order, shared) for x in codes]
-    del codes, index, shared
+    del codes, shared
     ranks = [el.rank for el in elements]
-    return RankedPoset(elements, edges, ranks, bottom=0, top=None, moves=moves)
+    return RankedPoset.from_rows(elements, up, moves, ranks, bottom=0)
 
 
 def adjoin_top(poset) -> RankedPoset:
-    """Bounded extension: a new maximal element over the previous maxima."""
+    """Bounded extension: a new maximal element over the previous maxima.
+    The result shares the input's rows; each maximal element gets the one
+    row (top,) with one shared top move, and the input is left as it was."""
     if poset.top is not None:
         raise AlreadyBounded("poset already has an adjoined top")
-    elements = list(poset.elements)
-    ti = len(elements)
-    elements.append(top_element(elements[0].n))
-    edges = list(poset.cover_edges())
-    moves = [move for row in poset.moves for move in row]
-    maximal = [i for i in range(len(poset.elements)) if not poset.up[i]]
-    edges += [(i, ti) for i in maximal]
-    moves += [EdgeType("top")] * len(maximal)
-    ranks = list(poset.rank) + [poset.max_rank + 1]
-    return RankedPoset(elements, edges, ranks, bottom=poset.bottom, top=ti, moves=moves)
+    ti = len(poset)
+    top_row, top_moves = (ti,), (EdgeType("top"),)
+    up, moves = list(poset.up), list(poset.moves)
+    for i, ys in enumerate(poset.up):
+        if not ys:
+            up[i], moves[i] = top_row, top_moves
+    up.append(())
+    moves.append(())
+    elements = poset.elements + [top_element(poset.elements[0].n)]
+    ranks = poset.rank + [poset.max_rank + 1]
+    return RankedPoset.from_rows(elements, up, moves, ranks, bottom=poset.bottom, top=ti)
 
 
 def passes_subposet_filter(element, free):
@@ -176,13 +211,13 @@ def build_subposet(n, action, T, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPos
     free = [orbit for orbit in groups.orbits(action) if orbit[0] not in tset]
     kept = [i for i, el in enumerate(ambient.elements) if passes_subposet_filter(el, free)]
     new_index = {old: new for new, old in enumerate(kept)}
-    covers = induced_covers(ambient, kept)
-    edges = [(new_index[x], new_index[y]) for x, y in covers]
-    moves = [ambient.move(x, y) for x, y in covers]
+    up, moves = [], []
+    for x, ys in zip(kept, induced_rows(ambient, kept)):
+        up.append(tuple(map(new_index.__getitem__, ys)))
+        moves.append(tuple(ambient.move(x, y) for y in ys))
     elements = [ambient.elements[i] for i in kept]
     ranks = [ambient.rank[i] for i in kept]
-    bottom = new_index[0]
-    return RankedPoset(elements, edges, ranks, bottom=bottom, top=None, moves=moves)
+    return RankedPoset.from_rows(elements, up, moves, ranks, bottom=new_index[0])
 
 
 # ---------------------------------------------------------------------------

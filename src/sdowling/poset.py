@@ -14,27 +14,45 @@ class RankedPoset:
     """Explicit Hasse diagram with a rank function.
 
     Elements are opaque objects indexed 0..size-1; `up[i]` lists the indices
-    that cover i, and `moves[i]`, parallel to it, the move that makes each
-    cover (None where none was given); a cover raises the rank.  The order
-    is stored once, as up-sets: bit y of `above[x]` is set iff x <= y,
-    built lazily on first use.  Möbius values and the characteristic
-    polynomial never build it.  Its readers are `topology.order_complex`,
-    `induced_covers`, `saturated_chains` to a bound other than the top,
-    `labeling.verify_el` only to break a tie between least label words or
-    to walk a failing interval, and `reduction.reduce_and_verify`.
-    Immutable after construction.
+    that cover i in increasing order, and `moves[i]`, parallel to it, the
+    move that makes each cover (None where none was given); a cover raises
+    the rank.  The rows are written once: `from_rows` takes them as built,
+    and the edge-list constructor sorts its edges into rows and ends there
+    too.  The order is stored once, as up-sets: bit y of `above[x]` is set
+    iff x <= y, built lazily on first use.  Möbius values and the
+    characteristic polynomial never build it.  Its readers are
+    `topology.order_complex`, `induced_covers`, `saturated_chains` to a
+    bound other than the top, `labeling.verify_el` only to break a tie
+    between least label words or to walk a failing interval, and
+    `reduction.reduce_and_verify`.  Immutable after construction; posets
+    may share rows, as `dowling.adjoin_top` does with its input.
     """
 
     def __init__(self, elements, cover_edges, ranks, bottom, top=None, moves=None):
-        self.elements = list(elements)
-        self.rank = list(ranks)
-        self.bottom = bottom
-        self.top = top
-        up = [{} for _ in self.elements]
+        elements = list(elements)
+        up = [{} for _ in elements]
         for (x, y), move in zip(cover_edges, moves or itertools.repeat(None)):
             up[x][y] = move
-        self.up = [tuple(sorted(s)) for s in up]
-        self.moves = [tuple(map(s.__getitem__, ys)) for s, ys in zip(up, self.up)]
+        rows = [tuple(sorted(s)) for s in up]
+        self._set_rows(elements, rows, [tuple(map(s.__getitem__, ys)) for s, ys in zip(up, rows)],
+                       list(ranks), bottom, top)
+
+    @classmethod
+    def from_rows(cls, elements, up, moves, ranks, bottom, top=None):
+        """A poset from its Hasse rows: `up[x]` the covers of x in
+        increasing order, `moves[x]` their moves, parallel.  The lists are
+        kept as given, not copied."""
+        poset = cls.__new__(cls)
+        poset._set_rows(elements, up, moves, ranks, bottom, top)
+        return poset
+
+    def _set_rows(self, elements, up, moves, ranks, bottom, top):
+        self.elements = elements
+        self.up = up
+        self.moves = moves
+        self.rank = ranks
+        self.bottom = bottom
+        self.top = top
 
     def __len__(self):
         return len(self.elements)
@@ -84,22 +102,28 @@ def bits(mask):
         mask ^= low
 
 
-def induced_covers(poset, kept):
-    """Cover pairs (x, y) of the subposet induced on the indices in `kept`:
-    x < y in the poset and y lies in the strict up-set of no other kept
-    element above x."""
+def induced_rows(poset, kept):
+    """The cover rows of the subposet induced on the indices in `kept`, one
+    per kept x in its order: the kept y > x, ascending, that lie in the
+    strict up-set of no other kept element above x."""
     above = poset.above
     kept_mask = 0
     for i in kept:
         kept_mask |= 1 << i
-    covers = []
+    rows = []
     for x in kept:
         strictly_above = above[x] & kept_mask & ~(1 << x)
         shadowed = 0
         for z in bits(strictly_above):
             shadowed |= above[z] ^ (1 << z)
-        covers.extend((x, y) for y in bits(strictly_above & ~shadowed))
-    return covers
+        rows.append(tuple(bits(strictly_above & ~shadowed)))
+    return rows
+
+
+def induced_covers(poset, kept):
+    """Cover pairs (x, y) of the subposet induced on the indices in `kept`,
+    row by row as `induced_rows` gives them."""
+    return [(x, y) for x, ys in zip(kept, induced_rows(poset, kept)) for y in ys]
 
 
 def saturated_chains(poset, x, y, rows=None, decreasing=False):

@@ -180,7 +180,7 @@ def psi_inv(tree, n, action):
     couples.sort(key=lambda t: -t[0])
     m = action.set_size
     k = action.group.order - 1
-    merges, colorings = cover_moves(n, action)
+    merges, colorings, _, _ = cover_moves(n, action)
     # a valid tree makes u and v block minima at their turn: the blocks are
     # its subtrees, a node's children join it before it joins its parent
     moves = [

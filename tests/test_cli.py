@@ -317,6 +317,16 @@ def test_size_cap_exits_1(capsys):
     assert "error" in err
 
 
+def test_out_of_memory_exits_1(capsys, monkeypatch):
+    """A MemoryError is reported in one line, with exit 1 as for a size
+    cap, not as a traceback."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_dowling", exhausted)
+    assert run(capsys, "count-chains", "--group", "Z4:3", "--n", "6") == (1, "", "error: out of memory\n")
+
+
 def test_out_file_and_pretty(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run(capsys, "moebius", "--group", "Z2:2", "--n", "2",

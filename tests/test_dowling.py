@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sdowling import catalog, dowling, groups
 from sdowling.dowling import (
+    EdgeType,
     adjoin_top,
     apply_moves,
     build_dowling,
@@ -123,7 +124,7 @@ def _after(x, move, action):
     after the entries that make x from the bottom: each block's positions
     merged into its minimum with their colors as twists, then the zero
     block's positions colored one by one."""
-    merges, colorings = dowling.cover_moves(x.n, action)
+    merges, colorings, _, _ = dowling.cover_moves(x.n, action)
     path = [merges[s[0] - 1][p - 1][c] for s, cs in x.blocks for p, c in zip(s[1:], cs[1:])]
     path += [colorings[p - 1][s] for p, s in x.zero]
     return apply_moves(x.n, path + [move], action)[-1]
@@ -136,7 +137,7 @@ def test_moves_and_classify_cover_invert_each_other(n):
     for key, _, action in catalog.dowling_grid(ns=(n,)):
         group = action.group
         poset = build_dowling(n, action)
-        merges, colorings = dowling.cover_moves(n, action)
+        merges, colorings, _, _ = dowling.cover_moves(n, action)
         for x, ys in zip(poset.elements, poset.up):
             minima = [support[0] for support, _ in x.blocks]
             covers = []
@@ -188,7 +189,7 @@ def _reference_build(n, action):
     """The poset built breadth-first on elements, as it first was: the oracle
     for build_dowling.  Its moves are the objects of the build's own move
     table, so the two builds must record them by identity."""
-    merges, colorings = dowling.cover_moves(n, action)
+    merges, colorings, _, _ = dowling.cover_moves(n, action)
     merge_moves = [[[move for move, _ in row] for row in rows] for rows in merges]
     color_moves = [[move for move, _ in row] for row in colorings]
     elements = [bottom_element(n)]
@@ -204,15 +205,28 @@ def _reference_build(n, action):
     return RankedPoset(elements, edges, [el.rank for el in elements], bottom=0, moves=moves)
 
 
+# cyclic groups at the byte boundary of the codes: n*|G| + |S| is 256
+# (bytes), 257 and 258 (tuples of ints)
+WIDE = [(2, 128, 0), (2, 128, 1), (3, 86, 0)]
+
+
 def _oracle_configs():
     yield from catalog.dowling_grid()
     yield from catalog.dowling_grid(ns=(4,), group_names=("Z2", "Z4"))
+    for n, g, m in WIDE:
+        yield f"n={n},G=Z{g},m={m}", n, groups.trivial_action(groups.cyclic_group(g), m)
+
+
+def test_codes_are_bytes_up_to_256_values():
+    for n, g, m in WIDE:
+        bottom = dowling.cover_moves(n, groups.trivial_action(groups.cyclic_group(g), m)).bottom
+        assert type(bottom) is (bytes if n * g + m <= 256 else tuple), (n, g, m)
 
 
 def test_build_matches_element_level_reference():
     """The build on codes gives the element-level build's elements, ranks,
-    cover rows and moves, the move objects included, on the n <= 3 grid and
-    on n = 4 with Z2 and Z4."""
+    cover rows and moves, the move objects included, on the n <= 3 grid, on
+    n = 4 with Z2 and Z4, and on both sides of the byte boundary."""
     for key, n, action in _oracle_configs():
         poset, ref = build_dowling(n, action), _reference_build(n, action)
         assert poset.elements == ref.elements, key
@@ -225,12 +239,12 @@ def test_build_matches_element_level_reference():
 
 def test_direct_moves_match_make_element():
     """apply_moves builds the canonical child directly; every move of the
-    n <= 3 grid and of n = 4 with Z2 and Z4 gives the element that
-    make_element normalizes from the glued blocks."""
+    n <= 3 grid, of n = 4 with Z2 and Z4 and of the wide alphabets gives
+    the element that make_element normalizes from the glued blocks."""
     moves = 0
     for key, n, action in _oracle_configs():
         group = action.group
-        merges, colorings = dowling.cover_moves(n, action)
+        merges, colorings, _, _ = dowling.cover_moves(n, action)
         for x in build_dowling(n, action).elements:
             minima = [support[0] for support, _ in x.blocks]
             for i, a in enumerate(minima):
@@ -242,17 +256,43 @@ def test_direct_moves_match_make_element():
                 for s in range(action.set_size):
                     assert _after(x, colorings[a - 1][s], action) == _color_by_make_element(x, action, i, s), key
                     moves += 1
-    assert moves == 33_719
+    assert moves == 33_719 + 22_834  # the grid, then the wide alphabets
+
+
+def _posets_with_moves():
+    """Every n <= 3 grid poset and its invariant subposets, T = [] included,
+    and n = 4 Z2:2."""
+    for key, n, action in catalog.dowling_grid():
+        yield key, build_dowling(n, action)
+        for T in sorted({(), *catalog.invariant_subsets(action)}):
+            yield f"{key},T={list(T)}", build_subposet(n, action, list(T))
+    yield "n=4,G=Z2,m=2", build_dowling(4, groups.trivial_action(Z2, 2))
 
 
 def _bounded_posets_with_moves():
-    """Every n <= 3 grid poset and its invariant subposets, T = [] included,
-    and n = 4 Z2:2, each with the adjoined top."""
-    for key, n, action in catalog.dowling_grid():
-        yield key, adjoin_top(build_dowling(n, action))
-        for T in sorted({(), *catalog.invariant_subsets(action)}):
-            yield f"{key},T={list(T)}", adjoin_top(build_subposet(n, action, list(T)))
-    yield "n=4,G=Z2,m=2", adjoin_top(build_dowling(4, groups.trivial_action(Z2, 2)))
+    """The posets of `_posets_with_moves`, each with the adjoined top."""
+    for key, poset in _posets_with_moves():
+        yield key, adjoin_top(poset)
+
+
+def test_adjoin_top_shares_rows_and_leaves_its_input():
+    """adjoin_top gives the poset that the edge-list constructor builds from
+    the input's covers and the top covers, records one move object on every
+    top cover, and leaves the input as it was."""
+    for key, p in _posets_with_moves():
+        before = (list(p.up), list(p.moves), list(p.rank), list(p.elements), p.top)
+        phat = adjoin_top(p)
+        assert (p.up, p.moves, p.rank, p.elements, p.top) == before, key
+        ti = len(p)
+        maximal = [x for x, ys in enumerate(p.up) if not ys]
+        ref = RankedPoset(p.elements + [top_element(p.elements[0].n)],
+                          list(p.cover_edges()) + [(x, ti) for x in maximal],
+                          p.rank + [p.max_rank + 1], bottom=p.bottom, top=ti,
+                          moves=[m for row in p.moves for m in row] + [EdgeType("top")] * len(maximal))
+        assert (phat.elements, phat.up, phat.moves, phat.rank, phat.bottom, phat.top) == \
+            (ref.elements, ref.up, ref.moves, ref.rank, ref.bottom, ref.top), key
+        tops = [phat.moves[x][phat.up[x].index(ti)] for x in maximal]
+        assert tops and all(m is tops[0] for m in tops), key
 
 
 def test_recorded_moves_match_classify_cover():
