@@ -201,9 +201,10 @@ def passes_subposet_filter(element, free):
 
 def build_subposet(n, action, T, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     """Induced subposet on the elements passing the orbit-count filter, with
-    covering relations recomputed inside the filtered vertex set.  A cover
-    keeps its ambient move; one that is not an ambient cover is no single
-    move, and its move is None."""
+    covering relations recomputed inside the filtered vertex set and handed
+    over as rows (`poset.induced_rows`).  A cover keeps its ambient move;
+    one that is not an ambient cover is no single move, and its move is
+    None."""
     if not groups.is_invariant(action, T):
         raise NonInvariantT(f"T = {sorted(set(T))} is not closed under the action")
     ambient = build_dowling(n, action, max_elements=max_elements)
