@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
+from operator import ge, itemgetter
 
 from .dowling import apply_moves, cover_moves
 from .elements import bottom_element, top_element
@@ -30,16 +31,16 @@ def count_blooming(nodes, q, r):
     return prod
 
 
-def _insertions(tree, new_node):
-    """All trees obtained by attaching new_node at one child-gap of any
-    labeled node, each exactly once: the root's gaps first, then each
-    labeled child's own insertions, in child order."""
+def _insertions(tree, single):
+    """All trees obtained by attaching the node in the 1-tuple `single` at
+    one child-gap of any labeled node, each exactly once: the root's gaps
+    first, then each labeled child's own insertions, in child order."""
     label, children = tree
-    out = [(label, children[:i] + (new_node,) + children[i:]) for i in range(len(children) + 1)]
+    out = [(label, children[:i] + single + children[i:]) for i in range(len(children) + 1)]
     for i, ch in enumerate(children):
-        if ch != BLOOM:
+        if ch is not BLOOM:
             head, tail = children[:i], children[i + 1 :]
-            out += [(label, head + (sub,) + tail) for sub in _insertions(ch, new_node)]
+            out += [(label, head + (sub,) + tail) for sub in _insertions(ch, single)]
     return out
 
 
@@ -59,37 +60,40 @@ def enumerate_blooming(nodes, q, r, labels=None):
 
     level = iter([(labels[0], (BLOOM,) * q)])
     for label in labels[1:]:
-        insert = partial(_insertions, new_node=(label, (BLOOM,) * r))
+        insert = partial(_insertions, single=((label, (BLOOM,) * r),))
         level = itertools.chain.from_iterable(map(insert, level))
     return level
 
 
 def validate_blooming(tree, q, r, labels):
     """Check bloom counts, label set, and the increasing-path property in
-    one walk, and return the tree's (parent, child, blooms before the
-    child) couples, each parent's children in order."""
+    one walk over an explicit stack, so a tree of any depth passes, and
+    return the tree's (parent, child, blooms before the child) couples in
+    preorder, each parent's children in order."""
     seen, couples = [], []
-
-    def walk(node, parent_label, want):
+    stack = [(tree, None, q, 0)]
+    while stack:
+        node, parent_label, want, before = stack.pop()
         if not (isinstance(node, tuple) and len(node) == 2 and isinstance(node[1], tuple)):
             raise MalformedTree(f"bad node {node!r}")
         label, children = node
         if type(label) is not int:
             raise MalformedTree(f"label {label!r} is not an int")
-        if parent_label is not None and label <= parent_label:
-            raise MalformedTree(f"label {label} does not increase below {parent_label}")
+        if parent_label is not None:
+            if label <= parent_label:
+                raise MalformedTree(f"label {label} does not increase below {parent_label}")
+            couples.append((parent_label, label, before))
         seen.append(label)
-        blooms = 0
-        for c in children:
+        # children are pushed last to first, so they pop in order, each
+        # after want - (the blooms after it) blooms, as checked below
+        after = 0
+        for c in reversed(children):
             if c == BLOOM:
-                blooms += 1
+                after += 1
             else:
-                couples.append((label, walk(c, label, r), blooms))
-        if blooms != want:
-            raise MalformedTree(f"node {label} has {blooms} blooms, expected {want}")
-        return label
-
-    walk(tree, None, q)
+                stack.append((c, label, r, want - after))
+        if after != want:
+            raise MalformedTree(f"node {label} has {after} blooms, expected {want}")
     if sorted(seen) != sorted(labels):
         raise MalformedTree(f"labels {sorted(seen)} != expected {sorted(labels)}")
     return couples
@@ -119,7 +123,10 @@ def _tree_family(n, action):
 def psi(chain, action):
     """Blooming tree of a decreasing maximal chain (bottom to adjoined top).
 
-    `chain` is a list of canonical elements ending at the top sentinel.
+    `chain` is a list of canonical elements ending at the top sentinel, and
+    `classify_cover` reads each step's move.  It does not know the action,
+    so a step that differs from a cover only in the colors the action gives
+    the moved positions is read as that cover.
     """
     if not chain:
         raise NotMaximal("the empty chain is not maximal")
@@ -128,30 +135,27 @@ def psi(chain, action):
 
 
 def _tree_of_moves(moves, n, action):
-    """Blooming tree of the chain that makes the given cover moves."""
+    """Blooming tree of the chain that makes the given cover moves.  Once the
+    label word is known to decrease, the moves hang children below parents
+    in descending label order, so a node's child tuple is built once, when
+    the node is hung."""
     q, r, labels = _tree_family(n, action)
     m = action.set_size
     k = action.group.order - 1  # size of G minus identity
-    words = [lambda_of_move(et) for et in moves]
-    if not all(words[i + 1] <= words[i] for i in range(len(words) - 1)):
+    words = list(map(lambda_of_move, moves))
+    if not all(map(ge, words, words[1:])):
         raise NotDecreasing("label word is not weakly decreasing")
     # every cover below the top attaches one label; a chain from the bottom
     # to the top attaches each label but the root's
     if not moves or moves[-1].kind != "top" or len(moves) != len(labels):
         raise NotMaximal("the chain does not run from the bottom to the top")
     root = labels[0]
-    children = {u: [] for u in labels}
-    bloomed = dict.fromkeys(labels, 0)  # the blooms among each node's children
-
-    def pad_to(u, count):
-        if count < bloomed[u]:
-            raise NotDecreasing("bloom requirement decreased along the chain")
-        children[u] += [BLOOM] * (count - bloomed[u])
-        bloomed[u] = count
-
+    children = [[] for _ in range(n + 1)]  # by label
+    bloomed = [0] * (n + 1)  # the blooms among each node's children
     # each edge hangs a child below a parent after as many of the parent's
     # blooms as its label leaves: a coloring hangs the block minimum below
-    # the root, a non-coherent merge the larger minimum below the smaller
+    # the root, a non-coherent merge the larger minimum below the smaller;
+    # the label checks keep each count within q and r, which pad the rest
     for et, lab in zip(moves[:-1], words):
         if et.kind == "colored":
             u, blooms = root, m - lab.a
@@ -159,25 +163,24 @@ def _tree_of_moves(moves, n, action):
             u, blooms = et.min_a, k - lab.b
         else:
             raise NotDecreasing("decreasing chains contain no coherent merges")
-        pad_to(u, blooms)
-        children[u].append(et.min_b)
-    for u in labels:
-        pad_to(u, q if u == root else r)
-
-    def build(u):
-        return (u, tuple(BLOOM if c == BLOOM else build(c) for c in children[u]))
-
-    return build(root)
+        if blooms < bloomed[u]:
+            raise NotDecreasing("bloom requirement decreased along the chain")
+        v = et.min_b
+        children[u] += [BLOOM] * (blooms - bloomed[u])
+        children[u].append((v, tuple(children[v]) + (BLOOM,) * (r - bloomed[v])))
+        bloomed[u] = blooms
+    return (root, tuple(children[root]) + (BLOOM,) * (q - bloomed[root]))
 
 
 def psi_inv(tree, n, action):
     """Decreasing chain of a blooming tree; inverse of psi.
 
-    Returns the element list from the bottom to the adjoined top.
+    Returns the element list from the bottom to the adjoined top.  The
+    tree's couples, sorted by parent in descending label order by a stable
+    sort that keeps each parent's children in order, are the chain's moves.
     """
     couples = validate_blooming(tree, *_tree_family(n, action))
-    # parents in descending label order; within one parent keep child order
-    couples.sort(key=lambda t: -t[0])
+    couples.sort(key=itemgetter(0), reverse=True)
     m = action.set_size
     k = action.group.order - 1
     merges, colorings, _, _ = cover_moves(n, action)

@@ -9,7 +9,7 @@ from sdowling import catalog, groups, labeling
 from sdowling.dowling import adjoin_top, build_dowling, build_subposet
 from sdowling.elements import bottom_element, make_element, top_element
 from sdowling.errors import NotACover, NotBounded
-from sdowling.labeling import EdgeLabel
+from sdowling.labeling import EdgeLabel, EdgeType
 from sdowling.poset import RankedPoset, moebius, saturated_chains, sphere_product
 
 Z2 = groups.cyclic_group(2)
@@ -37,6 +37,101 @@ def test_classify_cover_rejects_non_covers():
     y = make_element(Z2, 3, [((1, 2, 3), (0, 0, 0))], [])
     with pytest.raises(NotACover):
         labeling.classify_cover(x, y)
+
+
+def _classify_cover_by_sets(x, y):
+    """classify_cover as it was first written, by sets of block supports:
+    the oracle for the scan by first difference."""
+    if y.is_top:
+        return EdgeType("top")
+    if y.zero == x.zero:
+        # merge: y has one block that unites two blocks of x
+        supports_x = {s for s, _ in x.blocks}
+        merged = [(s, c) for s, c in y.blocks if s not in supports_x]
+        if len(merged) != 1:
+            raise NotACover("elements do not differ by a single merge")
+        support, colors = merged[0]
+        pieces = [s for s, _ in x.blocks if set(s) <= set(support)]
+        if len(pieces) != 2:
+            raise NotACover("merged block does not split into two blocks of x")
+        min_a, min_b = sorted(p[0] for p in pieces)
+        cmap = dict(zip(support, colors))
+        return EdgeType("merge", min_a=min_a, min_b=min_b, alpha=cmap[min_b])
+    # color: y moved one block of x into the zero block
+    supports_y = {s for s, _ in y.blocks}
+    gone = [s for s, _ in x.blocks if s not in supports_y]
+    if len(gone) != 1:
+        raise NotACover("elements do not differ by a single coloring")
+    min_b = gone[0][0]
+    return EdgeType("colored", min_b=min_b, color=dict(y.zero)[min_b])
+
+
+def _accepts(classify, x, y):
+    try:
+        classify(x, y)
+    except NotACover:
+        return False
+    return True
+
+
+def _classify_cover_disagreements(tally):
+    """Every pair of elements at adjacent ranks of the bounded n <= 3 grid
+    posets: a cover must classify as the move the build recorded, and a
+    pair the oracle rejects must be rejected.  Yields each pair that
+    breaks either rule; `tally` counts covers, non-covers, and the
+    non-covers each side accepts."""
+    for key, n, action in catalog.dowling_grid():
+        phat = adjoin_top(build_dowling(n, action))
+        by_rank = {}
+        for z, r in enumerate(phat.rank):
+            by_rank.setdefault(r, []).append(z)
+        for xi, x in enumerate(phat.elements):
+            recorded = dict(zip(phat.up[xi], phat.moves[xi]))
+            for yi in by_rank.get(phat.rank[xi] + 1, ()):
+                y = phat.elements[yi]
+                if yi in recorded:
+                    tally["covers"] += 1
+                    if labeling.classify_cover(x, y) != recorded[yi]:
+                        yield key, xi, yi
+                    continue
+                accepted = _accepts(labeling.classify_cover, x, y)
+                oracle = _accepts(_classify_cover_by_sets, x, y)
+                tally.update({"non-covers": 1, "accepted": accepted, "oracle accepted": oracle})
+                if accepted and not oracle:
+                    yield key, xi, yi
+
+
+def test_classify_cover_matches_the_set_based_oracle():
+    """Every cover of the n <= 3 grid classifies as recorded, and no pair is
+    accepted that the oracle rejects.  Of the non-covers the oracle accepts,
+    only those that differ from a cover in the colors alone, which need
+    the action, are accepted still."""
+    tally = Counter()
+    assert list(_classify_cover_disagreements(tally)) == []
+    assert tally == {"covers": 6_794, "non-covers": 31_411,
+                     "oracle accepted": 21_262, "accepted": 5_952}
+
+
+def _scan_one_short(xs, ys, i=0):
+    while i < len(ys) - 1 and xs[i] == ys[i]:
+        i += 1
+    return i
+
+
+def _scan_one_long(xs, ys, i=0):
+    while i < len(ys) and xs[i] == ys[i]:
+        i += 1
+    return i + 1
+
+
+@pytest.mark.parametrize("scan", [_scan_one_short, _scan_one_long])
+def test_an_off_by_one_first_difference_is_caught(monkeypatch, scan):
+    """A scan that stops one block short, or one past the first
+    difference, misreads a cover: it classifies wrongly, raises
+    NotACover, or indexes past the blocks."""
+    monkeypatch.setattr(labeling, "_first_difference", scan)
+    with pytest.raises((AssertionError, NotACover, IndexError)):
+        test_classify_cover_matches_the_set_based_oracle()
 
 
 def _label(fn, phat, x, y):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sdowling import catalog, cli, groups, labeling, trees
 from sdowling.dowling import adjoin_top, build_dowling
 from sdowling.elements import bottom_element, make_element, top_element
-from sdowling.errors import MalformedTree, NotDecreasing, NotMaximal, UnsupportedCase
+from sdowling.errors import MalformedTree, NotACover, NotDecreasing, NotMaximal, UnsupportedCase
 from sdowling.labeling import EdgeType
 
 Z2 = groups.cyclic_group(2)
@@ -189,6 +189,25 @@ def test_psi_rejects_chains_that_are_not_maximal():
     for chain in ([], [bottom_element(2)], [bottom_element(2), x, top_element(2)]):
         with pytest.raises(NotMaximal):
             trees.psi(chain, action)
+
+
+def test_psi_rejects_a_list_that_is_not_a_chain():
+    """[2_e ∥ 1_s2] < [∅ ∥ 1_s1 2_s2] is no cover: the second element
+    recolors position 1 of the zero block.  Block supports alone read it as
+    a coloring of block 2, and psi as the tree (0, ((1, ()), (2, ())))."""
+    action = groups.trivial_action(Z2, 2)
+    chain = [bottom_element(2), make_element(Z2, 2, [((2,), (0,))], [(1, 1)]),
+             make_element(Z2, 2, [], [(1, 0), (2, 1)]), top_element(2)]
+    with pytest.raises(NotACover):
+        trees.psi(chain, action)
+
+
+def test_validate_blooming_walks_a_deep_path():
+    """A path of 1,200 nodes is deeper than the recursion limit."""
+    tree = (1199, ())
+    for label in range(1198, -1, -1):
+        tree = (label, (tree,))
+    assert trees.validate_blooming(tree, 0, 0, range(1200)) == [(u, u + 1, 0) for u in range(1199)]
 
 
 def _roundtrip_all(n, action):
