@@ -306,6 +306,9 @@ def verify_el(poset, labeling, with_witness_chains=True) -> ELReport:
             if not waiting[b]:
                 del state[b]
     failures.sort(key=lambda f: (f.x, f.y))
+    # least_word refers to itself through its closure cell, a cycle that
+    # would keep the poset alive until the cyclic collector runs
+    del least_word
     return ELReport(
         passed=not failures,
         failures=failures,

@@ -1,6 +1,14 @@
 """Order complexes and integer simplicial homology, matching first, Smith
 fallback.
 
+Cells are ints.  The d-faces of an order complex are the chains of d+1
+vertices, numbered 0, 1, ... in lexicographic order of their index
+sequences, and a level stores for each d-face its last vertex and its d+1
+facet columns: column i holds the number of the (d-1)-face left when the
+i-th vertex is dropped.  `order_complex` fills the columns by arithmetic on
+child ranges, and the coreduction, the boundary matrices and the Betti
+numbers read only the columns.
+
 `homology` first runs a greedy coreduction of the complex, an acyclic
 (discrete Morse) matching.  When the critical cells it leaves lie in one
 dimension, they are the reduced Betti numbers and there is no torsion;
@@ -12,9 +20,12 @@ torsion; the reports deliberately say "homology-consistent", never
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, repeat
 from math import gcd
+from operator import add, sub
 
 from .errors import SizeLimitExceeded
 from .poset import bits
@@ -24,40 +35,101 @@ DEFAULT_MAX_FACES = 2_000_000
 
 @dataclass
 class SimplicialComplex:
+    """A simplicial complex with int cells, one level per dimension.
+
+    `last[d][j]` is the last vertex of d-face j, and `facets[d]` its d+1
+    columns: `facets[d][i][j]` is the number, among the (d-1)-faces, of
+    d-face j without its i-th vertex.  The one column of dimension 0 holds
+    the empty face, 0.
+    """
+
     vertices: list  # poset indices in use
-    faces: list  # faces[d] = sorted list of (d+1)-tuples in chain order
+    last: list
+    facets: list
 
     def face_counts(self):
-        return [len(fs) for fs in self.faces]
+        return [len(ls) for ls in self.last]
+
+    @classmethod
+    def from_faces(cls, vertices, faces):
+        """The complex whose faces[d] lists its d-faces as sorted
+        (d+1)-tuples, in lexicographic order; every facet of a listed face
+        must be listed."""
+        facets = [[[0] * len(faces[0])]] if faces else []
+        for d in range(1, len(faces)):
+            index = {f: j for j, f in enumerate(faces[d - 1])}
+            facets.append([[index[f[:i] + f[i + 1 :]] for f in faces[d]] for i in range(d + 1)])
+        return cls(vertices=vertices, last=[[f[-1] for f in fs] for fs in faces], facets=facets)
+
+
+def _pair_shifts(ups, u):
+    """For each v in ups[u]: where each w of ups[v] sits in ups[u], less
+    where v sits."""
+    pos = dict(zip(ups[u], range(len(ups[u]))))
+    return {v: list(map(sub, map(pos.__getitem__, ups[v]), repeat(pos[v]))) for v in ups[u]}
 
 
 def order_complex(poset, max_faces=DEFAULT_MAX_FACES):
     """Simplicial complex whose faces are the chains of the proper part: the
-    poset without its bottom element and an adjoined top."""
+    poset without its bottom element and an adjoined top.
+
+    The d-faces are built from the (d-1)-faces, one level at a time: the
+    children p + w of a face p, w in the strict up-set of p's last vertex
+    (ascending), are numbered in one run, and the runs follow p's order.
+    For a child c = p + w, column d is p.  Column i < d-1 drops a vertex
+    before p's last one, so it is the child, with the same offset as c, of
+    p's own column i, which ends in the same vertex and so has the same
+    children.  Column d-1 drops p's last vertex v: it is the child of p's
+    parent at the position of w in the up-set of the parent's last vertex
+    u, which is p plus a shift kept once per comparable pair (u, v).  A
+    level's size is the sum of its parents' up-set sizes, so the face cap is
+    checked before the level is built.
+    """
     skip = {poset.bottom, poset.top}
     vertices = [i for i in range(len(poset.elements)) if i not in skip]
     above = poset.above
     kept_mask = 0
     for v in vertices:
         kept_mask |= 1 << v
-    faces = []
+    # ups[v]: the kept w > v, ascending; the extra root below every vertex
+    # is the last vertex of the empty face
+    root = len(poset.elements)
+    ups = [()] * root + [vertices]
+    for v in vertices:
+        ups[v] = list(bits(above[v] & kept_mask & ~(1 << v)))
+    sizes = list(map(len, ups))
+    shifts = {}
+    last, facets = [], []
+    # the parents' level (last vertices, columns) and the grandparents'
+    # (last vertices, numbers of children), starting from the empty face
+    plast, pcols = [root], []
+    glast = gcounts = None
     total = 0
-    # chains are enumerated by extending with strictly greater kept elements;
-    # a chain is popped only after its prefix, so faces grows one list at a time
-    stack = [((v,), (above[v] & kept_mask) & ~(1 << v)) for v in reversed(vertices)]
-    while stack:
-        chain, mask = stack.pop()
-        total += 1
+    while True:
+        counts = list(map(sizes.__getitem__, plast))
+        size = sum(counts)
+        if not size:
+            return SimplicialComplex(vertices=vertices, last=last, facets=facets)
+        total += size
         if total > max_faces:
             raise SizeLimitExceeded(f"face count exceeded the cap of {max_faces}")
-        if len(chain) > len(faces):
-            faces.append([])
-        faces[len(chain) - 1].append(chain)
-        for w in bits(mask):
-            stack.append((chain + (w,), (mask & above[w]) & ~(1 << w)))
-    for fs in faces:
-        fs.sort()
-    return SimplicialComplex(vertices=vertices, faces=faces)
+        parents = array("i", chain.from_iterable(map(repeat, range(len(plast)), counts)))
+        cols = []
+        if pcols:
+            starts = [0, *accumulate(gcounts)]
+            runs = list(map(range, starts, starts[1:]))
+            cols = [array("i", chain.from_iterable(map(runs.__getitem__, col))) for col in pcols[:-1]]
+            us = array("i", map(glast.__getitem__, pcols[-1]))
+            for u in set(us).difference(shifts):
+                shifts[u] = _pair_shifts(ups, u)
+            offsets = chain.from_iterable(map(dict.__getitem__, map(shifts.__getitem__, us), plast))
+            cols.append(array("i", map(add, parents, offsets)))
+        cols.append(parents)
+        level = array("i", chain.from_iterable(map(ups.__getitem__, plast)))
+        last.append(level)
+        facets.append(cols)
+        glast, gcounts = plast, counts
+        plast, pcols = level, cols
 
 
 # ---------------------------------------------------------------------------
@@ -183,48 +255,48 @@ class HomologyProfile:
                 "faceCounts": self.face_counts}
 
 
-def _boundary_entries(faces, d):
-    """Sparse boundary matrix taking dimension-d faces to dimension d-1."""
-    lower = {f: i for i, f in enumerate(faces[d - 1])}
-    entries = {}
-    for j, f in enumerate(faces[d]):
-        for i in range(len(f)):
-            sub = f[:i] + f[i + 1 :]
-            entries[(lower[sub], j)] = (-1) ** i
-    return entries
+def _boundary_entries(cols):
+    """Sparse boundary matrix taking dimension-d faces to dimension d-1,
+    from the d+1 facet columns of dimension d: column i puts (-1)^i at
+    (cols[i][j], j)."""
+    signs = [(-1) ** i for i in range(len(cols))]
+    return {(k, j): s for j, ks in enumerate(zip(*cols)) for k, s in zip(ks, signs)}
 
 
-def coreduction(faces):
+def coreduction(complex_):
     """Greedy coreduction of a non-empty simplicial complex: an acyclic
     matching.
 
-    Cells have int ids: 0 is the empty face, then the faces of `faces[0]`,
-    `faces[1]`, ... in list order.  The empty face is paired with the first
-    vertex.  Then a FIFO queue pops any cell with exactly one remaining
-    facet and removes it together with that facet; when the queue is empty,
-    the lowest remaining id, which has no remaining facet, is removed as a
-    critical cell.  A cell's other facets are all gone when it is paired, so
-    each down-step of a gradient path goes to an earlier pair and the
-    matching is acyclic (Mrozek & Batko, "Coreduction homology algorithm",
-    2009).  Returns `mate`: mate[id] is the id of the cell paired with it,
-    or None for a critical cell.
+    Cells have int ids: 0 is the empty face, then the 0-faces, the 1-faces,
+    ... each dimension in its own order.  The empty face is paired with the
+    first vertex.  Then a FIFO queue pops any cell with exactly one
+    remaining facet and removes it together with that facet; when the queue
+    is empty, the lowest remaining id, which has no remaining facet, is
+    removed as a critical cell.  A cell's other facets are all gone when it
+    is paired, so each down-step of a gradient path goes to an earlier pair
+    and the matching is acyclic (Mrozek & Batko, "Coreduction homology
+    algorithm", 2009).  Returns `mate`: mate[id] is the id of the cell
+    paired with it, or None for a critical cell.
     """
-    start = [1]
-    for fs in faces:
-        start.append(start[-1] + len(fs))
-    total = start[-1]
+    # first[d + 1] is the id of the first d-face; first[0] the empty face's
+    first = [0, *accumulate(complex_.face_counts(), initial=1)]
+    total = first[-1]
     # remaining facets per cell, and the sum of their ids, which is the
     # facet itself once one is left; -1 marks a removed cell
-    count = [0] + [d + 1 for d, fs in enumerate(faces) for _ in fs]
-    rest = [0] * total
-    cofaces = [list(range(1, start[1]))] + [[] for _ in range(1, total)]
-    for d in range(1, len(faces)):
-        lower = {f: i for i, f in enumerate(faces[d - 1], start[d - 1])}
-        for j, f in enumerate(faces[d], start[d]):
-            for i in range(d + 1):
-                k = lower[f[:i] + f[i + 1 :]]
-                cofaces[k].append(j)
-                rest[j] += k
+    count = [0]
+    rest = [0]
+    cofaces = [[] for _ in range(total)]
+    for d, cols in enumerate(complex_.facets):
+        # one int object per cell, shared by the coface lists it joins
+        ids = list(range(first[d + 1], first[d + 2]))
+        count += repeat(d + 1, len(ids))
+        rest += map(((d + 1) * first[d]).__add__, map(sum, zip(*cols)))
+        # each facet column appends one ascending run to the coface lists
+        # of the (d-1)-faces; sorting merges the runs into id order
+        lower = cofaces[first[d] : first[d + 1]]
+        for col in cols:
+            deque(map(list.append, map(lower.__getitem__, col), ids), maxlen=0)
+        deque(map(list.sort, lower), maxlen=0)
     mate = [None] * total
     queue = deque()
 
@@ -264,14 +336,13 @@ def _smith_homology(complex_):
     d to d-1, in divisibility order; factors[0] = [1] is the augmentation,
     which maps every vertex to the single (-1)-simplex.
     """
-    faces = complex_.faces
-    factors = [[1]] + [smith_invariants(_boundary_entries(faces, d))
-                       for d in range(1, len(faces))] + [[]]
+    counts = complex_.face_counts()
+    factors = [[1]] + [smith_invariants(_boundary_entries(cols))
+                       for cols in complex_.facets[1:]] + [[]]
     return HomologyProfile(
-        reduced_betti=[len(fs) - len(factors[d]) - len(factors[d + 1])
-                       for d, fs in enumerate(faces)],
-        torsion=[[v for v in factors[d + 1] if v > 1] for d in range(len(faces))],
-        face_counts=complex_.face_counts(),
+        reduced_betti=[k - len(factors[d]) - len(factors[d + 1]) for d, k in enumerate(counts)],
+        torsion=[[v for v in factors[d + 1] if v > 1] for d in range(len(counts))],
+        face_counts=counts,
     )
 
 
@@ -284,16 +355,16 @@ def homology(complex_) -> HomologyProfile:
     are the reduced Betti numbers and there is no torsion.  Otherwise, and
     for the empty complex, `_smith_homology` decides on the full complex.
     """
-    faces = complex_.faces
-    if faces:
-        mate = coreduction(faces)
+    counts = complex_.face_counts()
+    if counts:
+        mate = coreduction(complex_)
         critical, lo = [], 1
-        for fs in faces:
-            critical.append(mate[lo : lo + len(fs)].count(None))
-            lo += len(fs)
+        for k in counts:
+            critical.append(mate[lo : lo + k].count(None))
+            lo += k
         if sum(1 for k in critical if k) <= 1:
-            return HomologyProfile(reduced_betti=critical, torsion=[[] for _ in faces],
-                                   face_counts=complex_.face_counts())
+            return HomologyProfile(reduced_betti=critical, torsion=[[] for _ in counts],
+                                   face_counts=counts)
     return _smith_homology(complex_)
 
 

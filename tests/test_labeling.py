@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -181,6 +183,22 @@ def test_verify_el_passes_small_full_poset():
     assert rep.passed
     assert rep.decreasing_chain_count == 3
     assert len(list(labeling.decreasing_chains(phat, labeling.label_lambda))) == 3
+
+
+def test_verify_el_leaves_no_reference_cycle():
+    """With the cyclic collector off, the poset is freed as soon as the
+    last reference to it goes: verify_el's memo leaves no cycle behind."""
+    phat = adjoin_top(build_dowling(3, groups.trivial_action(Z2, 3)))
+    ref = weakref.ref(phat)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert labeling.verify_el(phat, labeling.label_lambda).passed
+        del phat
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_verify_el_requires_bounds():

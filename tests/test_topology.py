@@ -1,5 +1,6 @@
 import random
 import warnings
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sdowling import catalog, groups, topology
 from sdowling.dowling import adjoin_top, build_dowling, build_subposet
 from sdowling.errors import SizeLimitExceeded
-from sdowling.poset import RankedPoset, moebius
+from sdowling.poset import RankedPoset, bits, moebius
 from sdowling.topology import (
     HomologyProfile,
     SimplicialComplex,
@@ -36,7 +37,18 @@ def _rp2():
     tris = RP2_TRIANGLES
     verts = sorted({(v,) for t in tris for v in t})
     edges = sorted({(t[i], t[j]) for t in tris for i in range(3) for j in range(i + 1, 3)})
-    return SimplicialComplex(vertices=list(range(6)), faces=[verts, edges, list(tris)])
+    return SimplicialComplex.from_faces(list(range(6)), [verts, edges, list(tris)])
+
+
+def _face_tuples(cx):
+    """The faces of each dimension as vertex tuples, in id order, read off
+    the last vertices and the parent column (the facet without the last
+    vertex)."""
+    out, prev = [], [()]
+    for last, cols in zip(cx.last, cx.facets):
+        prev = [prev[p] + (w,) for p, w in zip(cols[-1], last)]
+        out.append(prev)
+    return out
 
 
 def test_order_complex_of_a_chain_is_a_simplex():
@@ -52,7 +64,7 @@ def test_order_complex_empty_is_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cx = order_complex(p)
-    assert cx.vertices == [] and cx.faces == []
+    assert cx.vertices == [] and cx.last == [] and cx.facets == []
 
 
 def test_order_complex_face_cap():
@@ -60,6 +72,28 @@ def test_order_complex_face_cap():
     poset = build_dowling(3, action)
     with pytest.raises(SizeLimitExceeded):
         order_complex(poset, max_faces=5)
+
+
+def test_order_complex_face_cap_boundary(monkeypatch):
+    """The cap is the largest face count that passes, and a level that
+    would cross it is refused before it is built: the shifts that level 2
+    needs are never computed when level 2 crosses the cap."""
+    poset = build_dowling(3, groups.trivial_action(Z2, 2))
+    counts = order_complex(poset).face_counts()
+    assert order_complex(poset, max_faces=sum(counts)).face_counts() == counts
+    with pytest.raises(SizeLimitExceeded, match=f"face count exceeded the cap of {sum(counts) - 1}$"):
+        order_complex(poset, max_faces=sum(counts) - 1)
+    shifted = []
+    original = topology._pair_shifts
+
+    def spy(ups, u):
+        shifted.append(u)
+        return original(ups, u)
+
+    monkeypatch.setattr(topology, "_pair_shifts", spy)
+    with pytest.raises(SizeLimitExceeded):
+        order_complex(poset, max_faces=sum(counts[:3]) - 1)
+    assert shifted == [len(poset)]  # the root's shifts, for level 1 only
 
 
 def test_smith_invariants_known_matrices():
@@ -148,10 +182,7 @@ def test_smith_invariants_ranks_over_q_and_mod_p(seed):
 
 def test_homology_circle_and_sphere():
     # triangle boundary = S^1
-    circle = SimplicialComplex(
-        vertices=[0, 1, 2],
-        faces=[[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]],
-    )
+    circle = SimplicialComplex.from_faces([0, 1, 2], [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]])
     prof = homology(circle)
     assert prof.reduced_betti == [0, 1]
     assert prof.torsion == [[], []]
@@ -159,7 +190,7 @@ def test_homology_circle_and_sphere():
     verts = [(i,) for i in range(4)]
     edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     tris = [(i, j, k) for i in range(4) for j in range(i + 1, 4) for k in range(j + 1, 4)]
-    sphere = SimplicialComplex(vertices=list(range(4)), faces=[verts, edges, tris])
+    sphere = SimplicialComplex.from_faces(list(range(4)), [verts, edges, tris])
     prof = homology(sphere)
     assert prof.reduced_betti == [0, 0, 1]
 
@@ -254,10 +285,11 @@ def test_smith_invariants_do_not_depend_on_pivot_order(seed):
         _rp2(),
     ]
     for cx in complexes:
-        for d in range(1, len(cx.faces)):
-            entries = topology._boundary_entries(cx.faces, d)
-            row_perm = rng.sample(range(len(cx.faces[d - 1])), len(cx.faces[d - 1]))
-            col_perm = rng.sample(range(len(cx.faces[d])), len(cx.faces[d]))
+        counts = cx.face_counts()
+        for d in range(1, len(counts)):
+            entries = topology._boundary_entries(cx.facets[d])
+            row_perm = rng.sample(range(counts[d - 1]), counts[d - 1])
+            col_perm = rng.sample(range(counts[d]), counts[d])
             items = list(entries.items())
             rng.shuffle(items)
             relabelled = {(row_perm[r], col_perm[c]): v for (r, c), v in items}
@@ -297,23 +329,145 @@ def test_matching_first_homology_matches_the_smith_oracle():
     """On the n <= 3 grid with its invariant subposets, and on the three
     homology-n4 benchmark points, the matching-first profile is the Smith
     profile."""
+    for key, poset in _oracle_posets():
+        cx = order_complex(poset)
+        assert homology(cx) == topology._smith_homology(cx), key
+
+
+# The tuple order complex and the dict-based coreduction that the int cells
+# replaced, kept as the oracle: faces are sorted vertex tuples, and each
+# facet is found by slicing a tuple and looking it up in a dict.
+
+
+def _tuple_order_complex(poset):
+    skip = {poset.bottom, poset.top}
+    vertices = [i for i in range(len(poset.elements)) if i not in skip]
+    above = poset.above
+    kept_mask = 0
+    for v in vertices:
+        kept_mask |= 1 << v
+    faces = []
+    stack = [((v,), (above[v] & kept_mask) & ~(1 << v)) for v in reversed(vertices)]
+    while stack:
+        chain, mask = stack.pop()
+        if len(chain) > len(faces):
+            faces.append([])
+        faces[len(chain) - 1].append(chain)
+        for w in bits(mask):
+            stack.append((chain + (w,), (mask & above[w]) & ~(1 << w)))
+    for fs in faces:
+        fs.sort()
+    return faces
+
+
+def _dict_coreduction(faces):
+    start = [1]
+    for fs in faces:
+        start.append(start[-1] + len(fs))
+    total = start[-1]
+    count = [0] + [d + 1 for d, fs in enumerate(faces) for _ in fs]
+    rest = [0] * total
+    cofaces = [list(range(1, start[1]))] + [[] for _ in range(1, total)]
+    for d in range(1, len(faces)):
+        lower = {f: i for i, f in enumerate(faces[d - 1], start[d - 1])}
+        for j, f in enumerate(faces[d], start[d]):
+            for i in range(d + 1):
+                k = lower[f[:i] + f[i + 1 :]]
+                cofaces[k].append(j)
+                rest[j] += k
+    mate = [None] * total
+    queue = deque()
+
+    def remove(c):
+        count[c] = -1
+        for b in cofaces[c]:
+            k = count[b]
+            if k > 0:
+                count[b] = k - 1
+                rest[b] -= c
+                if k == 2:
+                    queue.append(b)
+
+    def pair(f, c):
+        mate[f], mate[c] = c, f
+        remove(c)
+        remove(f)
+
+    pair(0, 1)
+    low = 1
+    while True:
+        while queue:
+            c = queue.popleft()
+            if count[c] == 1:
+                pair(rest[c], c)
+        while low < total and count[low] < 0:
+            low += 1
+        if low == total:
+            return mate
+        remove(low)
+
+
+def _oracle_problems(poset):
+    """Where the int-cell complex of `poset` and its coreduction differ from
+    the tuple oracle: the faces of each dimension, each facet column, then
+    the matching, which is compared only when the columns agree."""
+    faces = _tuple_order_complex(poset)
+    try:
+        cx = order_complex(poset)
+    except IndexError as exc:  # a column that points past the end of its level
+        return [f"order_complex raised {exc!r}"]
+    if _face_tuples(cx) != faces:
+        return ["faces differ"]
+    problems = []
+    for d in range(1, len(faces)):
+        index = {f: j for j, f in enumerate(faces[d - 1])}
+        for i, col in enumerate(cx.facets[d]):
+            if list(col) != [index[f[:i] + f[i + 1 :]] for f in faces[d]]:
+                problems.append(f"dimension {d}: column {i} differs")
+    if faces and not problems and coreduction(cx) != _dict_coreduction(faces):
+        problems.append("mate differs")
+    return problems
+
+
+def _oracle_posets():
+    """The n <= 3 grid with its invariant subposets, and the three
+    homology-n4 benchmark points."""
     posets = [kp for n in (1, 2, 3) for kp in _grid_posets(n)]
     swap2 = dict(catalog.actions_for("Z2", 2))["swap"]
     posets += [("n=4,Z2:1", build_dowling(4, groups.trivial_action(Z2, 1))),
                ("n=4,Z2:2", build_dowling(4, groups.trivial_action(Z2, 2))),
                ("n=4,Z2:2:swap,T=[]", build_subposet(4, swap2, []))]
-    for key, poset in posets:
-        cx = order_complex(poset)
-        assert homology(cx) == topology._smith_homology(cx), key
+    return posets
 
 
-def _matching_problems(faces, mate):
-    """What makes `mate` not an acyclic matching on the complex `faces`
-    (cell ids: 0 the empty face, then faces[0], faces[1], ... in order),
-    checked without the coreduction's removal order: pairs must be
-    symmetric codimension-one (facet, face) pairs, and the Hasse diagram
-    with every matched edge turned upward must have a topological order."""
-    cells = [()] + [f for fs in faces for f in fs]
+def test_int_cells_match_the_tuple_oracle():
+    for key, poset in _oracle_posets():
+        assert _oracle_problems(poset) == [], key
+
+
+@pytest.mark.parametrize("slip", [1, -1])
+def test_an_off_by_one_second_to_last_vertex_lookup_is_caught(monkeypatch, slip):
+    original = topology._pair_shifts
+
+    def slipped(ups, u):
+        return {v: [s + slip for s in shifts] for v, shifts in original(ups, u).items()}
+
+    monkeypatch.setattr(topology, "_pair_shifts", slipped)
+    # dimension 1 reads the shifts below the first vertex, and the last
+    # column of dimension 2 those below a real one
+    assert _oracle_problems(build_dowling(2, groups.trivial_action(Z2, 2))) == [
+        "dimension 1: column 0 differs"]
+    assert _oracle_problems(build_dowling(3, groups.trivial_action(Z2, 2))) != []
+
+
+def _matching_problems(cx, mate):
+    """What makes `mate` not an acyclic matching on the complex `cx` (cell
+    ids: 0 the empty face, then the 0-faces, the 1-faces, ... in order),
+    checked on vertex tuples, without the facet columns or the
+    coreduction's removal order: pairs must be symmetric codimension-one
+    (facet, face) pairs, and the Hasse diagram with every matched edge
+    turned upward must have a topological order."""
+    cells = [()] + [f for fs in _face_tuples(cx) for f in fs]
     if len(mate) != len(cells):
         return [f"{len(mate)} mates for {len(cells)} cells"]
     problems = []
@@ -352,17 +506,17 @@ def _matching_problems(faces, mate):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_coreduction_is_an_acyclic_matching_on_the_grid(n):
     for key, poset in _grid_posets(n):
-        faces = order_complex(poset).faces
-        if faces:
-            assert _matching_problems(faces, coreduction(faces)) == [], key
+        cx = order_complex(poset)
+        if cx.last:
+            assert _matching_problems(cx, coreduction(cx)) == [], key
 
 
 def test_matching_checker_rejects_a_non_face_pair(monkeypatch):
-    def cross_paired(faces):
+    def cross_paired(cx):
         # swap the lower cells of two edge-triangle pairs whose lower cell
         # is not an edge of the other triangle
-        mate = coreduction(faces)
-        cells = [()] + [f for fs in faces for f in fs]
+        mate = coreduction(cx)
+        cells = [()] + [f for fs in _face_tuples(cx) for f in fs]
         pairs = [(mate[c], c) for c, face in enumerate(cells)
                  if len(face) == 3 and mate[c] is not None and len(cells[mate[c]]) == 2]
         (f1, c1), (f2, c2) = next(
@@ -372,18 +526,18 @@ def test_matching_checker_rejects_a_non_face_pair(monkeypatch):
         return mate
 
     monkeypatch.setattr(topology, "coreduction", cross_paired)
-    faces = order_complex(build_dowling(3, groups.trivial_action(Z2, 2))).faces
-    problems = _matching_problems(faces, topology.coreduction(faces))
+    cx = order_complex(build_dowling(3, groups.trivial_action(Z2, 2)))
+    problems = _matching_problems(cx, topology.coreduction(cx))
     assert any("not a facet and a face" in p for p in problems), problems
 
 
 def test_matching_checker_rejects_a_cycle():
     # the triangle boundary with each vertex paired to the next edge around
     # it is a closed gradient path
-    faces = [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]]
+    cx = SimplicialComplex.from_faces([0, 1, 2], [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]])
     # ids: 0 empty, 1-3 vertices, 4 = (0,1), 5 = (0,2), 6 = (1,2)
     mate = [None, 4, 6, 5, 1, 3, 2]
-    assert _matching_problems(faces, mate) == ["7 cells lie on or behind a directed cycle"]
+    assert _matching_problems(cx, mate) == ["7 cells lie on or behind a directed cycle"]
 
 
 def _smith_spy(monkeypatch):
