@@ -23,9 +23,10 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial, reduce
 from itertools import accumulate, chain, repeat
 from math import gcd
-from operator import add, sub
+from operator import add
 
 from .errors import SizeLimitExceeded
 from .poset import bits
@@ -62,11 +63,9 @@ class SimplicialComplex:
         return cls(vertices=vertices, last=[[f[-1] for f in fs] for fs in faces], facets=facets)
 
 
-def _pair_shifts(ups, u):
-    """For each v in ups[u]: where each w of ups[v] sits in ups[u], less
-    where v sits."""
-    pos = dict(zip(ups[u], range(len(ups[u]))))
-    return {v: list(map(sub, map(pos.__getitem__, ups[v]), repeat(pos[v]))) for v in ups[u]}
+def _positions(up):
+    """Where each vertex of an up-set sits in it."""
+    return dict(zip(up, range(len(up))))
 
 
 def order_complex(poset, max_faces=DEFAULT_MAX_FACES):
@@ -79,11 +78,11 @@ def order_complex(poset, max_faces=DEFAULT_MAX_FACES):
     For a child c = p + w, column d is p.  Column i < d-1 drops a vertex
     before p's last one, so it is the child, with the same offset as c, of
     p's own column i, which ends in the same vertex and so has the same
-    children.  Column d-1 drops p's last vertex v: it is the child of p's
-    parent at the position of w in the up-set of the parent's last vertex
-    u, which is p plus a shift kept once per comparable pair (u, v).  A
-    level's size is the sum of its parents' up-set sizes, so the face cap is
-    checked before the level is built.
+    children.  Column d-1 drops p's last vertex: it is the child of p's
+    parent g (p's column d-1) at the position of w in the up-set of g's
+    last vertex, and those positions are listed once per vertex, so once
+    per comparable pair.  A level's size is the sum of its parents' up-set
+    sizes, so the face cap is checked before the level is built.
     """
     skip = {poset.bottom, poset.top}
     vertices = [i for i in range(len(poset.elements)) if i not in skip]
@@ -98,7 +97,7 @@ def order_complex(poset, max_faces=DEFAULT_MAX_FACES):
     for v in vertices:
         ups[v] = list(bits(above[v] & kept_mask & ~(1 << v)))
     sizes = list(map(len, ups))
-    shifts = {}
+    where = {}  # u -> _positions(ups[u]), once u is a grandparent's last vertex
     last, facets = [], []
     # the parents' level (last vertices, columns) and the grandparents'
     # (last vertices, numbers of children), starting from the empty face
@@ -113,19 +112,24 @@ def order_complex(poset, max_faces=DEFAULT_MAX_FACES):
         total += size
         if total > max_faces:
             raise SizeLimitExceeded(f"face count exceeded the cap of {max_faces}")
-        parents = array("i", chain.from_iterable(map(repeat, range(len(plast)), counts)))
+        parents = array("I", chain.from_iterable(map(repeat, range(len(plast)), counts)))
+        level = array("I", chain.from_iterable(map(ups.__getitem__, plast)))
         cols = []
         if pcols:
+            # the grandparents' child ranges
             starts = [0, *accumulate(gcounts)]
             runs = list(map(range, starts, starts[1:]))
-            cols = [array("i", chain.from_iterable(map(runs.__getitem__, col))) for col in pcols[:-1]]
-            us = array("i", map(glast.__getitem__, pcols[-1]))
-            for u in set(us).difference(shifts):
-                shifts[u] = _pair_shifts(ups, u)
-            offsets = chain.from_iterable(map(dict.__getitem__, map(shifts.__getitem__, us), plast))
-            cols.append(array("i", map(add, parents, offsets)))
+            cols = [array("I", chain.from_iterable(map(runs.__getitem__, col))) for col in pcols[:-1]]
+            us = list(map(glast.__getitem__, pcols[-1]))
+            for u in set(us).difference(where):
+                where[u] = _positions(ups[u])
+            # per parent: its parent's first child, and the positions among
+            # that parent's children
+            bases = list(map(starts.__getitem__, pcols[-1]))
+            lookups = list(map(where.__getitem__, us))
+            positions = map(dict.__getitem__, map(lookups.__getitem__, parents), level)
+            cols.append(array("I", map(add, map(bases.__getitem__, parents), positions)))
         cols.append(parents)
-        level = array("i", chain.from_iterable(map(ups.__getitem__, plast)))
         last.append(level)
         facets.append(cols)
         glast, gcounts = plast, counts
@@ -290,7 +294,8 @@ def coreduction(complex_):
         # one int object per cell, shared by the coface lists it joins
         ids = list(range(first[d + 1], first[d + 2]))
         count += repeat(d + 1, len(ids))
-        rest += map(((d + 1) * first[d]).__add__, map(sum, zip(*cols)))
+        # the columns summed elementwise, with each id shifted by first[d]
+        rest += reduce(partial(map, add), cols, repeat((d + 1) * first[d], len(ids)))
         # each facet column appends one ascending run to the coface lists
         # of the (d-1)-faces; sorting merges the runs into id order
         lower = cofaces[first[d] : first[d + 1]]

@@ -76,24 +76,24 @@ def test_order_complex_face_cap():
 
 def test_order_complex_face_cap_boundary(monkeypatch):
     """The cap is the largest face count that passes, and a level that
-    would cross it is refused before it is built: the shifts that level 2
-    needs are never computed when level 2 crosses the cap."""
+    would cross it is refused before it is built: the positions that level
+    2 needs are never listed when level 2 crosses the cap."""
     poset = build_dowling(3, groups.trivial_action(Z2, 2))
     counts = order_complex(poset).face_counts()
     assert order_complex(poset, max_faces=sum(counts)).face_counts() == counts
     with pytest.raises(SizeLimitExceeded, match=f"face count exceeded the cap of {sum(counts) - 1}$"):
         order_complex(poset, max_faces=sum(counts) - 1)
-    shifted = []
-    original = topology._pair_shifts
+    listed = []
+    original = topology._positions
 
-    def spy(ups, u):
-        shifted.append(u)
-        return original(ups, u)
+    def spy(up):
+        listed.append(len(up))
+        return original(up)
 
-    monkeypatch.setattr(topology, "_pair_shifts", spy)
+    monkeypatch.setattr(topology, "_positions", spy)
     with pytest.raises(SizeLimitExceeded):
         order_complex(poset, max_faces=sum(counts[:3]) - 1)
-    assert shifted == [len(poset)]  # the root's shifts, for level 1 only
+    assert listed == [counts[0]]  # the positions among all vertices, for level 1 only
 
 
 def test_smith_invariants_known_matrices():
@@ -447,14 +447,14 @@ def test_int_cells_match_the_tuple_oracle():
 
 @pytest.mark.parametrize("slip", [1, -1])
 def test_an_off_by_one_second_to_last_vertex_lookup_is_caught(monkeypatch, slip):
-    original = topology._pair_shifts
+    original = topology._positions
 
-    def slipped(ups, u):
-        return {v: [s + slip for s in shifts] for v, shifts in original(ups, u).items()}
+    def slipped(up):
+        return {w: i + slip for w, i in original(up).items()}
 
-    monkeypatch.setattr(topology, "_pair_shifts", slipped)
-    # dimension 1 reads the shifts below the first vertex, and the last
-    # column of dimension 2 those below a real one
+    monkeypatch.setattr(topology, "_positions", slipped)
+    # dimension 1 reads the positions among all vertices, and the last
+    # column of dimension 2 those in a vertex's up-set
     assert _oracle_problems(build_dowling(2, groups.trivial_action(Z2, 2))) == [
         "dimension 1: column 0 differs"]
     assert _oracle_problems(build_dowling(3, groups.trivial_action(Z2, 2))) != []
