@@ -1,21 +1,21 @@
-"""Order complexes and integer simplicial homology, matching first, Smith
-fallback.
+"""Order complexes and integer simplicial homology on the Morse complex of a
+greedy coreduction.
 
 Cells are ints.  The d-faces of an order complex are the chains of d+1
 vertices, numbered 0, 1, ... in lexicographic order of their index
 sequences, and a level stores for each d-face its last vertex and its d+1
 facet columns: column i holds the number of the (d-1)-face left when the
 i-th vertex is dropped.  `order_complex` fills the columns by arithmetic on
-child ranges, and the coreduction, the boundary matrices and the Betti
-numbers read only the columns.
+child ranges, and the coreduction and the Morse boundary maps read only
+the columns.
 
-`homology` first runs a greedy coreduction of the complex, an acyclic
-(discrete Morse) matching.  When the critical cells it leaves lie in one
-dimension, they are the reduced Betti numbers and there is no torsion;
-otherwise the Smith normal forms of the boundary maps decide.  Homology
+`homology` runs a greedy coreduction of the complex, an acyclic (discrete
+Morse) matching, and takes the Smith normal forms of the boundary maps of
+its Morse complex, which has one generator per critical cell.  When the
+critical cells lie in one dimension those maps are empty.  Homology
 certifies wedge-of-spheres claims at the level of reduced Betti numbers and
 torsion; the reports deliberately say "homology-consistent", never
-"homotopy equivalent", whichever path decided.
+"homotopy equivalent".
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import gcd
-from operator import add
+from operator import add, is_
 
 from .errors import SizeLimitExceeded
 from .poset import bits
@@ -50,17 +50,6 @@ class SimplicialComplex:
 
     def face_counts(self):
         return [len(ls) for ls in self.last]
-
-    @classmethod
-    def from_faces(cls, vertices, faces):
-        """The complex whose faces[d] lists its d-faces as sorted
-        (d+1)-tuples, in lexicographic order; every facet of a listed face
-        must be listed."""
-        facets = [[[0] * len(faces[0])]] if faces else []
-        for d in range(1, len(faces)):
-            index = {f: j for j, f in enumerate(faces[d - 1])}
-            facets.append([[index[f[:i] + f[i + 1 :]] for f in faces[d]] for i in range(d + 1)])
-        return cls(vertices=vertices, last=[[f[-1] for f in fs] for fs in faces], facets=facets)
 
 
 def _positions(up):
@@ -259,14 +248,6 @@ class HomologyProfile:
                 "faceCounts": self.face_counts}
 
 
-def _boundary_entries(cols):
-    """Sparse boundary matrix taking dimension-d faces to dimension d-1,
-    from the d+1 facet columns of dimension d: column i puts (-1)^i at
-    (cols[i][j], j)."""
-    signs = [(-1) ** i for i in range(len(cols))]
-    return {(k, j): s for j, ks in enumerate(zip(*cols)) for k, s in zip(ks, signs)}
-
-
 def coreduction(complex_):
     """Greedy coreduction of a non-empty simplicial complex: an acyclic
     matching.
@@ -279,8 +260,9 @@ def coreduction(complex_):
     removed as a critical cell.  A cell's other facets are all gone when it
     is paired, so each down-step of a gradient path goes to an earlier pair
     and the matching is acyclic (Mrozek & Batko, "Coreduction homology
-    algorithm", 2009).  Returns `mate`: mate[id] is the id of the cell
-    paired with it, or None for a critical cell.
+    algorithm", 2009).  Returns `mate`, where mate[id] is the id of the cell
+    paired with it or None for a critical cell, and the lower cell of each
+    pair, in pairing order.
     """
     # first[d + 1] is the id of the first d-face; first[0] the empty face's
     first = [0, *accumulate(complex_.face_counts(), initial=1)]
@@ -303,6 +285,7 @@ def coreduction(complex_):
             deque(map(list.append, map(lower.__getitem__, col), ids), maxlen=0)
         deque(map(list.sort, lower), maxlen=0)
     mate = [None] * total
+    lowers = []
     queue = deque()
 
     def remove(c):
@@ -317,6 +300,7 @@ def coreduction(complex_):
 
     def pair(f, c):
         mate[f], mate[c] = c, f
+        lowers.append(f)
         remove(c)
         remove(f)
 
@@ -330,47 +314,61 @@ def coreduction(complex_):
         while low < total and count[low] < 0:
             low += 1
         if low == total:
-            return mate
+            return mate, lowers
         remove(low)
 
 
-def _smith_homology(complex_):
-    """Reduced integer homology from Smith normal forms of boundary matrices.
+def homology(complex_) -> HomologyProfile:
+    """Reduced integer homology from the Morse complex of the coreduction.
 
-    factors[d] lists the invariant factors of the boundary map from dimension
-    d to d-1, in divisibility order; factors[0] = [1] is the augmentation,
-    which maps every vertex to the single (-1)-simplex.
+    The Morse complex (Forman 1998; Sköldberg 2006) has one generator per
+    critical cell, none for the paired empty face, so it gives reduced
+    homology.  Its map d takes a critical d-cell c to Σ [c:t]·φ(t) over c's
+    facets t.  The flow φ is t on a critical t, 0 on an upper cell, and
+    φ(f) = -[c:f]·Σ_{t≠f} [c:t]·φ(t) on the lower cell of a pair (f, c),
+    whose other facets go first, so pairing order knows each φ(t) in time.
+    φ is computed only where d and d-1 both have critical cells; elsewhere
+    the map is zero.  The Smith normal forms of the maps d = 1..top decide.
     """
     counts = complex_.face_counts()
-    factors = [[1]] + [smith_invariants(_boundary_entries(cols))
-                       for cols in complex_.facets[1:]] + [[]]
+    if not counts:
+        return HomologyProfile(reduced_betti=[], torsion=[], face_counts=counts)
+    mate, lowers = coreduction(complex_)
+    first = list(accumulate(counts, initial=1))  # first[d]: the id of the first d-face
+    critical = [list(compress(range(lo, hi), map(is_, mate[lo:hi], repeat(None))))
+                for lo, hi in zip(first, first[1:])]
+    factors = [[]]
+    for d in range(1, len(counts)):
+        entries = {}
+        if critical[d] and critical[d - 1]:
+            cols, lo, hi = complex_.facets[d], first[d - 1], first[d]
+            signs = [(-1) ** i for i in range(d + 1)]
+            flow = {t: {t: 1} for t in critical[d - 1]}
+
+            def morse(c):  # Σ [c:t]·φ(t), with φ(t) = 0 where `flow` lists no t
+                out = {}
+                for col, s in zip(cols, signs):
+                    for k, v in flow.get(col[c - hi] + lo, {}).items():
+                        out[k] = out.get(k, 0) + s * v
+                return out
+
+            for f in filter(range(lo, hi).__contains__, lowers):
+                # φ(f) is not listed yet, so the sum leaves f out
+                c = mate[f]
+                sf = next(s for col, s in zip(cols, signs) if col[c - hi] + lo == f)
+                phi = {k: -sf * v for k, v in morse(c).items() if v}
+                if phi:
+                    flow[f] = phi
+            for c in critical[d]:
+                entries.update(((k, c), v) for k, v in morse(c).items() if v)
+        factors.append(smith_invariants(entries))
+    factors.append([])
     return HomologyProfile(
-        reduced_betti=[k - len(factors[d]) - len(factors[d + 1]) for d, k in enumerate(counts)],
+        reduced_betti=[len(cs) - len(factors[d]) - len(factors[d + 1])
+                       for d, cs in enumerate(critical)],
         torsion=[[v for v in factors[d + 1] if v > 1] for d in range(len(counts))],
         face_counts=counts,
     )
-
-
-def homology(complex_) -> HomologyProfile:
-    """Reduced integer homology: matching first, Smith normal form fallback.
-
-    The Morse complex of the coreduction has one generator per critical
-    cell, the empty face's pair aside.  When those all lie in one dimension
-    (or there are none) its boundary maps are zero, so the critical counts
-    are the reduced Betti numbers and there is no torsion.  Otherwise, and
-    for the empty complex, `_smith_homology` decides on the full complex.
-    """
-    counts = complex_.face_counts()
-    if counts:
-        mate = coreduction(complex_)
-        critical, lo = [], 1
-        for k in counts:
-            critical.append(mate[lo : lo + k].count(None))
-            lo += k
-        if sum(1 for k in critical if k) <= 1:
-            return HomologyProfile(reduced_betti=critical, torsion=[[] for _ in counts],
-                                   face_counts=counts)
-    return _smith_homology(complex_)
 
 
 @dataclass

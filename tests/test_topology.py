@@ -1,3 +1,4 @@
+import inspect
 import random
 import warnings
 from collections import deque
@@ -37,7 +38,18 @@ def _rp2():
     tris = RP2_TRIANGLES
     verts = sorted({(v,) for t in tris for v in t})
     edges = sorted({(t[i], t[j]) for t in tris for i in range(3) for j in range(i + 1, 3)})
-    return SimplicialComplex.from_faces(list(range(6)), [verts, edges, list(tris)])
+    return _from_faces(list(range(6)), [verts, edges, list(tris)])
+
+
+def _from_faces(vertices, faces):
+    """The complex whose faces[d] lists its d-faces as sorted (d+1)-tuples,
+    in lexicographic order; every facet of a listed face must be listed."""
+    facets = [[[0] * len(faces[0])]] if faces else []
+    for d in range(1, len(faces)):
+        index = {f: j for j, f in enumerate(faces[d - 1])}
+        facets.append([[index[f[:i] + f[i + 1 :]] for f in faces[d]] for i in range(d + 1)])
+    return SimplicialComplex(vertices=vertices, last=[[f[-1] for f in fs] for fs in faces],
+                             facets=facets)
 
 
 def _face_tuples(cx):
@@ -182,7 +194,7 @@ def test_smith_invariants_ranks_over_q_and_mod_p(seed):
 
 def test_homology_circle_and_sphere():
     # triangle boundary = S^1
-    circle = SimplicialComplex.from_faces([0, 1, 2], [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]])
+    circle = _from_faces([0, 1, 2], [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]])
     prof = homology(circle)
     assert prof.reduced_betti == [0, 1]
     assert prof.torsion == [[], []]
@@ -190,7 +202,7 @@ def test_homology_circle_and_sphere():
     verts = [(i,) for i in range(4)]
     edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     tris = [(i, j, k) for i in range(4) for j in range(i + 1, 4) for k in range(j + 1, 4)]
-    sphere = SimplicialComplex.from_faces(list(range(4)), [verts, edges, tris])
+    sphere = _from_faces(list(range(4)), [verts, edges, tris])
     prof = homology(sphere)
     assert prof.reduced_betti == [0, 0, 1]
 
@@ -287,7 +299,7 @@ def test_smith_invariants_do_not_depend_on_pivot_order(seed):
     for cx in complexes:
         counts = cx.face_counts()
         for d in range(1, len(counts)):
-            entries = topology._boundary_entries(cx.facets[d])
+            entries = _boundary_entries(cx.facets[d])
             row_perm = rng.sample(range(counts[d - 1]), counts[d - 1])
             col_perm = rng.sample(range(counts[d]), counts[d])
             items = list(entries.items())
@@ -325,13 +337,51 @@ def test_hall_and_euler_poincare_on_the_grid(n):
     assert n == 1 or spread
 
 
+# The Smith normal form of the whole complex, which the Morse complex
+# replaced, kept as the oracle.
+
+
+def _boundary_entries(cols):
+    """Sparse boundary matrix taking dimension-d faces to dimension d-1,
+    from the d+1 facet columns of dimension d: column i puts (-1)^i at
+    (cols[i][j], j)."""
+    signs = [(-1) ** i for i in range(len(cols))]
+    return {(k, j): s for j, ks in enumerate(zip(*cols)) for k, s in zip(ks, signs)}
+
+
+def _smith_homology(complex_):
+    """Reduced integer homology from Smith normal forms of boundary matrices.
+
+    factors[d] lists the invariant factors of the boundary map from dimension
+    d to d-1, in divisibility order; factors[0] = [1] is the augmentation,
+    which maps every vertex to the single (-1)-simplex.
+    """
+    counts = complex_.face_counts()
+    factors = [[1]] + [smith_invariants(_boundary_entries(cols))
+                       for cols in complex_.facets[1:]] + [[]]
+    return HomologyProfile(
+        reduced_betti=[k - len(factors[d]) - len(factors[d + 1]) for d, k in enumerate(counts)],
+        torsion=[[v for v in factors[d + 1] if v > 1] for d in range(len(counts))],
+        face_counts=counts,
+    )
+
+
+def _swap_counterexamples_n4():
+    """n=4 with the swap actions of Z4 and Z2xZ2 on two colors and T = []:
+    Betti [0, 0, 15, 240], homology in two degrees."""
+    for g in ("Z4", "Z2xZ2"):
+        swap = dict(catalog.actions_for(g, 2))["swap"]
+        yield f"n=4,{g}:2:swap,T=[]", build_subposet(4, swap, [])
+
+
 def test_matching_first_homology_matches_the_smith_oracle():
-    """On the n <= 3 grid with its invariant subposets, and on the three
-    homology-n4 benchmark points, the matching-first profile is the Smith
-    profile."""
-    for key, poset in _oracle_posets():
+    """On the n <= 3 grid with its invariant subposets, on the three
+    homology-n4 benchmark points and on the two n=4 swap counterexamples,
+    the Morse complex profile is the Smith profile of the whole complex."""
+    for key, poset in [*_oracle_posets(), *_swap_counterexamples_n4()]:
         cx = order_complex(poset)
-        assert homology(cx) == topology._smith_homology(cx), key
+        assert homology(cx) == _smith_homology(cx), key
+    assert homology(_rp2()) == _smith_homology(_rp2())
 
 
 # The tuple order complex and the dict-based coreduction that the int cells
@@ -376,6 +426,7 @@ def _dict_coreduction(faces):
                 cofaces[k].append(j)
                 rest[j] += k
     mate = [None] * total
+    lowers = []
     queue = deque()
 
     def remove(c):
@@ -390,6 +441,7 @@ def _dict_coreduction(faces):
 
     def pair(f, c):
         mate[f], mate[c] = c, f
+        lowers.append(f)
         remove(c)
         remove(f)
 
@@ -403,14 +455,15 @@ def _dict_coreduction(faces):
         while low < total and count[low] < 0:
             low += 1
         if low == total:
-            return mate
+            return mate, lowers
         remove(low)
 
 
 def _oracle_problems(poset):
     """Where the int-cell complex of `poset` and its coreduction differ from
     the tuple oracle: the faces of each dimension, each facet column, then
-    the matching, which is compared only when the columns agree."""
+    the matching and its pair order, which are compared only when the
+    columns agree."""
     faces = _tuple_order_complex(poset)
     try:
         cx = order_complex(poset)
@@ -425,7 +478,7 @@ def _oracle_problems(poset):
             if list(col) != [index[f[:i] + f[i + 1 :]] for f in faces[d]]:
                 problems.append(f"dimension {d}: column {i} differs")
     if faces and not problems and coreduction(cx) != _dict_coreduction(faces):
-        problems.append("mate differs")
+        problems.append("matching differs")
     return problems
 
 
@@ -508,14 +561,14 @@ def test_coreduction_is_an_acyclic_matching_on_the_grid(n):
     for key, poset in _grid_posets(n):
         cx = order_complex(poset)
         if cx.last:
-            assert _matching_problems(cx, coreduction(cx)) == [], key
+            assert _matching_problems(cx, coreduction(cx)[0]) == [], key
 
 
 def test_matching_checker_rejects_a_non_face_pair(monkeypatch):
     def cross_paired(cx):
         # swap the lower cells of two edge-triangle pairs whose lower cell
         # is not an edge of the other triangle
-        mate = coreduction(cx)
+        mate, lowers = coreduction(cx)
         cells = [()] + [f for fs in _face_tuples(cx) for f in fs]
         pairs = [(mate[c], c) for c, face in enumerate(cells)
                  if len(face) == 3 and mate[c] is not None and len(cells[mate[c]]) == 2]
@@ -523,18 +576,18 @@ def test_matching_checker_rejects_a_non_face_pair(monkeypatch):
             (p, q) for p in pairs for q in pairs
             if not set(cells[q[0]]) < set(cells[p[1]]))
         mate[c1], mate[f2], mate[c2], mate[f1] = f2, c1, f1, c2
-        return mate
+        return mate, lowers
 
     monkeypatch.setattr(topology, "coreduction", cross_paired)
     cx = order_complex(build_dowling(3, groups.trivial_action(Z2, 2)))
-    problems = _matching_problems(cx, topology.coreduction(cx))
+    problems = _matching_problems(cx, topology.coreduction(cx)[0])
     assert any("not a facet and a face" in p for p in problems), problems
 
 
 def test_matching_checker_rejects_a_cycle():
     # the triangle boundary with each vertex paired to the next edge around
     # it is a closed gradient path
-    cx = SimplicialComplex.from_faces([0, 1, 2], [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]])
+    cx = _from_faces([0, 1, 2], [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]])
     # ids: 0 empty, 1-3 vertices, 4 = (0,1), 5 = (0,2), 6 = (1,2)
     mate = [None, 4, 6, 5, 1, 3, 2]
     assert _matching_problems(cx, mate) == ["7 cells lie on or behind a directed cycle"]
@@ -545,29 +598,54 @@ def _smith_spy(monkeypatch):
     original = topology.smith_invariants
 
     def spy(entries):
-        calls.append(len(entries))
+        calls.append(dict(entries))
         return original(entries)
 
     monkeypatch.setattr(topology, "smith_invariants", spy)
     return calls
 
 
-def test_homology_falls_back_to_smith_off_one_dimension(monkeypatch):
+def test_homology_runs_smith_on_critical_cells_only(monkeypatch):
+    """One Smith call per boundary map d = 1..top, each on a matrix whose
+    rows and columns are critical cells."""
     calls = _smith_spy(monkeypatch)
-    # criterion 7's counterexample: critical cells in two dimensions
-    cx = order_complex(build_subposet(2, SWAP4, []))
-    prof = homology(cx)
-    assert calls
-    assert (prof.reduced_betti, prof.torsion) == ([1, 2], [[], []])
-    # RP^2: Z/2 torsion in dimension 1, which no critical count shows
-    calls.clear()
-    prof = homology(_rp2())
-    assert calls
-    assert (prof.reduced_betti, prof.torsion) == ([0, 0, 0], [[], [2], []])
+    cases = [
+        # criterion 7's counterexample: critical cells in two dimensions
+        (order_complex(build_subposet(2, SWAP4, [])), [1, 2], [[], []]),
+        # RP^2: Z/2 torsion in dimension 1, which no critical count shows
+        (_rp2(), [0, 0, 0], [[], [2], []]),
+        # critical cells [0, 0, 17, 242], so a non-zero Morse map d = 3
+        (order_complex(next(_swap_counterexamples_n4())[1]), [0, 0, 15, 240], [[]] * 4),
+    ]
+    nonzero = 0
+    for cx, betti, torsion in cases:
+        calls.clear()
+        prof = homology(cx)
+        assert (prof.reduced_betti, prof.torsion) == (betti, torsion)
+        assert len(calls) == len(cx.face_counts()) - 1
+        mate = coreduction(cx)[0]
+        cells = {i for entries in calls for ij in entries for i in ij}
+        assert all(mate[c] is None for c in cells)
+        nonzero += any(calls)
+    assert nonzero == 2
 
 
-def test_homology_skips_smith_on_a_perfect_matching(monkeypatch):
+def test_homology_gives_smith_empty_matrices_on_a_perfect_matching(monkeypatch):
     calls = _smith_spy(monkeypatch)
     prof = homology(order_complex(build_dowling(3, groups.trivial_action(Z2, 2))))
-    assert calls == []
+    assert calls == [{}, {}]
     assert prof.reduced_betti == [0, 0, 15] and prof.torsion == [[], [], []]
+
+
+def test_a_flipped_sign_in_the_flow_is_caught(monkeypatch):
+    """φ(f) = -[c:f]·Σ [c:t]·φ(t); without the minus the n=4 swap
+    counterexample loses its 15 spheres in dimension 2 to Z/2 torsion."""
+    source = inspect.getsource(topology.homology)
+    assert source.count("-sf * v") == 1
+    namespace = dict(vars(topology))
+    exec(source.replace("-sf * v", "sf * v"), namespace)
+    monkeypatch.setattr(topology, "homology", namespace["homology"])
+    _, poset = next(_swap_counterexamples_n4())
+    cx = order_complex(poset)
+    assert homology(cx).reduced_betti == [0, 0, 15, 240]
+    assert topology.homology(cx) != _smith_homology(cx)
