@@ -29,6 +29,9 @@ class EdgeType(NamedTuple):
     color: int = -1  # color of the freshly colored block minimum
 
 
+TOP_MOVE = EdgeType("top")  # the move of every cover of the adjoined top
+
+
 def _move_table(n, action, move, size):
     """A cover move as a table of `size` entries over code values (see
     `build_dowling`): a merge gives block min_b's positions block min_a's
@@ -98,30 +101,6 @@ def _decode(code, n, order, shared):
     return DowlingElement(n, blocks, shared.setdefault(zero, zero))
 
 
-@functools.lru_cache(maxsize=1)
-def _decoded(n, action):
-    """code -> element for the chains `apply_moves` returns, of one (n,
-    action) at a time, so each distinct element is decoded once."""
-    return {}
-
-
-def apply_moves(n, moves, action):
-    """The elements that entries of `cover_moves(n, action)` make one after
-    another from the bottom element of {1..n}; each move must name block
-    minima of the element it applies to."""
-    order = action.group.order
-    decoded = _decoded(n, action)
-    _, _, code, step = cover_moves(n, action)
-    out = []
-    for _, table in moves:
-        code = step(code, table)
-        y = decoded.get(code)
-        if y is None:
-            y = decoded[code] = _decode(code, n, order, {})
-        out.append(y)
-    return out
-
-
 def build_dowling(n, action, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     """Full poset on {1..n} for the given action, generated breadth-first
     from the bottom element and deduplicated by canonical element.
@@ -178,7 +157,7 @@ def adjoin_top(poset) -> RankedPoset:
     if poset.top is not None:
         raise AlreadyBounded("poset already has an adjoined top")
     ti = len(poset)
-    top_row, top_moves = (ti,), (EdgeType("top"),)
+    top_row, top_moves = (ti,), (TOP_MOVE,)
     up, moves = list(poset.up), list(poset.moves)
     for i, ys in enumerate(poset.up):
         if not ys:

@@ -1,5 +1,6 @@
 """Increasing ordered trees with bloom separators, and the bijection between
-decreasing maximal chains and blooming trees.
+decreasing maximal chains and blooming trees, run on index chains of the
+built bounded poset through the moves the build recorded on its covers.
 
 A tree is a nested tuple (label, children) where children mixes subtrees and
 the bloom marker "*".  The child tuple is the only ordering data, so the
@@ -9,13 +10,12 @@ nested lists json.dumps writes for a tree lose nothing.
 from __future__ import annotations
 
 import itertools
-from functools import partial
+from functools import lru_cache, partial
 from operator import ge, itemgetter
 
-from .dowling import apply_moves, cover_moves
-from .elements import bottom_element, top_element
-from .errors import MalformedTree, NotDecreasing, NotMaximal, UnsupportedCase
-from .labeling import classify_cover, decreasing_chains, label_lambda, lambda_of_move, recorded_move
+from .dowling import TOP_MOVE, adjoin_top, build_dowling, cover_moves
+from .errors import MalformedTree, NotACover, NotDecreasing, NotMaximal, UnsupportedCase
+from .labeling import decreasing_chains, label_lambda, lambda_of_move, recorded_move
 
 BLOOM = "*"
 DEFAULT_MAX_TREES = 1_000_000
@@ -120,25 +120,38 @@ def _tree_family(n, action):
     return g - 2, g - 2, range(1, n + 1)
 
 
-def psi(chain, action):
-    """Blooming tree of a decreasing maximal chain (bottom to adjoined top).
+@lru_cache(maxsize=1)
+def _bounded(n, action):
+    """The bounded poset on {1..n} that `psi` and `psi_inv` look chains up
+    in, and its element -> index map, of one (n, action) at a time; an
+    unsupported case raises before the build."""
+    _tree_family(n, action)
+    poset = adjoin_top(build_dowling(n, action))
+    return poset, {el: i for i, el in enumerate(poset.elements)}
 
-    `chain` is a list of canonical elements ending at the top sentinel, and
-    `classify_cover` reads each step's move.  It does not know the action,
-    so a step that differs from a cover only in the colors the action gives
-    the moved positions is read as that cover.
-    """
+
+def psi(chain, action):
+    """Blooming tree of a decreasing maximal chain (bottom to adjoined top),
+    a list of canonical elements looked up in the bounded poset; NotACover
+    where one is not there or does not cover the one before."""
     if not chain:
         raise NotMaximal("the empty chain is not maximal")
-    return _tree_of_moves([classify_cover(x, y) for x, y in zip(chain, chain[1:])],
-                          chain[0].n, action)
+    n = chain[0].n
+    poset, index = _bounded(n, action)
+    index_chain = [index.get(el) for el in chain]
+    if None in index_chain:
+        raise NotACover("an element of the chain is not in the poset")
+    if index_chain[0] != poset.bottom:
+        raise NotMaximal("the chain does not start at the bottom")
+    return _psi(poset, index_chain, n, action)
 
 
-def _tree_of_moves(moves, n, action):
-    """Blooming tree of the chain that makes the given cover moves.  Once the
-    label word is known to decrease, the moves hang children below parents
-    in descending label order, so a node's child tuple is built once, when
-    the node is hung."""
+def _psi(poset, chain, n, action):
+    """Blooming tree of an index chain of the bounded poset, from the moves
+    the build recorded on its covers.  Once the label word is known to
+    decrease, the moves hang children below parents in descending label
+    order, so a node's child tuple is built once, when the node is hung."""
+    moves = [recorded_move(poset, x, y) for x, y in zip(chain, chain[1:])]
     q, r, labels = _tree_family(n, action)
     m = action.set_size
     k = action.group.order - 1  # size of G minus identity
@@ -172,13 +185,12 @@ def _tree_of_moves(moves, n, action):
     return (root, tuple(children[root]) + (BLOOM,) * (q - bloomed[root]))
 
 
-def psi_inv(tree, n, action):
-    """Decreasing chain of a blooming tree; inverse of psi.
-
-    Returns the element list from the bottom to the adjoined top.  The
-    tree's couples, sorted by parent in descending label order by a stable
-    sort that keeps each parent's children in order, are the chain's moves.
-    """
+def _psi_inv(poset, tree, n, action):
+    """Index chain of a blooming tree in the bounded poset.  The tree's
+    couples, sorted by parent in descending label order by a stable sort
+    that keeps each parent's children in order, are the chain's moves, the
+    build's own objects, walked up the Hasse rows from the bottom to the
+    top move; NotACover when a move has no cover."""
     couples = validate_blooming(tree, *_tree_family(n, action))
     couples.sort(key=itemgetter(0), reverse=True)
     m = action.set_size
@@ -189,38 +201,61 @@ def psi_inv(tree, n, action):
     moves = [
         # color the block whose minimum is v with the (m-i)-th color; only
         # the |S| >= 2 family has a node 0, the zero block
-        colorings[v - 1][m - i - 1] if u == 0
+        colorings[v - 1][m - i - 1][0] if u == 0
         # merge the blocks at minima u < v with discrepancy g_(k-i)
-        else merges[u - 1][v - 1][k - i]
+        else merges[u - 1][v - 1][k - i][0]
         for u, v, i in couples
     ]
-    return [bottom_element(n), *apply_moves(n, moves, action), top_element(n)]
+    chain = [poset.bottom]
+    for move in moves + [TOP_MOVE]:
+        x = chain[-1]
+        try:
+            chain.append(poset.up[x][poset.moves[x].index(move)])
+        except ValueError:
+            raise NotACover(f"no cover of {x} makes {move}") from None
+    return chain
+
+
+def psi_inv(tree, n, action):
+    """Decreasing chain of a blooming tree; inverse of psi.
+
+    Returns the element list from the bottom to the adjoined top.
+    """
+    poset, _ = _bounded(n, action)
+    return [poset.elements[x] for x in _psi_inv(poset, tree, n, action)]
 
 
 def bijection_failures(poset, n, action):
     """Round-trip psi and psi_inv both ways between the decreasing maximal
     chains of the bounded poset, taken from the bottom to the adjoined top
-    as elements, and the blooming trees they should biject with.  Nothing
-    is stored: psi_inv(psi(chain)) == chain makes psi injective, and
-    psi_inv accepts only blooming trees, so psi's images are the blooming
-    trees, each once, when the chains and the duplicate-free enumeration
-    of the trees count the same.
+    as index chains, and the blooming trees they should biject with; no
+    element is read, nothing is stored, and a tree whose moves leave the
+    poset's covers is reported.  psi_inv(psi(chain)) == chain makes psi
+    injective, and psi_inv accepts only blooming trees, so psi's images are
+    the blooming trees, each once, when the chains and the duplicate-free
+    enumeration of the trees count the same.
 
     Returns (chain_count, tree_count, messages); no messages means psi is a
     bijection and psi_inv its inverse.
     """
     q, r, labels = _tree_family(n, action)
     chain_count, chains_trip = 0, True
-    for index_chain in decreasing_chains(poset, label_lambda):
+    for chain in decreasing_chains(poset, label_lambda):
         chain_count += 1
-        moves = [recorded_move(poset, x, y) for x, y in zip(index_chain, index_chain[1:])]
-        chain = [poset.elements[i] for i in index_chain]
-        chains_trip = chains_trip and psi_inv(_tree_of_moves(moves, n, action), n, action) == chain
-    tree_count, trees_trip = 0, True
+        if chains_trip:
+            try:
+                chains_trip = _psi_inv(poset, _psi(poset, chain, n, action), n, action) == list(chain)
+            except (MalformedTree, NotACover):  # psi(chain) is no tree that walks back
+                chains_trip = False
+    tree_count, walked, trees_trip = 0, True, True
     for t in enumerate_blooming(len(labels), q, r, labels=labels):
         tree_count += 1
-        trees_trip = trees_trip and psi(psi_inv(t, n, action), action) == t
+        try:
+            trees_trip = trees_trip and _psi(poset, _psi_inv(poset, t, n, action), n, action) == t
+        except NotACover:
+            walked = False
     checks = ((chains_trip, "psi_inv(psi(chain)) != chain"),
               (chain_count == tree_count, "psi's images are not the blooming trees, each once"),
+              (walked, "a move of psi_inv(tree) has no cover in the poset"),
               (trees_trip, "psi(psi_inv(tree)) != tree"))
     return chain_count, tree_count, [message for ok, message in checks if not ok]

@@ -4,11 +4,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cover_oracle import classify_cover
 from sdowling import catalog, dowling, groups
 from sdowling.dowling import (
     EdgeType,
     adjoin_top,
-    apply_moves,
     build_dowling,
     build_subposet,
     passes_subposet_filter,
@@ -23,7 +23,7 @@ from sdowling.elements import (
     top_element,
 )
 from sdowling.errors import AlreadyBounded, NonInvariantT, NotACover, SizeLimitExceeded
-from sdowling.labeling import classify_cover, label_lambda, label_mu, recorded_move, verify_el
+from sdowling.labeling import label_lambda, label_mu, recorded_move, verify_el
 from sdowling.poset import RankedPoset, induced_covers, is_graded
 
 
@@ -123,11 +123,14 @@ def _after(x, move, action):
     """The element that one entry of `cover_moves` makes from x, applied
     after the entries that make x from the bottom: each block's positions
     merged into its minimum with their colors as twists, then the zero
-    block's positions colored one by one."""
-    merges, colorings, _, _ = dowling.cover_moves(x.n, action)
+    block's positions colored one by one.  The code runs through the
+    entries' tables by `step` and is decoded once, at the end."""
+    merges, colorings, code, step = dowling.cover_moves(x.n, action)
     path = [merges[s[0] - 1][p - 1][c] for s, cs in x.blocks for p, c in zip(s[1:], cs[1:])]
     path += [colorings[p - 1][s] for p, s in x.zero]
-    return apply_moves(x.n, path + [move], action)[-1]
+    for _, table in path + [move]:
+        code = step(code, table)
+    return dowling._decode(code, x.n, action.group.order, {})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -238,7 +241,7 @@ def test_build_matches_element_level_reference():
 
 
 def test_direct_moves_match_make_element():
-    """apply_moves builds the canonical child directly; every move of the
+    """The move tables build the canonical child directly; every move of the
     n <= 3 grid, of n = 4 with Z2 and Z4 and of the wide alphabets gives
     the element that make_element normalizes from the glued blocks."""
     moves = 0
@@ -277,8 +280,8 @@ def _bounded_posets_with_moves():
 
 def test_adjoin_top_shares_rows_and_leaves_its_input():
     """adjoin_top gives the poset that the edge-list constructor builds from
-    the input's covers and the top covers, records one move object on every
-    top cover, and leaves the input as it was."""
+    the input's covers and the top covers, records the one object
+    `dowling.TOP_MOVE` on every top cover, and leaves the input as it was."""
     for key, p in _posets_with_moves():
         before = (list(p.up), list(p.moves), list(p.rank), list(p.elements), p.top)
         phat = adjoin_top(p)
@@ -292,7 +295,7 @@ def test_adjoin_top_shares_rows_and_leaves_its_input():
         assert (phat.elements, phat.up, phat.moves, phat.rank, phat.bottom, phat.top) == \
             (ref.elements, ref.up, ref.moves, ref.rank, ref.bottom, ref.top), key
         tops = [phat.moves[x][phat.up[x].index(ti)] for x in maximal]
-        assert tops and all(m is tops[0] for m in tops), key
+        assert tops and all(m is dowling.TOP_MOVE for m in tops), key
 
 
 def test_recorded_moves_match_classify_cover():

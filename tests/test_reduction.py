@@ -4,7 +4,6 @@ from sdowling import acceptance, groups, reduction, topology
 from sdowling.dowling import adjoin_top, build_dowling, build_subposet
 from sdowling.elements import make_element, top_element
 from sdowling.errors import InvalidSpec
-from sdowling.labeling import classify_cover
 from sdowling.poset import RankedPoset, induced_covers
 
 Z2 = groups.cyclic_group(2)
@@ -82,8 +81,7 @@ def test_edge_analysis_flags_every_edge_against_the_other_orbit(monkeypatch, n):
     monkeypatch.setattr(reduction, "_relabel_zero", lambda element, *_: element)
     poset, _, report = reduction.reduce_and_verify(n, two_orbits, [],
                                                    reduction.make_spec(two_orbits, [], 2))
-    colors = [classify_cover(poset.elements[x], poset.elements[y]).color
-              for x, y in poset.cover_edges()]
+    colors = [move.color for moves in poset.moves for move in moves]
     flagged = [sum("of kind colored" in v for v in report.violations),
                sum(v.startswith("orbit-colored") for v in report.violations)]
     assert flagged == [sum(c in (0, 1) for c in colors), sum(c in (2, 3) for c in colors)]

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdowling import catalog, cli, groups, labeling, trees
+from sdowling import catalog, cli, dowling, groups, labeling, trees
 from sdowling.dowling import adjoin_top, build_dowling
 from sdowling.elements import bottom_element, make_element, top_element
 from sdowling.errors import MalformedTree, NotACover, NotDecreasing, NotMaximal, UnsupportedCase
@@ -183,12 +183,17 @@ def test_psi_rejects_non_decreasing_chains():
 
 
 def test_psi_rejects_chains_that_are_not_maximal():
+    """The empty chain and the bottom alone are not maximal; below a
+    non-maximal x the step x -> 1^ is no cover of the bounded poset."""
     action = groups.trivial_action(Z2, 2)
     # colors block 1 with s2: its label ties the top's, so the word decreases
     x = make_element(Z2, 2, [((2,), (0,))], [(1, 1)])
-    for chain in ([], [bottom_element(2)], [bottom_element(2), x, top_element(2)]):
+    for chain in ([], [bottom_element(2)]):
         with pytest.raises(NotMaximal):
             trees.psi(chain, action)
+    with pytest.raises(NotACover) as raised:
+        trees.psi([bottom_element(2), x, top_element(2)], action)
+    assert raised.type is NotACover
 
 
 def test_psi_rejects_a_list_that_is_not_a_chain():
@@ -198,6 +203,19 @@ def test_psi_rejects_a_list_that_is_not_a_chain():
     action = groups.trivial_action(Z2, 2)
     chain = [bottom_element(2), make_element(Z2, 2, [((2,), (0,))], [(1, 1)]),
              make_element(Z2, 2, [], [(1, 0), (2, 1)]), top_element(2)]
+    with pytest.raises(NotACover):
+        trees.psi(chain, action)
+
+
+def test_psi_rejects_a_step_that_differs_from_a_cover_in_its_colors():
+    """Coloring the block 1_e 2_g with one color under the trivial action
+    gives 1 and 2 that color; [∅ ∥ 1_s2 2_s1] gives them two, so it covers
+    no element of the chain.  Read off the two elements alone, without the
+    action, the step looks like a coloring of block 1, and the chain like
+    the tree (0, ((1, ((2, ()),)),))."""
+    action = groups.trivial_action(Z2, 2)
+    chain = [bottom_element(2), make_element(Z2, 2, [((1, 2), (0, 1))], []),
+             make_element(Z2, 2, [], [(1, 1), (2, 0)]), top_element(2)]
     with pytest.raises(NotACover):
         trees.psi(chain, action)
 
@@ -248,6 +266,14 @@ def test_decreasing_chains_and_bijection_build_no_up_sets():
     assert "above" not in phat.__dict__
 
 
+def test_bijection_failures_reads_no_element():
+    """The check runs on index chains and recorded moves alone."""
+    action = groups.trivial_action(Z2, 2)
+    phat = adjoin_top(build_dowling(3, action))
+    phat.elements = [None] * len(phat)
+    assert trees.bijection_failures(phat, 3, action) == (15, 15, [])
+
+
 def test_bijection_failures_reports_a_tree_enumerated_twice(monkeypatch):
     """A duplicate tree passes both round trips and leaves the set of trees
     unchanged; the trees then count one more than the chains."""
@@ -284,14 +310,43 @@ def test_bijection_failures_reports_a_tree_the_enumeration_drops(monkeypatch):
         3, 2, ["psi's images are not the blooming trees, each once"])
 
 
+NO_COVER = "a move of psi_inv(tree) has no cover in the poset"
+
+
 def test_bijection_failures_reports_each_failed_direction_once():
-    """Every chain fails its round trip against elements that are all the
-    bottom, and the failure is reported once."""
+    """Swap the moves recorded on the bottom's covers that color block 1
+    and block 2 with s2.  Every chain through either cover reads one block
+    colored twice, which no blooming tree holds, and the tree that colors
+    block 1, then block 2, walks to the element with block 2 colored, where
+    coloring block 2 has no cover.  Each failure is reported once, and
+    nothing is raised."""
     action = groups.trivial_action(Z2, 2)
     phat = adjoin_top(build_dowling(2, action))
-    phat.elements = [phat.elements[phat.bottom]] * len(phat)
+    moves = list(phat.moves[phat.bottom])
+    i = moves.index(EdgeType("colored", min_b=1, color=1))
+    j = moves.index(EdgeType("colored", min_b=2, color=1))
+    moves[i], moves[j] = moves[j], moves[i]
+    phat.moves[phat.bottom] = tuple(moves)
     assert trees.bijection_failures(phat, 2, action) == (
-        3, 3, ["psi_inv(psi(chain)) != chain"])
+        3, 3, ["psi_inv(psi(chain)) != chain", NO_COVER])
+
+
+def test_bijection_failures_reports_each_dropped_cover():
+    """Dropping any cover that lies on a decreasing chain loses the chains
+    through it, and some tree's moves then leave the poset's covers: the
+    check reports both, and raises nothing."""
+    action = groups.trivial_action(Z2, 2)
+    chains = list(labeling.decreasing_chains(adjoin_top(build_dowling(3, action)), labeling.label_lambda))
+    covers = {(x, y) for c in chains for x, y in zip(c, c[1:])}
+    for x, y in sorted(covers):
+        phat = adjoin_top(build_dowling(3, action))
+        j = phat.up[x].index(y)
+        phat.up[x] = phat.up[x][:j] + phat.up[x][j + 1 :]
+        phat.moves[x] = phat.moves[x][:j] + phat.moves[x][j + 1 :]
+        kept = sum(1 for c in chains if (x, y) not in zip(c, c[1:]))
+        assert trees.bijection_failures(phat, 3, action) == (
+            kept, 15, ["psi's images are not the blooming trees, each once", NO_COVER]), (x, y)
+    assert len(covers) == 30
 
 
 def test_bijection_empty_color_set():
@@ -369,8 +424,8 @@ def _bijection_family_trees():
 
 def test_psi_inv_matches_make_element_reference():
     """psi_inv gives the oracle's chain for every tree of every point.  The
-    points take turns in slices of 50 trees, so the decoded elements of one
-    point are dropped and decoded again between its slices."""
+    points take turns in slices of 50 trees, so the bounded poset of one
+    point is dropped and built again between its slices."""
     points = list(_bijection_family_trees())
     checked = 0
     for start in range(0, max(len(ts) for *_, ts in points), 50):
@@ -381,23 +436,28 @@ def test_psi_inv_matches_make_element_reference():
     assert checked == sum(len(ts) for *_, ts in points) == 3_502
 
 
-def test_psi_inv_applies_the_builds_own_moves(monkeypatch):
-    """Each move psi_inv applies is one of the objects the build records."""
-    applied = []
+class _SpyRow(tuple):
+    """A row of moves that records each move looked up in it."""
 
-    def spy(n, moves, action):
-        applied.extend(move for move, _ in moves)
-        return apply_moves(n, moves, action)
+    looked_up = []
 
-    apply_moves = trees.apply_moves
-    monkeypatch.setattr(trees, "apply_moves", spy)
+    def index(self, move, *args):
+        self.looked_up.append(move)
+        return super().index(move, *args)
+
+
+def test_psi_inv_applies_the_builds_own_moves():
+    """Each move psi_inv walks the Hasse rows by is one of the objects the
+    build records, the last one the shared top move."""
     checked = 0
     for key, n, action, ts in _bijection_family_trees():
-        poset = build_dowling(n, action)
-        own = {id(move) for row in poset.moves for move in row}
-        applied.clear()
+        phat = adjoin_top(build_dowling(n, action))
+        own = {id(move) for row in phat.moves for move in row}
+        phat.moves = [_SpyRow(row) for row in phat.moves]
         for t in ts:
-            trees.psi_inv(t, n, action)
-        assert all(id(move) in own for move in applied), key
-        checked += len(applied)
+            _SpyRow.looked_up.clear()
+            assert trees._psi_inv(phat, t, n, action)[-1] == phat.top, key
+            assert all(id(move) in own for move in _SpyRow.looked_up), key
+            assert _SpyRow.looked_up[-1] is dowling.TOP_MOVE, key
+            checked += len(_SpyRow.looked_up)
     assert checked > 0
