@@ -20,6 +20,7 @@ torsion; the reports deliberately say "homology-consistent", never
 
 from __future__ import annotations
 
+import gc
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -267,55 +268,62 @@ def coreduction(complex_):
     # first[d + 1] is the id of the first d-face; first[0] the empty face's
     first = [0, *accumulate(complex_.face_counts(), initial=1)]
     total = first[-1]
-    # remaining facets per cell, and the sum of their ids, which is the
-    # facet itself once one is left; -1 marks a removed cell
-    count = [0]
-    rest = [0]
-    cofaces = [[] for _ in range(total)]
-    for d, cols in enumerate(complex_.facets):
-        # one int object per cell, shared by the coface lists it joins
-        ids = list(range(first[d + 1], first[d + 2]))
-        count += repeat(d + 1, len(ids))
-        # the columns summed elementwise, with each id shifted by first[d]
-        rest += reduce(partial(map, add), cols, repeat((d + 1) * first[d], len(ids)))
-        # each facet column appends one ascending run to the coface lists
-        # of the (d-1)-faces; sorting merges the runs into id order
-        lower = cofaces[first[d] : first[d + 1]]
-        for col in cols:
-            deque(map(list.append, map(lower.__getitem__, col), ids), maxlen=0)
-        deque(map(list.sort, lower), maxlen=0)
-    mate = [None] * total
-    lowers = []
-    queue = deque()
+    # every list below lives until mate is returned: a collection only rescans them
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # remaining facets per cell, and the sum of their ids, which is the
+        # facet itself once one is left; -1 marks a removed cell
+        count = [0]
+        rest = [0]
+        cofaces = [[] for _ in range(total)]
+        for d, cols in enumerate(complex_.facets):
+            # one int object per cell, shared by the coface lists it joins
+            ids = list(range(first[d + 1], first[d + 2]))
+            count += repeat(d + 1, len(ids))
+            # the columns summed elementwise, with each id shifted by first[d]
+            rest += reduce(partial(map, add), cols, repeat((d + 1) * first[d], len(ids)))
+            # each facet column appends one ascending run to the coface lists
+            # of the (d-1)-faces; sorting merges the runs into id order
+            lower = cofaces[first[d] : first[d + 1]]
+            for col in cols:
+                deque(map(list.append, map(lower.__getitem__, col), ids), maxlen=0)
+            deque(map(list.sort, lower), maxlen=0)
+        mate = [None] * total
+        lowers = []
+        queue = deque()
 
-    def remove(c):
-        count[c] = -1
-        for b in cofaces[c]:
-            k = count[b]
-            if k > 0:
-                count[b] = k - 1
-                rest[b] -= c
-                if k == 2:
-                    queue.append(b)
+        def remove(c):
+            count[c] = -1
+            for b in cofaces[c]:
+                k = count[b]
+                if k > 0:
+                    count[b] = k - 1
+                    rest[b] -= c
+                    if k == 2:
+                        queue.append(b)
 
-    def pair(f, c):
-        mate[f], mate[c] = c, f
-        lowers.append(f)
-        remove(c)
-        remove(f)
+        def pair(f, c):
+            mate[f], mate[c] = c, f
+            lowers.append(f)
+            remove(c)
+            remove(f)
 
-    pair(0, 1)
-    low = 1
-    while True:
-        while queue:
-            c = queue.popleft()
-            if count[c] == 1:
-                pair(rest[c], c)
-        while low < total and count[low] < 0:
-            low += 1
-        if low == total:
-            return mate, lowers
-        remove(low)
+        pair(0, 1)
+        low = 1
+        while True:
+            while queue:
+                c = queue.popleft()
+                if count[c] == 1:
+                    pair(rest[c], c)
+            while low < total and count[low] < 0:
+                low += 1
+            if low == total:
+                return mate, lowers
+            remove(low)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def homology(complex_) -> HomologyProfile:

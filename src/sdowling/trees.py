@@ -10,7 +10,7 @@ nested lists json.dumps writes for a tree lose nothing.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import ge, itemgetter
 
 from .dowling import TOP_MOVE, adjoin_top, build_dowling, cover_moves
@@ -31,17 +31,29 @@ def count_blooming(nodes, q, r):
     return prod
 
 
-def _insertions(tree, single):
-    """All trees obtained by attaching the node in the 1-tuple `single` at
-    one child-gap of any labeled node, each exactly once: the root's gaps
-    first, then each labeled child's own insertions, in child order."""
-    label, children = tree
-    out = [(label, children[:i] + single + children[i:]) for i in range(len(children) + 1)]
-    for i, ch in enumerate(children):
-        if ch is not BLOOM:
-            head, tail = children[:i], children[i + 1 :]
-            out += [(label, head + (sub,) + tail) for sub in _insertions(ch, single)]
-    return out
+class _Inserter:
+    """Attaches the node in the 1-tuple `single` at one child-gap of any
+    labeled node of a tree, each exactly once: the root's gaps first, then
+    each labeled child's own insertions, in child order.  Consecutive trees
+    of a level differ along one insertion path, so a child's list is looked
+    up by value among the subtrees of the tree before, and built if absent."""
+
+    def __init__(self, single):
+        self.single, self.met, self.before = single, {}, {}
+
+    def __call__(self, tree):
+        self.before, self.met = self.met, {}
+        return self.insertions(tree)
+
+    def insertions(self, tree):
+        label, children = tree
+        out = [(label, children[:i] + self.single + children[i:]) for i in range(len(children) + 1)]
+        for i, ch in enumerate(children):
+            if ch is not BLOOM:
+                subs = self.met[ch] = self.before.get(ch) or self.insertions(ch)
+                head, tail = children[:i], children[i + 1 :]
+                out += [(label, head + (sub,) + tail) for sub in subs]
+        return out
 
 
 def enumerate_blooming(nodes, q, r, labels=None):
@@ -49,8 +61,8 @@ def enumerate_blooming(nodes, q, r, labels=None):
 
     Follows the incremental insertion argument: node k is attached, together
     with its r blooms, at every legal position of every tree on k-1 nodes.
-    Each level maps _insertions lazily over the one before, so the trees
-    stream depth-first with one insertion list alive per level.
+    Each level maps an _Inserter lazily over the one before, so the trees
+    stream depth-first, and its memo holds the subtrees of two trees only.
     """
     if nodes < 1 or q < 0 or r < 0:
         raise ValueError("need at least one node and non-negative bloom counts q, r")
@@ -60,8 +72,7 @@ def enumerate_blooming(nodes, q, r, labels=None):
 
     level = iter([(labels[0], (BLOOM,) * q)])
     for label in labels[1:]:
-        insert = partial(_insertions, single=((label, (BLOOM,) * r),))
-        level = itertools.chain.from_iterable(map(insert, level))
+        level = itertools.chain.from_iterable(map(_Inserter(((label, (BLOOM,) * r),)), level))
     return level
 
 

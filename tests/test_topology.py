@@ -1,3 +1,4 @@
+import gc
 import inspect
 import random
 import warnings
@@ -562,6 +563,37 @@ def test_coreduction_is_an_acyclic_matching_on_the_grid(n):
         cx = order_complex(poset)
         if cx.last:
             assert _matching_problems(cx, coreduction(cx)[0]) == [], key
+
+
+def test_coreduction_pauses_the_collector_and_restores_its_state(monkeypatch):
+    cx = order_complex(build_dowling(3, groups.trivial_action(Z2, 2)))
+    expected = coreduction(cx)
+    assert gc.isenabled()
+    states = []
+    real_reduce = topology.reduce
+
+    def recording_reduce(*args):
+        states.append(gc.isenabled())
+        return real_reduce(*args)
+
+    monkeypatch.setattr(topology, "reduce", recording_reduce)
+    assert coreduction(cx) == expected
+    assert states and not any(states) and gc.isenabled()
+
+    def failing_reduce(*args):
+        raise RuntimeError("monkeypatched failure")
+
+    monkeypatch.setattr(topology, "reduce", failing_reduce)
+    with pytest.raises(RuntimeError):
+        coreduction(cx)
+    assert gc.isenabled()
+    monkeypatch.setattr(topology, "reduce", real_reduce)
+    gc.disable()
+    try:
+        assert coreduction(cx) == expected
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_matching_checker_rejects_a_non_face_pair(monkeypatch):

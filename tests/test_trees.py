@@ -1,3 +1,5 @@
+import gc
+import itertools
 import json
 import tracemalloc
 
@@ -72,23 +74,43 @@ def _enumerate_blooming_recursive(nodes, q, r, labels=None):
     (6, 2, 2, None),
     (4, 1, 2, [2, 5, 9, 11]),
     (4, 0, 3, [11, 2, 9, 5]),
+    (6, 3, 3, None),  # criterion 4's largest point, where the subtree memo reuses most
 ])
 def test_enumeration_matches_recursive_oracle_in_order(k, q, r, labels):
-    assert (list(trees.enumerate_blooming(k, q, r, labels=labels))
-            == list(_enumerate_blooming_recursive(k, q, r, labels=labels)))
+    pairs = itertools.zip_longest(trees.enumerate_blooming(k, q, r, labels=labels),
+                                  _enumerate_blooming_recursive(k, q, r, labels=labels))
+    for i, (t, u) in enumerate(pairs):
+        assert t == u, (i, t, u)
 
 
 def test_enumeration_streams():
-    """Only one insertion list per level is alive at a time: no level and
-    no subtree memo is held while the trees are iterated."""
-    tracemalloc.start()
+    """No level is held while the trees are iterated: each level's subtree
+    memo holds only the subtrees of the current tree and the one before."""
+    for k, q, r, count in (
+        (6, 3, 3, 229_824),
+        (7, 1, 2, 665_280),  # the tree side of the n=6 Z4:3 bijection
+    ):
+        tracemalloc.start()
+        try:
+            enumerated = sum(1 for _ in trees.enumerate_blooming(k, q, r))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert enumerated == trees.count_blooming(k, q, r) == count
+        assert peak < 256 * 1024, (k, q, r, peak)
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    """The memo is freed when the iterator is, without the cyclic collector."""
+    gc.collect()
+    gc.disable()
     try:
-        count = sum(1 for _ in trees.enumerate_blooming(6, 3, 3))
-        _, peak = tracemalloc.get_traced_memory()
+        level = trees.enumerate_blooming(5, 1, 1)
+        assert sum(1 for _ in level) == trees.count_blooming(5, 1, 1)
+        del level
+        assert gc.collect() == 0
     finally:
-        tracemalloc.stop()
-    assert count == trees.count_blooming(6, 3, 3) == 229_824
-    assert peak < 256 * 1024, peak
+        gc.enable()
 
 
 @pytest.mark.parametrize("q, r", [(-1, 0), (0, -1), (-2, -2)])
