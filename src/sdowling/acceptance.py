@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from . import catalog, labeling, reduction, topology, trees
-from .dowling import adjoin_top, build_dowling, build_subposet
+from .dowling import adjoin_top, build_dowling, build_subposet, cut_subposet
 from .elements import bottom_element, make_element, top_element
 from .poset import characteristic_polynomial, moebius, Polynomial, sphere_product
 
@@ -104,7 +104,7 @@ def criterion_1():
 def criterion_2():
     for key, n, action in catalog.dowling_grid():
         for T in catalog.invariant_subsets(action):
-            phat = adjoin_top(build_subposet(n, action, list(T)))
+            phat = adjoin_top(cut_subposet(_d(n, action), action, list(T)))
             rep = labeling.verify_el(phat, labeling.label_mu, with_witness_chains=False)
             yield _unless(rep.passed, f"{key},T={list(T)}")
 

@@ -16,7 +16,7 @@ from .elements import (
     top_element,
 )
 from .errors import AlreadyBounded, NonInvariantT, SizeLimitExceeded
-from .poset import RankedPoset, induced_rows
+from .poset import RankedPoset, subposet_rows
 
 DEFAULT_MAX_ELEMENTS = 5_000_000
 
@@ -101,6 +101,20 @@ def _decode(code, n, order, shared):
     return DowlingElement(n, blocks, shared.setdefault(zero, zero))
 
 
+class Codes(NamedTuple):
+    """A poset's element codes by index (see `build_dowling`), None for an
+    adjoined top, and the n and |G| that decode them."""
+
+    n: int
+    order: int
+    codes: list
+
+    def decode(self):
+        shared = {}
+        return [top_element(self.n) if code is None else _decode(code, self.n, self.order, shared)
+                for code in self.codes]
+
+
 def build_dowling(n, action, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     """Full poset on {1..n} for the given action, generated breadth-first
     from the bottom element and deduplicated by canonical element.
@@ -114,14 +128,14 @@ def build_dowling(n, action, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     merges of its block minima a < b by twist, then colorings by minimum
     and color; the tables and moves of each set of minima are listed once.
     Each code's covers become one Hasse row, sorted by index with its moves
-    parallel, handed to `RankedPoset.from_rows` as written; each distinct
-    code is decoded into a DowlingElement once."""
+    parallel, and its rank is n minus its number of block minima; the poset
+    keeps the codes and decodes them when its `elements` are first read."""
     if n < 1:
         raise ValueError("n must be >= 1")
     order = action.group.order
     merges, colorings, bottom, step = cover_moves(n, action)
     codes, index = [bottom], {bottom: 0}
-    up, moves, by_minima = [], [], {}
+    up, moves, ranks, by_minima = [], [], [], {}
     for x in codes:  # codes grows behind the cursor: a FIFO queue
         key = tuple(map(operator.eq, x, bottom))  # which positions are block minima
         row = by_minima.get(key)
@@ -129,8 +143,9 @@ def build_dowling(n, action, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:
             minima = list(itertools.compress(range(n), key))
             entries = [m for i, a in enumerate(minima) for b in minima[i + 1 :] for m in merges[a][b]]
             entries += [m for a in minima for m in colorings[a]]
-            row = by_minima[key] = ([t for _, t in entries], [m for m, _ in entries])
-        tables, row_moves = row
+            row = by_minima[key] = ([t for _, t in entries], [m for m, _ in entries], n - len(minima))
+        tables, row_moves, rank = row
+        ranks.append(rank)
         ys = list(map(step, itertools.repeat(x), tables))
         new = list(itertools.filterfalse(index.__contains__, ys))
         if new:
@@ -143,11 +158,7 @@ def build_dowling(n, action, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:
         up.append(tuple(map(yis.__getitem__, by_index)))
         moves.append(tuple(map(row_moves.__getitem__, by_index)))
     del index
-    shared = {}
-    elements = [_decode(x, n, order, shared) for x in codes]
-    del codes, shared
-    ranks = [el.rank for el in elements]
-    return RankedPoset.from_rows(elements, up, moves, ranks, bottom=0)
+    return RankedPoset.from_rows(Codes(n, order, codes), up, moves, ranks, bottom=0)
 
 
 def adjoin_top(poset) -> RankedPoset:
@@ -158,46 +169,41 @@ def adjoin_top(poset) -> RankedPoset:
         raise AlreadyBounded("poset already has an adjoined top")
     ti = len(poset)
     top_row, top_moves = (ti,), (TOP_MOVE,)
-    up, moves = list(poset.up), list(poset.moves)
-    for i, ys in enumerate(poset.up):
-        if not ys:
-            up[i], moves[i] = top_row, top_moves
-    up.append(())
-    moves.append(())
-    elements = poset.elements + [top_element(poset.elements[0].n)]
+    up = [ys or top_row for ys in poset.up] + [()]
+    moves = [ms if ys else top_moves for ys, ms in zip(poset.up, poset.moves)] + [()]
+    codes = poset.codes._replace(codes=poset.codes.codes + [None])
     ranks = poset.rank + [poset.max_rank + 1]
-    return RankedPoset.from_rows(elements, up, moves, ranks, bottom=poset.bottom, top=ti)
+    return RankedPoset.from_rows(codes, up, moves, ranks, bottom=poset.bottom, top=ti)
 
 
-def passes_subposet_filter(element, free):
-    """No orbit in `free`, the orbits of the colors outside T, may be used
-    exactly once."""
-    counts = {}
-    for _, s in element.zero:
-        counts[s] = counts.get(s, 0) + 1
-    return all(sum(counts.get(s, 0) for s in orbit) != 1 for orbit in free)
+def _passes_filter(code, free):
+    """No orbit in `free`, given by its zero-block code values, is used once."""
+    return all(sum(map(code.count, values)) != 1 for values in free)
+
+
+def cut_subposet(ambient, action, T) -> RankedPoset:
+    """The invariant subposet for T of `ambient`, the full poset built for
+    the action: the elements whose codes pass the orbit-count filter, with
+    the induced covers (`poset.subposet_rows`), each with its ambient move,
+    or None where it is no ambient cover and so no single move."""
+    if not groups.is_invariant(action, T):
+        raise NonInvariantT(f"T = {sorted(set(T))} is not closed under the action")
+    tset, base = set(T), ambient.codes.n * action.group.order
+    free = [[base + s for s in orbit] for orbit in groups.orbits(action) if orbit[0] not in tset]
+    kept = [i for i, code in enumerate(ambient.codes.codes) if _passes_filter(code, free)]
+    new_index = {old: new for new, old in enumerate(kept)}
+    up, moves = [], []
+    for x, ys in zip(kept, subposet_rows(ambient, kept)):
+        up.append(tuple(map(new_index.__getitem__, ys)))
+        moves.append(ambient.moves[x] if ys is ambient.up[x]
+                     else tuple(map(ambient.move, itertools.repeat(x), ys)))
+    codes = ambient.codes._replace(codes=list(map(ambient.codes.codes.__getitem__, kept)))
+    return RankedPoset.from_rows(codes, up, moves, [ambient.rank[i] for i in kept], bottom=0)
 
 
 def build_subposet(n, action, T, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:
-    """Induced subposet on the elements passing the orbit-count filter, with
-    covering relations recomputed inside the filtered vertex set and handed
-    over as rows (`poset.induced_rows`).  A cover keeps its ambient move;
-    one that is not an ambient cover is no single move, and its move is
-    None."""
-    if not groups.is_invariant(action, T):
-        raise NonInvariantT(f"T = {sorted(set(T))} is not closed under the action")
-    ambient = build_dowling(n, action, max_elements=max_elements)
-    tset = set(T)
-    free = [orbit for orbit in groups.orbits(action) if orbit[0] not in tset]
-    kept = [i for i, el in enumerate(ambient.elements) if passes_subposet_filter(el, free)]
-    new_index = {old: new for new, old in enumerate(kept)}
-    up, moves = [], []
-    for x, ys in zip(kept, induced_rows(ambient, kept)):
-        up.append(tuple(map(new_index.__getitem__, ys)))
-        moves.append(tuple(ambient.move(x, y) for y in ys))
-    elements = [ambient.elements[i] for i in kept]
-    ranks = [ambient.rank[i] for i in kept]
-    return RankedPoset.from_rows(elements, up, moves, ranks, bottom=new_index[0])
+    """`cut_subposet` of the full poset on {1..n}, built here."""
+    return cut_subposet(build_dowling(n, action, max_elements=max_elements), action, T)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +212,7 @@ def build_subposet(n, action, T, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPos
 
 def poset_to_json(poset, ascii_only=False):
     return {
-        "size": len(poset.elements),
+        "size": len(poset),
         "bottom": poset.bottom,
         "top": poset.top,
         "elements": [
@@ -228,11 +234,8 @@ def poset_to_dot(poset, ascii_only=True):
     for i, el in enumerate(poset.elements):
         text = bracket_notation(el, ascii_only=ascii_only).replace('"', '\\"')
         lines.append(f'  n{i} [label="{text}"];')
-    by_rank = {}
-    for i in range(len(poset.elements)):
-        by_rank.setdefault(poset.rank[i], []).append(i)
-    for r in sorted(by_rank):
-        same = " ".join(f"n{i};" for i in by_rank[r])
+    for r in sorted(set(poset.rank)):
+        same = " ".join(f"n{i};" for i, ri in enumerate(poset.rank) if ri == r)
         lines.append(f"  {{ rank=same; {same} }}")
     for x, y in sorted(poset.cover_edges()):
         lines.append(f"  n{x} -> n{y};")

@@ -10,7 +10,7 @@ import functools
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import NamedTuple
 
 from .dowling import EdgeType
@@ -53,10 +53,6 @@ def _mu_of_move(et, used) -> EdgeLabel:
     return EdgeLabel(1, (s + 1) + sum(1 for r in used if r > s))
 
 
-def _zero_colors(x):
-    return {c for _, c in x.zero}
-
-
 def recorded_move(poset, xi, yi) -> EdgeType:
     """The move the build recorded for the cover (xi, yi)."""
     et = poset.move(xi, yi)
@@ -81,8 +77,10 @@ def label_lambda(poset, xi):
 
 
 def label_mu(poset, xi):
-    """The subposet labels of x's covers, parallel to `up[x]`."""
-    used = _zero_colors(poset.elements[xi])
+    """The subposet labels of x's covers, parallel to `up[x]`; x's zero-block
+    colors are read off its code, where a value v >= n*|G| has color v - n*|G|."""
+    base = poset.codes.n * poset.codes.order
+    used = {v - base for v in set(poset.codes.codes[xi] or ()) if v >= base}
     return tuple(_mu_of_move(et, used) for et in _recorded_row(poset, xi))
 
 
@@ -115,10 +113,6 @@ def _ranked_labels(poset, labeling):
     return len(order) + 2, [tuple(map(order.__getitem__, row)) for row in rows]
 
 
-def _is_strictly_increasing(word):
-    return all(word[i] < word[i + 1] for i in range(len(word) - 1))
-
-
 def check_interval(poset, rows, x, y):
     """Check the EL condition on one closed interval, on cover labels in rows
     parallel to `up`; None if it holds."""
@@ -127,7 +121,7 @@ def check_interval(poset, rows, x, y):
     min_count = 0
     min_chain = None
     for chain, word in saturated_chains(poset, x, y, rows):
-        if _is_strictly_increasing(word):
+        if all(map(lt, word, word[1:])):  # strictly increasing
             if len(inc) < 2:
                 inc.append(chain)
             else:

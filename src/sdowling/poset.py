@@ -17,45 +17,43 @@ class RankedPoset:
     that cover i in increasing order, and `moves[i]`, parallel to it, the
     move that makes each cover (None where none was given); a cover raises
     the rank.  The rows are written once: `from_rows` takes them as built,
-    and the edge-list constructor sorts its edges into rows and ends there
-    too.  The order is stored once, as up-sets: bit y of `above[x]` is set
-    iff x <= y, built lazily on first use.  Möbius values and the
+    with `codes`, whose `decode()` gives `elements` on their first read
+    (Möbius values, χ, chain counts, EL and the order complex never read
+    them), and the edge-list constructor sorts its edges into rows and ends
+    there too.  The order is stored once, as up-sets: bit y of `above[x]`
+    is set iff x <= y, built lazily on first use.  Möbius values and the
     characteristic polynomial never build it.  Its readers are
-    `topology.order_complex`, `induced_covers`, `saturated_chains` to a
-    bound other than the top, `labeling.verify_el` only to break a tie
-    between least label words or to walk a failing interval, and
-    `reduction.reduce_and_verify`.  Immutable after construction; posets
-    may share rows, as `dowling.adjoin_top` does with its input.
+    `topology.order_complex`, `saturated_chains` to a bound other than the
+    top, `labeling.verify_el` only to break a tie between least label words
+    or to walk a failing interval, and `reduction.reduce_and_verify`.
+    Immutable after construction; posets may share rows, as
+    `dowling.adjoin_top` does with its input.
     """
 
     def __init__(self, elements, cover_edges, ranks, bottom, top=None, moves=None):
-        elements = list(elements)
-        up = [{} for _ in elements]
+        self.elements = list(elements)
+        up = [{} for _ in self.elements]
         for (x, y), move in zip(cover_edges, moves or itertools.repeat(None)):
             up[x][y] = move
-        rows = [tuple(sorted(s)) for s in up]
-        self._set_rows(elements, rows, [tuple(map(s.__getitem__, ys)) for s, ys in zip(up, rows)],
-                       list(ranks), bottom, top)
+        self.up = [tuple(sorted(s)) for s in up]
+        self.moves = [tuple(map(s.__getitem__, ys)) for s, ys in zip(up, self.up)]
+        self.codes, self.rank, self.bottom, self.top = None, list(ranks), bottom, top
 
     @classmethod
-    def from_rows(cls, elements, up, moves, ranks, bottom, top=None):
-        """A poset from its Hasse rows: `up[x]` the covers of x in
-        increasing order, `moves[x]` their moves, parallel.  The lists are
-        kept as given, not copied."""
+    def from_rows(cls, codes, up, moves, ranks, bottom, top=None):
+        """A poset from its element codes and Hasse rows: `up[x]` the
+        covers of x in increasing order, `moves[x]` their moves, parallel.
+        The lists are kept as given, not copied."""
         poset = cls.__new__(cls)
-        poset._set_rows(elements, up, moves, ranks, bottom, top)
+        vars(poset).update(codes=codes, up=up, moves=moves, rank=ranks, bottom=bottom, top=top)
         return poset
 
-    def _set_rows(self, elements, up, moves, ranks, bottom, top):
-        self.elements = elements
-        self.up = up
-        self.moves = moves
-        self.rank = ranks
-        self.bottom = bottom
-        self.top = top
-
     def __len__(self):
-        return len(self.elements)
+        return len(self.up)
+
+    @functools.cached_property
+    def elements(self):
+        return self.codes.decode()
 
     def cover_edges(self):
         for x, ys in enumerate(self.up):
@@ -70,7 +68,7 @@ class RankedPoset:
     def above(self):
         """Bitmask up-sets, built in order of decreasing rank: a cover
         raises the rank, so every up[x] is done before x."""
-        above = [0] * len(self.elements)
+        above = [0] * len(self.up)
         for x in sorted(range(len(above)), key=lambda i: -self.rank[i]):
             m = 1 << x
             for y in self.up[x]:
@@ -102,28 +100,34 @@ def bits(mask):
         mask ^= low
 
 
-def induced_rows(poset, kept):
+def subposet_rows(poset, kept):
     """The cover rows of the subposet induced on the indices in `kept`, one
-    per kept x in its order: the kept y > x, ascending, that lie in the
-    strict up-set of no other kept element above x."""
-    above = poset.above
-    kept_mask = 0
-    for i in kept:
-        kept_mask |= 1 << i
-    rows = []
+    per kept x in its order, ascending, without `above`: x's own row if its
+    covers are all kept; else the kept y that a walk up from x reaches
+    through elements not kept, less those that a walk up from the lower of
+    them to the highest rank among them finds strictly above another."""
+    up, rank = poset.up, poset.rank
+    is_kept, rows = set(kept), []
     for x in kept:
-        strictly_above = above[x] & kept_mask & ~(1 << x)
-        shadowed = 0
-        for z in bits(strictly_above):
-            shadowed |= above[z] ^ (1 << z)
-        rows.append(tuple(bits(strictly_above & ~shadowed)))
+        row = up[x]  # when every cover of x is kept: covers, none above another
+        if not all(map(is_kept.__contains__, row)):
+            found, seen, stack = [], {x}, [x]
+            while stack:
+                for y in up[stack.pop()]:
+                    if y not in seen:
+                        seen.add(y)
+                        (found if y in is_kept else stack).append(y)
+            top = max(map(rank.__getitem__, found), default=0)
+            above, stack = set(), [c for c in found if rank[c] < top]
+            while stack:
+                for y in up[stack.pop()]:
+                    if y not in above:
+                        above.add(y)
+                        if rank[y] < top:
+                            stack.append(y)
+            row = tuple(sorted(c for c in found if c not in above))
+        rows.append(row)
     return rows
-
-
-def induced_covers(poset, kept):
-    """Cover pairs (x, y) of the subposet induced on the indices in `kept`,
-    row by row as `induced_rows` gives them."""
-    return [(x, y) for x, ys in zip(kept, induced_rows(poset, kept)) for y in ys]
 
 
 def saturated_chains(poset, x, y, rows=None, decreasing=False):

@@ -10,7 +10,7 @@ from .dowling import DEFAULT_MAX_ELEMENTS, build_subposet
 from .elements import make_element
 from .errors import InvalidSpec
 from .labeling import recorded_move
-from .poset import induced_covers
+from .poset import subposet_rows
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,8 @@ def reduce_and_verify(n, action, T, spec, max_elements=DEFAULT_MAX_ELEMENTS):
             image_map[i] = j
     if iso:
         # compare induced cover relations on the image with the reduced poset
-        induced = {(image_map[x], image_map[y]) for x, y in induced_covers(poset, image)}
+        induced = {(image_map[x], image_map[y])
+                   for x, ys in zip(image, subposet_rows(poset, image)) for y in ys}
         if induced != set(reduced.cover_edges()):
             iso = False
             violations.append("induced covers on the image differ from the reduced poset")

@@ -75,14 +75,12 @@ def order_complex(poset, max_faces=DEFAULT_MAX_FACES):
     sizes, so the face cap is checked before the level is built.
     """
     skip = {poset.bottom, poset.top}
-    vertices = [i for i in range(len(poset.elements)) if i not in skip]
+    vertices = [i for i in range(len(poset)) if i not in skip]
     above = poset.above
-    kept_mask = 0
-    for v in vertices:
-        kept_mask |= 1 << v
+    kept_mask = sum(1 << v for v in vertices)
     # ups[v]: the kept w > v, ascending; the extra root below every vertex
     # is the last vertex of the empty face
-    root = len(poset.elements)
+    root = len(poset)
     ups = [()] * root + [vertices]
     for v in vertices:
         ups[v] = list(bits(above[v] & kept_mask & ~(1 << v)))

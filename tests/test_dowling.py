@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cover_oracle import classify_cover
-from sdowling import catalog, dowling, groups
+from sdowling import acceptance, catalog, dowling, groups, reduction
 from sdowling.dowling import (
     EdgeType,
     adjoin_top,
     build_dowling,
     build_subposet,
-    passes_subposet_filter,
+    cut_subposet,
     poset_to_dot,
     poset_to_json,
 )
@@ -23,8 +23,22 @@ from sdowling.elements import (
     top_element,
 )
 from sdowling.errors import AlreadyBounded, NonInvariantT, NotACover, SizeLimitExceeded
-from sdowling.labeling import label_lambda, label_mu, recorded_move, verify_el
-from sdowling.poset import RankedPoset, induced_covers, is_graded
+from sdowling.labeling import (
+    count_decreasing_chains,
+    label_lambda,
+    label_mu,
+    recorded_move,
+    verify_el,
+)
+from sdowling.poset import (
+    Polynomial,
+    RankedPoset,
+    characteristic_polynomial,
+    is_graded,
+    moebius,
+    subposet_rows,
+)
+from subposet_oracle import induced_covers, induced_rows, passes_subposet_filter
 
 
 Z2 = groups.cyclic_group(2)
@@ -313,7 +327,8 @@ def test_recorded_moves_match_classify_cover():
 def test_induced_cover_that_is_no_single_move(monkeypatch):
     """With the rank-1 elements filtered out, the bottom is covered by rank-2
     elements: those covers record no move, and only labeling them raises."""
-    monkeypatch.setattr(dowling, "passes_subposet_filter", lambda el, *_: el.rank != 1)
+    monkeypatch.setattr(dowling, "_passes_filter",
+                        lambda code, *_: dowling._decode(code, 2, 2, {}).rank != 1)
     p = build_subposet(2, groups.trivial_action(Z2, 1), [])
     assert p.up[p.bottom] and set(p.moves[p.bottom]) == {None}
     y = p.up[p.bottom][0]
@@ -422,6 +437,16 @@ def test_subposet_filter_predicate():
     assert passes_subposet_filter(el, [])
     both = make_element(Z2, 2, [], [(1, 0), (2, 1)])
     assert passes_subposet_filter(both, [orbit])
+    # the filter on codes keeps what the element-level one keeps: the orbit
+    # [0, 1] is the zero-block code values 4 and 5 at n=2, |G|=2
+    full = build_dowling(2, SWAP2)
+    code = full.codes.codes
+    assert cut_subposet(full, SWAP2, []).codes.codes == \
+        [c for c in code if dowling._passes_filter(c, [[4, 5]])]
+    assert [dowling._passes_filter(c, [[4, 5]]) for c in code] == \
+        [passes_subposet_filter(x, [orbit]) for x in full.elements]
+    assert code[full.elements.index(el)] == bytes([4, 2])
+    assert code[full.elements.index(both)] == bytes([4, 5])
 
 
 def test_subposet_requires_invariant_T():
@@ -455,6 +480,82 @@ def test_induced_covers_match_transitive_reduction():
             ):
                 expected.add((x, y))
     assert set(sub.cover_edges()) == expected
+
+
+def _oracle_cut(ambient, action, T):
+    """The kept indices of the invariant subposet for T by the element-level
+    filter, and their induced rows by the up-set table."""
+    tset = set(T)
+    free = [orbit for orbit in groups.orbits(action) if orbit[0] not in tset]
+    kept = [i for i, el in enumerate(ambient.elements) if passes_subposet_filter(el, free)]
+    return kept, induced_rows(ambient, kept)
+
+
+def test_walked_rows_match_the_table_oracle():
+    """On every invariant subposet of the n <= 4 grid, the code filter keeps
+    the elements the element-level filter keeps, and the upward walk finds
+    the rows the up-set table gives, moves included."""
+    checked = 0
+    for key, n, action in catalog.dowling_grid(ns=(1, 2, 3, 4)):
+        ambient = build_dowling(n, action)
+        for T in catalog.invariant_subsets(action):
+            kept, rows = _oracle_cut(ambient, action, T)
+            assert subposet_rows(ambient, kept) == rows, (key, T)
+            sub = cut_subposet(ambient, action, list(T))
+            assert sub.codes.codes == [ambient.codes.codes[i] for i in kept], (key, T)
+            new = {old: i for i, old in enumerate(kept)}
+            assert sub.up == [tuple(new[y] for y in ys) for ys in rows], (key, T)
+            assert sub.moves == [tuple(ambient.move(x, y) for y in ys)
+                                 for x, ys in zip(kept, rows)], (key, T)
+            checked += 1
+    assert checked == 220
+
+
+def test_walked_rows_match_the_table_oracle_on_closure_images():
+    """The image of the closure operator in each of criterion 8's
+    configurations, a kept set that is not cut by the orbit filter."""
+    for key, n, action, T, orbit_min, _ in acceptance._closure_configs():
+        spec = reduction.make_spec(action, T, orbit_min)
+        poset = build_subposet(n, action, T)
+        index = {el: i for i, el in enumerate(poset.elements)}
+        image = sorted({index[reduction.closure_f(el, spec, action)] for el in poset.elements})
+        assert len(image) < len(poset), key
+        assert subposet_rows(poset, image) == induced_rows(poset, image), key
+
+
+def _raise(*args):
+    raise AssertionError("an element was decoded")
+
+
+def test_counts_moebius_chi_and_el_decode_no_element(monkeypatch):
+    """The chain count, the Möbius function, the characteristic polynomial
+    and both EL checks read codes, ranks and moves only."""
+    z4 = dict(catalog.actions_for("Z4", 3))["trivial"]
+    swap = dict(catalog.actions_for("Z2", 2))["swap"]
+    monkeypatch.setattr(dowling, "_decode", _raise)
+    d = build_dowling(4, z4)
+    dhat = adjoin_top(d)
+    assert count_decreasing_chains(dhat, label_lambda) == 1680  # 2 * 6 * 10 * 14
+    assert moebius(dhat, dhat.bottom, dhat.top) == (-1) ** dhat.max_rank * 1680
+    assert characteristic_polynomial(d) == Polynomial.from_roots([3, 7, 11, 15])
+    assert verify_el(dhat, label_lambda).passed
+    rep = verify_el(adjoin_top(build_subposet(4, swap, [0, 1])), label_mu)
+    assert (rep.passed, len(rep.failures)) == (False, 24)
+    with pytest.raises(AssertionError, match="decoded"):
+        dhat.elements
+
+
+def test_decoded_elements_equal_an_eager_decode():
+    """`elements` read from the codes of a full poset, its bounded extension
+    and its invariant subposets equal each code decoded on its own."""
+    for key, n, action in catalog.dowling_grid():
+        d = build_dowling(n, action)
+        eager = [dowling._decode(c, n, action.group.order, {}) for c in d.codes.codes]
+        assert d.elements == eager, key
+        assert adjoin_top(d).elements == eager + [top_element(n)], key
+        for T in catalog.invariant_subsets(action):
+            kept, _ = _oracle_cut(d, action, T)
+            assert build_subposet(n, action, list(T)).elements == [eager[i] for i in kept], key
 
 
 def test_poset_json_and_dot_shapes():

@@ -11,12 +11,13 @@ from sdowling.poset import (
     RankedPoset,
     bits,
     characteristic_polynomial,
-    induced_covers,
     is_graded,
     moebius,
     saturated_chains,
     sphere_product,
+    subposet_rows,
 )
+from subposet_oracle import induced_covers, induced_rows
 
 
 def boolean_lattice(k):
@@ -200,6 +201,25 @@ def test_gradedness_and_hasse():
     assert set(b3.cover_edges()) == set(induced_covers(b3, range(len(b3))))
     bad = RankedPoset(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)], [0, 1, 2], bottom=0)
     assert set(bad.cover_edges()) - set(induced_covers(bad, range(len(bad)))) == {(0, 2)}
+
+
+@given(finite_posets(), st.data())
+def test_subposet_rows_match_the_table_oracle(p, data):
+    """On random posets whose covers skip ranks, and random kept sets, the
+    upward walk gives the rows of the up-set table."""
+    kept = [i for i in range(len(p)) if data.draw(st.booleans())]
+    assert subposet_rows(p, kept) == induced_rows(p, kept)
+
+
+def test_subposet_rows_drop_a_candidate_two_ranks_above_another():
+    """x < a < c < b < y and x < d1 < d2 < d3 < y with only x, c and y kept:
+    both c and y are reached from x through elements not kept, and y lies
+    above c through b, one rank below y."""
+    names = ["x", "a", "c", "b", "y", "d1", "d2", "d3"]
+    ranks = [0, 1, 2, 3, 4, 1, 2, 3]
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 4)]
+    p = RankedPoset(names, edges, ranks, bottom=0)
+    assert subposet_rows(p, [0, 2, 4]) == [(2,), (4,), ()] == induced_rows(p, [0, 2, 4])
 
 
 def test_characteristic_polynomial_boolean():
