@@ -8,7 +8,7 @@ orbit-reduction closure operator.
 """
 
 from .dowling import adjoin_top, build_dowling, build_subposet
-from .elements import bottom_element, bracket_notation, make_element, top_element
+from .elements import bracket_notation, top_element
 from .groups import (
     cyclic_group,
     klein_four_group,
@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "RankedPoset",
     "adjoin_top",
-    "bottom_element",
     "bracket_notation",
     "build_dowling",
     "build_subposet",
@@ -43,7 +42,6 @@ __all__ = [
     "label_lambda",
     "label_mu",
     "load_action_file",
-    "make_element",
     "make_spec",
     "moebius",
     "order_complex",

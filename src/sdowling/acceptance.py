@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import catalog, labeling, reduction, topology, trees
 from .dowling import adjoin_top, build_dowling, build_subposet, cut_subposet
-from .elements import bottom_element, make_element, top_element
+from .elements import bracket_notation
 from .poset import characteristic_polynomial, moebius, Polynomial, sphere_product
 
 
@@ -85,9 +85,7 @@ def _dhat(n, action):
 
 @functools.cache
 def _el_lambda(n, action):
-    return labeling.verify_el(
-        _dhat(n, action), labeling.label_lambda, with_witness_chains=False
-    )
+    return labeling.verify_el(_dhat(n, action), labeling.label_lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +103,7 @@ def criterion_2():
     for key, n, action in catalog.dowling_grid():
         for T in catalog.invariant_subsets(action):
             phat = adjoin_top(cut_subposet(_d(n, action), action, list(T)))
-            rep = labeling.verify_el(phat, labeling.label_mu, with_witness_chains=False)
+            rep = labeling.verify_el(phat, labeling.label_mu)
             yield _unless(rep.passed, f"{key},T={list(T)}")
 
 
@@ -135,6 +133,17 @@ def criterion_4():
                        + _unless(expected == figure, "figure counts 18 / 3 do not match"))
 
 
+# the decreasing chain of the worked figure, in ASCII bracket notation
+FIGURE_CHAIN = [
+    "[1_e | 2_e | 3_e | 4_e || 0]",
+    "[1_e 2_g2 | 3_e | 4_e || 0]",
+    "[1_e 2_g2 4_g | 3_e || 0]",
+    "[1_e 2_g2 4_g || 3_s3]",
+    "[0 || 1_s2 2_s2 3_s3 4_s2]",
+    "1^",
+]
+
+
 @_criterion(5, "the chain/tree bijection round-trips both ways")
 def criterion_5():
     for key, n, action in catalog.dowling_grid(group_names=("Z2", "Z3"), set_sizes=(0, 2, 3)):
@@ -142,21 +151,13 @@ def criterion_5():
         yield [f"{key}: {msg}" for msg in messages]
     # the worked figure instance: n=4, |G|=3, |S|=5
     act = dict(catalog.actions_for("Z3", 5))["trivial"]
-    z3 = act.group
-    chain = [
-        bottom_element(4),
-        make_element(z3, 4, [((1, 2), (0, 2)), ((3,), (0,)), ((4,), (0,))], []),
-        make_element(z3, 4, [((1, 2, 4), (0, 2, 1)), ((3,), (0,))], []),
-        make_element(z3, 4, [((1, 2, 4), (0, 2, 1))], [(3, 2)]),
-        make_element(z3, 4, [], [(3, 2), (1, 1), (2, 1), (4, 1)]),
-        top_element(4),
-    ]
     figure_tree = (
         0,
         ("*", "*", (3, ("*",)), "*", (1, ((2, ("*",)), "*", (4, ("*",))))),
     )
-    yield _unless(trees.psi(chain, act) == figure_tree
-                  and trees.psi_inv(figure_tree, 4, act) == chain,
+    chain = trees.psi_inv(figure_tree, 4, act)
+    yield _unless([bracket_notation(el, ascii_only=True) for el in chain] == FIGURE_CHAIN
+                  and trees.psi(chain, act) == figure_tree,
                   "worked figure instance does not round-trip")
 
 

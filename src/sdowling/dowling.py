@@ -158,7 +158,7 @@ def build_dowling(n, action, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:
         up.append(tuple(map(yis.__getitem__, by_index)))
         moves.append(tuple(map(row_moves.__getitem__, by_index)))
     del index
-    return RankedPoset.from_rows(Codes(n, order, codes), up, moves, ranks, bottom=0)
+    return RankedPoset(Codes(n, order, codes), up, moves, ranks, bottom=0)
 
 
 def adjoin_top(poset) -> RankedPoset:
@@ -173,7 +173,7 @@ def adjoin_top(poset) -> RankedPoset:
     moves = [ms if ys else top_moves for ys, ms in zip(poset.up, poset.moves)] + [()]
     codes = poset.codes._replace(codes=poset.codes.codes + [None])
     ranks = poset.rank + [poset.max_rank + 1]
-    return RankedPoset.from_rows(codes, up, moves, ranks, bottom=poset.bottom, top=ti)
+    return RankedPoset(codes, up, moves, ranks, bottom=poset.bottom, top=ti)
 
 
 def _passes_filter(code, free):
@@ -198,7 +198,7 @@ def cut_subposet(ambient, action, T) -> RankedPoset:
         moves.append(ambient.moves[x] if ys is ambient.up[x]
                      else tuple(map(ambient.move, itertools.repeat(x), ys)))
     codes = ambient.codes._replace(codes=list(map(ambient.codes.codes.__getitem__, kept)))
-    return RankedPoset.from_rows(codes, up, moves, [ambient.rank[i] for i in kept], bottom=0)
+    return RankedPoset(codes, up, moves, [ambient.rank[i] for i in kept], bottom=0)
 
 
 def build_subposet(n, action, T, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:

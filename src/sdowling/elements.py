@@ -26,34 +26,9 @@ class DowlingElement:
         return self.n - len(self.blocks)
 
 
-def normalize_block(group, support, colors):
-    """Sort a block by position and translate its coloring so min maps to e."""
-    pairs = sorted(zip(support, colors))
-    support = tuple(i for i, _ in pairs)
-    colors = tuple(c for _, c in pairs)
-    g0inv = group.inv(colors[0])
-    colors = tuple(group.mul(c, g0inv) for c in colors)
-    return support, colors
-
-
-def make_element(group, n, blocks, zero):
-    """Build a canonical element from possibly unnormalized data."""
-    norm = sorted(normalize_block(group, s, c) for s, c in blocks)
-    return DowlingElement(n=n, blocks=tuple(norm), zero=tuple(sorted(zero)))
-
-
 @functools.cache
 def top_element(n):
     return DowlingElement(n=n, blocks=(), zero=(), is_top=True)
-
-
-@functools.cache
-def bottom_element(n):
-    """All singleton blocks colored by the identity, empty zero block; one
-    object per n, as elements are frozen."""
-    return DowlingElement(
-        n=n, blocks=tuple(((i,), (0,)) for i in range(1, n + 1)), zero=()
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,7 @@ def _count_decreasing(poset, width, ints):
                 live.setdefault(w, [0] * width)[lab + 1] += count
 
 
-def verify_el(poset, labeling, with_witness_chains=True) -> ELReport:
+def verify_el(poset, labeling, with_witness_chains=False) -> ELReport:
     """Exhaustive EL-labeling check over every closed interval.
 
     An interval passes when it has exactly one maximal chain with strictly
@@ -190,9 +190,12 @@ def verify_el(poset, labeling, with_witness_chains=True) -> ELReport:
     exactly when y is in `one` and `inc` but not in `two` at x's least
     label. Bit p is the p-th element processed, the top bit 0; an element
     keeps only the masks its lower covers read, until they are all done,
-    and equal masks are one object. `poset.above` is built only for a tie
-    or a failing interval: each failing interval is walked again by
-    `check_interval`, which gives the reason and the witnesses.
+    and equal masks are one object. A failing interval's reason comes from
+    the masks: y not in `one` has no increasing chain, y in `two` more
+    than one, and otherwise the increasing chain is not the least word.
+    Only `with_witness_chains` walks it again, by `check_interval`, which
+    gives the reason and the witnesses; `poset.above` is built only for
+    that or for a tie.
     """
     if poset.bottom is None or poset.top is None:
         raise NotBounded("EL verification requires a bounded poset")
@@ -249,10 +252,10 @@ def verify_el(poset, labeling, with_witness_chains=True) -> ELReport:
         rows.reverse()
         one, two, inc = rows[0]
         for p in bits(reached & ~(one & inc) | two):
-            fail = check_interval(poset, ints, x, order[p])
-            if not with_witness_chains:
-                fail.witnesses = []
-            failures.append(fail)
+            reason = ("NoIncreasing" if not one >> p & 1
+                      else "MultipleIncreasing" if two >> p & 1 else "NotLexFirst")
+            failures.append(check_interval(poset, ints, x, order[p]) if with_witness_chains
+                            else IntervalFailure(x, order[p], reason))
         kept = {bisect_right(keys, lab) for lab in waiting[x]}
         rows = [row if k in kept else None for k, row in enumerate(rows)]
         state[x] = keys, rows, one if reached == one else reached

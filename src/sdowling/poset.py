@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 
@@ -13,40 +12,25 @@ from .errors import NotComparable, NotGraded
 class RankedPoset:
     """Explicit Hasse diagram with a rank function.
 
-    Elements are opaque objects indexed 0..size-1; `up[i]` lists the indices
-    that cover i in increasing order, and `moves[i]`, parallel to it, the
-    move that makes each cover (None where none was given); a cover raises
-    the rank.  The rows are written once: `from_rows` takes them as built,
-    with `codes`, whose `decode()` gives `elements` on their first read
-    (Möbius values, χ, chain counts, EL and the order complex never read
-    them), and the edge-list constructor sorts its edges into rows and ends
-    there too.  The order is stored once, as up-sets: bit y of `above[x]`
-    is set iff x <= y, built lazily on first use.  Möbius values and the
-    characteristic polynomial never build it.  Its readers are
+    Elements are indexed 0..size-1; `up[i]` lists the indices that cover i
+    in increasing order, and `moves[i]`, parallel to it, the move that
+    makes each cover (None where it is no single move); a cover raises the
+    rank.  The rows are written once and kept as given, not copied, with
+    `codes`, whose `decode()` gives `elements` on their first read (Möbius
+    values, χ, chain counts, EL, the closure check and the order complex
+    never read them).  The order is stored once, as up-sets: bit y of
+    `above[x]` is set iff x <= y, built lazily on first use.  Möbius values
+    and the characteristic polynomial never build it.  Its readers are
     `topology.order_complex`, `saturated_chains` to a bound other than the
     top, `labeling.verify_el` only to break a tie between least label words
-    or to walk a failing interval, and `reduction.reduce_and_verify`.
-    Immutable after construction; posets may share rows, as
-    `dowling.adjoin_top` does with its input.
+    or to walk a failing interval for its witnesses, and
+    `reduction.reduce_and_verify`.  Immutable after construction; posets
+    may share rows, as `dowling.adjoin_top` does with its input.
     """
 
-    def __init__(self, elements, cover_edges, ranks, bottom, top=None, moves=None):
-        self.elements = list(elements)
-        up = [{} for _ in self.elements]
-        for (x, y), move in zip(cover_edges, moves or itertools.repeat(None)):
-            up[x][y] = move
-        self.up = [tuple(sorted(s)) for s in up]
-        self.moves = [tuple(map(s.__getitem__, ys)) for s, ys in zip(up, self.up)]
-        self.codes, self.rank, self.bottom, self.top = None, list(ranks), bottom, top
-
-    @classmethod
-    def from_rows(cls, codes, up, moves, ranks, bottom, top=None):
-        """A poset from its element codes and Hasse rows: `up[x]` the
-        covers of x in increasing order, `moves[x]` their moves, parallel.
-        The lists are kept as given, not copied."""
-        poset = cls.__new__(cls)
-        vars(poset).update(codes=codes, up=up, moves=moves, rank=ranks, bottom=bottom, top=top)
-        return poset
+    def __init__(self, codes, up, moves, ranks, bottom, top=None):
+        self.codes, self.up, self.moves = codes, up, moves
+        self.rank, self.bottom, self.top = ranks, bottom, top
 
     def __len__(self):
         return len(self.up)

@@ -6,8 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import groups
-from .dowling import DEFAULT_MAX_ELEMENTS, build_subposet
-from .elements import make_element
+from .dowling import DEFAULT_MAX_ELEMENTS, build_subposet, cover_moves
 from .errors import InvalidSpec
 from .labeling import recorded_move
 from .poset import subposet_rows
@@ -37,28 +36,35 @@ def make_spec(action, T, orbit_min, base=None) -> OrbitReductionSpec:
     return OrbitReductionSpec(orbit=orbit, base=base)
 
 
-def closure_f(x, spec, action):
+def closure_f(code, spec, action, n):
     """Re-attach the orbit-colored part of the zero block as a group-colored
-    block; identity when no zero position uses the orbit."""
-    if x.is_top:
-        return x
+    block, on codes (see `dowling.build_dowling`): the positions holding
+    n*|G| + s with s in the orbit form one block at their least position
+    p0, each with color phi^-1(s) . phi^-1(s_p0)^-1, where phi(g) = g . base,
+    so that p0 gets e; identity when no zero position uses the orbit."""
     group = action.group
-    orbit = set(spec.orbit)
-    in_orbit = [(p, s) for p, s in x.zero if s in orbit]
-    if not in_orbit:
-        return x
-    # phi(g) = g . base is a bijection G -> orbit; pull colors back through it
-    phi_inv = {action.apply(g, spec.base): g for g in range(group.order)}
-    support = tuple(p for p, _ in in_orbit)
-    colors = tuple(phi_inv[s] for _, s in in_orbit)
-    rest = tuple((p, s) for p, s in x.zero if s not in orbit)
-    return make_element(group, x.n, x.blocks + ((support, colors),), rest)
+    order = group.order
+    phi_inv = {n * order + action.apply(g, spec.base): g for g in range(order)}
+    moved = [p for p, v in enumerate(code) if v in phi_inv]
+    if not moved:
+        return code
+    p0 = moved[0]
+    shift = group.inv(phi_inv[code[p0]])
+    values = list(code)
+    for p in moved:
+        values[p] = p0 * order + group.mul(phi_inv[code[p]], shift)
+    return type(code)(values)
 
 
-def _relabel_zero(element, color_map, group):
-    # a removed color maps to None, which no element of the reduced poset has
-    zero = tuple((p, color_map.get(s)) for p, s in element.zero)
-    return make_element(group, element.n, element.blocks, zero)
+def _relabel_zero(n, action, color_map):
+    """The translation table, for `cover_moves(n, action).step`, that
+    renames each zero-block color s by color_map[s]; a removed color maps
+    to n*|G| + len(color_map), a value no reduced code holds."""
+    base = n * action.group.order
+    table = list(range(max(base + action.set_size, 256)))  # as long as a move table
+    for s in range(action.set_size):
+        table[base + s] = base + color_map.get(s, len(color_map))
+    return type(cover_moves(n, action).bottom)(table)
 
 
 @dataclass
@@ -84,14 +90,13 @@ def reduce_and_verify(n, action, T, spec, max_elements=DEFAULT_MAX_ELEMENTS):
     independently from the action restricted to the surviving colors.
     """
     poset = build_subposet(n, action, T, max_elements=max_elements)
-    group = action.group
-    index = {el: i for i, el in enumerate(poset.elements)}
+    codes = poset.codes.codes
+    index = {code: i for i, code in enumerate(codes)}
     violations = []
 
     f_of = []
-    for i, el in enumerate(poset.elements):
-        fx = closure_f(el, spec, action)
-        j = index.get(fx)
+    for i, code in enumerate(codes):
+        j = index.get(closure_f(code, spec, action, n))
         if j is None:
             violations.append(f"f(element {i}) left the subposet")
             j = i
@@ -138,13 +143,15 @@ def reduce_and_verify(n, action, T, spec, max_elements=DEFAULT_MAX_ELEMENTS):
     small_action, color_map = groups.restrict_action(action, keep)
     small_T = sorted(color_map[t] for t in T)
     reduced = build_subposet(n, small_action, small_T, max_elements=max_elements)
-    reduced_index = {el: i for i, el in enumerate(reduced.elements)}
+    step, table = cover_moves(n, action).step, _relabel_zero(n, action, color_map)
+    # keyed in the type of the full codes: tuples past a byte, where the
+    # reduced codes may be bytes
+    reduced_index = {type(table)(code): i for i, code in enumerate(reduced.codes.codes)}
 
-    iso = len(image) == len(reduced.elements)
+    iso = len(image) == len(reduced)
     image_map = {}
     for i in image:
-        relabeled = _relabel_zero(poset.elements[i], color_map, group)
-        j = reduced_index.get(relabeled)
+        j = reduced_index.get(step(codes[i], table))
         if j is None:
             iso = False
             violations.append(f"image element {i} has no counterpart in the reduced poset")

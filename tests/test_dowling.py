@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cover_oracle import classify_cover
+from element_oracle import bottom_element, make_element, poset_from_edges
 from sdowling import acceptance, catalog, dowling, groups, reduction
 from sdowling.dowling import (
     EdgeType,
@@ -15,13 +16,7 @@ from sdowling.dowling import (
     poset_to_dot,
     poset_to_json,
 )
-from sdowling.elements import (
-    bottom_element,
-    bracket_notation,
-    element_to_json,
-    make_element,
-    top_element,
-)
+from sdowling.elements import bracket_notation, element_to_json, top_element
 from sdowling.errors import AlreadyBounded, NonInvariantT, NotACover, SizeLimitExceeded
 from sdowling.labeling import (
     count_decreasing_chains,
@@ -32,7 +27,6 @@ from sdowling.labeling import (
 )
 from sdowling.poset import (
     Polynomial,
-    RankedPoset,
     characteristic_polynomial,
     is_graded,
     moebius,
@@ -219,7 +213,7 @@ def _reference_build(n, action):
                 elements.append(y)
             edges.append((xi, index[y]))
             moves.append(move)
-    return RankedPoset(elements, edges, [el.rank for el in elements], bottom=0, moves=moves)
+    return poset_from_edges(elements, edges, [el.rank for el in elements], bottom=0, moves=moves)
 
 
 # cyclic groups at the byte boundary of the codes: n*|G| + |S| is 256
@@ -293,7 +287,7 @@ def _bounded_posets_with_moves():
 
 
 def test_adjoin_top_shares_rows_and_leaves_its_input():
-    """adjoin_top gives the poset that the edge-list constructor builds from
+    """adjoin_top gives the poset that `poset_from_edges` builds from
     the input's covers and the top covers, records the one object
     `dowling.TOP_MOVE` on every top cover, and leaves the input as it was."""
     for key, p in _posets_with_moves():
@@ -302,10 +296,10 @@ def test_adjoin_top_shares_rows_and_leaves_its_input():
         assert (p.up, p.moves, p.rank, p.elements, p.top) == before, key
         ti = len(p)
         maximal = [x for x, ys in enumerate(p.up) if not ys]
-        ref = RankedPoset(p.elements + [top_element(p.elements[0].n)],
-                          list(p.cover_edges()) + [(x, ti) for x in maximal],
-                          p.rank + [p.max_rank + 1], bottom=p.bottom, top=ti,
-                          moves=[m for row in p.moves for m in row] + [EdgeType("top")] * len(maximal))
+        ref = poset_from_edges(p.elements + [top_element(p.elements[0].n)],
+                               list(p.cover_edges()) + [(x, ti) for x in maximal],
+                               p.rank + [p.max_rank + 1], bottom=p.bottom, top=ti,
+                               moves=[m for row in p.moves for m in row] + [EdgeType("top")] * len(maximal))
         assert (phat.elements, phat.up, phat.moves, phat.rank, phat.bottom, phat.top) == \
             (ref.elements, ref.up, ref.moves, ref.rank, ref.bottom, ref.top), key
         tops = [phat.moves[x][phat.up[x].index(ti)] for x in maximal]
@@ -517,8 +511,9 @@ def test_walked_rows_match_the_table_oracle_on_closure_images():
     for key, n, action, T, orbit_min, _ in acceptance._closure_configs():
         spec = reduction.make_spec(action, T, orbit_min)
         poset = build_subposet(n, action, T)
-        index = {el: i for i, el in enumerate(poset.elements)}
-        image = sorted({index[reduction.closure_f(el, spec, action)] for el in poset.elements})
+        codes = poset.codes.codes
+        index = {code: i for i, code in enumerate(codes)}
+        image = sorted({index[reduction.closure_f(code, spec, action, n)] for code in codes})
         assert len(image) < len(poset), key
         assert subposet_rows(poset, image) == induced_rows(poset, image), key
 
@@ -528,8 +523,8 @@ def _raise(*args):
 
 
 def test_counts_moebius_chi_and_el_decode_no_element(monkeypatch):
-    """The chain count, the Möbius function, the characteristic polynomial
-    and both EL checks read codes, ranks and moves only."""
+    """The chain count, the Möbius function, the characteristic polynomial,
+    both EL checks and the closure check read codes, ranks and moves only."""
     z4 = dict(catalog.actions_for("Z4", 3))["trivial"]
     swap = dict(catalog.actions_for("Z2", 2))["swap"]
     monkeypatch.setattr(dowling, "_decode", _raise)
@@ -541,6 +536,9 @@ def test_counts_moebius_chi_and_el_decode_no_element(monkeypatch):
     assert verify_el(dhat, label_lambda).passed
     rep = verify_el(adjoin_top(build_subposet(4, swap, [0, 1])), label_mu)
     assert (rep.passed, len(rep.failures)) == (False, 24)
+    for key, n, action, T, orbit_min, _ in acceptance._closure_configs():
+        spec = reduction.make_spec(action, T, orbit_min)
+        assert reduction.reduce_and_verify(n, action, T, spec)[2].passed, key
     with pytest.raises(AssertionError, match="decoded"):
         dhat.elements
 

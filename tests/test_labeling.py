@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 import cover_oracle
 from cover_oracle import classify_cover
+from element_oracle import bottom_element, make_element, poset_from_edges
 from sdowling import catalog, groups, labeling
 from sdowling.dowling import adjoin_top, build_dowling, build_subposet
-from sdowling.elements import bottom_element, make_element, top_element
+from sdowling.elements import top_element
 from sdowling.errors import NotACover, NotBounded
 from sdowling.labeling import EdgeLabel, EdgeType
-from sdowling.poset import RankedPoset, moebius, saturated_chains, sphere_product
+from sdowling.poset import moebius, saturated_chains, sphere_product
 
 Z2 = groups.cyclic_group(2)
 Z3 = groups.cyclic_group(3)
@@ -296,9 +297,17 @@ def _brute_failures(poset, fn):
     return out
 
 
-def _failures(poset, fn):
-    return [(f.x, f.y, f.reason, f.witnesses)
-            for f in labeling.verify_el(poset, fn).failures]
+def _failures(poset, fn, with_witness_chains=True):
+    report = labeling.verify_el(poset, fn, with_witness_chains=with_witness_chains)
+    return [(f.x, f.y, f.reason, f.witnesses) for f in report.failures]
+
+
+def _assert_failures_match(poset, fn, expected):
+    """verify_el gives the oracle's failures with their witnesses when asked
+    for them, and else the same reasons, read off its masks, without any."""
+    assert _failures(poset, fn) == expected
+    assert _failures(poset, fn, with_witness_chains=False) == \
+        [(x, y, reason, []) for x, y, reason, _ in expected]
 
 
 def _swap_n4_posets():
@@ -336,7 +345,10 @@ def test_verify_el_matches_check_interval_on_grid():
     for key, phat in _el_oracle_posets():
         for fn in (labeling.label_lambda, labeling.label_mu):
             expected = _brute_failures(phat, fn)
-            assert _failures(phat, fn) == expected, (key, fn.__name__)
+            try:
+                _assert_failures_match(phat, fn, expected)
+            except AssertionError as exc:
+                raise AssertionError((key, fn.__name__)) from exc
             reasons.update(f[2] for f in expected)
     assert reasons == {"NoIncreasing", "MultipleIncreasing"}
 
@@ -397,7 +409,7 @@ def test_verify_el_witnesses_on_n4_swap_failures_are_unchanged():
 def _labelled_poset(ranks, covers):
     """Bounded poset on 0..len(ranks)-1 (bottom 0, top last) and a labeling
     that reads the label of each of x's covers from `covers`."""
-    poset = RankedPoset(range(len(ranks)), covers, ranks, 0, len(ranks) - 1)
+    poset = poset_from_edges(range(len(ranks)), covers, ranks, 0, len(ranks) - 1)
     return poset, lambda p, x: tuple(covers[(x, y)] for y in p.up[x])
 
 
@@ -444,7 +456,8 @@ def _labelled_poset(ranks, covers):
 ])
 def test_verify_el_hand_built_failures(ranks, covers, expected):
     poset, fn = _labelled_poset(ranks, covers)
-    assert _failures(poset, fn) == expected == _brute_failures(poset, fn)
+    assert expected == _brute_failures(poset, fn)
+    _assert_failures_match(poset, fn, expected)
 
 
 def _bounded_order(ranks, pairs):
@@ -478,7 +491,7 @@ def _bounded_labelled_posets(draw):
 
 
 def _check_against_oracles(poset, fn):
-    assert _failures(poset, fn) == _brute_failures(poset, fn)
+    _assert_failures_match(poset, fn, _brute_failures(poset, fn))
     walked = _walked(poset, fn)
     assert labeling.count_decreasing_chains(poset, fn) == walked
     assert labeling.verify_el(poset, fn).decreasing_chain_count == walked

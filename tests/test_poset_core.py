@@ -8,7 +8,6 @@ from sdowling.dowling import adjoin_top, build_dowling, build_subposet
 from sdowling.errors import NotComparable, NotGraded
 from sdowling.poset import (
     Polynomial,
-    RankedPoset,
     bits,
     characteristic_polynomial,
     is_graded,
@@ -17,6 +16,7 @@ from sdowling.poset import (
     sphere_product,
     subposet_rows,
 )
+from element_oracle import poset_from_edges
 from subposet_oracle import induced_covers, induced_rows
 
 
@@ -30,19 +30,19 @@ def boolean_lattice(k):
         if x not in s
     ]
     ranks = [len(s) for s in subsets]
-    return RankedPoset(subsets, edges, ranks, bottom=0, top=len(subsets) - 1)
+    return poset_from_edges(subsets, edges, ranks, bottom=0, top=len(subsets) - 1)
 
 
 def chain_poset(k):
-    return RankedPoset(list(range(k)), [(i, i + 1) for i in range(k - 1)],
-                       list(range(k)), bottom=0, top=k - 1)
+    return poset_from_edges(list(range(k)), [(i, i + 1) for i in range(k - 1)],
+                            list(range(k)), bottom=0, top=k - 1)
 
 
 def skipping_poset():
     """0 < a < b < 1 and 0 < c < 1, ranked 0, 1, 2, 3 and c at 1: the cover
     c < 1 skips rank 2, and mu(0, 1) = 1."""
-    return RankedPoset(["0", "a", "b", "c", "1"], [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)],
-                       [0, 1, 2, 1, 3], bottom=0, top=4)
+    return poset_from_edges(["0", "a", "b", "c", "1"], [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)],
+                            [0, 1, 2, 1, 3], bottom=0, top=4)
 
 
 @st.composite
@@ -54,9 +54,9 @@ def finite_posets(draw):
     ranks = draw(st.lists(st.integers(min_value=0, max_value=k), min_size=k, max_size=k))
     pairs = [(x, y) for x in range(k) for y in range(k) if ranks[x] < ranks[y]]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    relations = RankedPoset(range(k), [e for e, kept in zip(pairs, keep) if kept], ranks,
-                            bottom=None)
-    return RankedPoset(range(k), induced_covers(relations, range(k)), ranks, bottom=None)
+    relations = poset_from_edges(range(k), [e for e, kept in zip(pairs, keep) if kept], ranks,
+                                 bottom=None)
+    return poset_from_edges(range(k), induced_covers(relations, range(k)), ranks, bottom=None)
 
 
 def moebius_mismatches(p):
@@ -117,7 +117,7 @@ def test_moebius_on_chain_vanishes_past_rank_one():
 
 
 def test_moebius_requires_comparability():
-    p = RankedPoset(["a", "b", "c"], [(0, 1), (0, 2)], [0, 1, 1], bottom=0)
+    p = poset_from_edges(["a", "b", "c"], [(0, 1), (0, 2)], [0, 1, 1], bottom=0)
     with pytest.raises(NotComparable):
         moebius(p, 1, 2)
     assert "above" not in p.__dict__
@@ -199,7 +199,7 @@ def test_gradedness_and_hasse():
     assert is_graded(b3)
     # a Hasse diagram lists exactly the covers of the order it generates
     assert set(b3.cover_edges()) == set(induced_covers(b3, range(len(b3))))
-    bad = RankedPoset(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)], [0, 1, 2], bottom=0)
+    bad = poset_from_edges(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)], [0, 1, 2], bottom=0)
     assert set(bad.cover_edges()) - set(induced_covers(bad, range(len(bad)))) == {(0, 2)}
 
 
@@ -218,14 +218,14 @@ def test_subposet_rows_drop_a_candidate_two_ranks_above_another():
     names = ["x", "a", "c", "b", "y", "d1", "d2", "d3"]
     ranks = [0, 1, 2, 3, 4, 1, 2, 3]
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 4)]
-    p = RankedPoset(names, edges, ranks, bottom=0)
+    p = poset_from_edges(names, edges, ranks, bottom=0)
     assert subposet_rows(p, [0, 2, 4]) == [(2,), (4,), ()] == induced_rows(p, [0, 2, 4])
 
 
 def test_characteristic_polynomial_boolean():
     b3 = boolean_lattice(3)
     assert characteristic_polynomial(b3) == Polynomial.from_roots([1, 1, 1])
-    ungraded = RankedPoset(["a", "b"], [(0, 1)], [0, 2], bottom=0)
+    ungraded = poset_from_edges(["a", "b"], [(0, 1)], [0, 2], bottom=0)
     with pytest.raises(NotGraded):
         characteristic_polynomial(ungraded)
 

@@ -1,10 +1,14 @@
+import dataclasses
+import itertools
+
 import pytest
 
-from sdowling import acceptance, groups, reduction, topology
+import element_oracle
+from element_oracle import make_element, poset_from_edges
+from sdowling import acceptance, catalog, groups, reduction, topology
 from sdowling.dowling import adjoin_top, build_dowling, build_subposet
-from sdowling.elements import make_element, top_element
 from sdowling.errors import InvalidSpec
-from sdowling.poset import RankedPoset, subposet_rows
+from sdowling.poset import subposet_rows
 from subposet_oracle import induced_covers
 
 Z2 = groups.cyclic_group(2)
@@ -31,24 +35,88 @@ def test_make_spec_requires_free_orbit_outside_T():
         reduction.make_spec(SWAP2, [], 0, base=5)
 
 
+def _code(n, action, element):
+    """The code the build gives the element."""
+    full = build_dowling(n, action)
+    return full.codes.codes[full.elements.index(element)]
+
+
 def test_closure_f_reattaches_orbit_colors():
     spec = reduction.make_spec(SWAP2, [], 0)
-    x = make_element(Z2, 2, [], [(1, 0), (2, 1)])
-    fx = reduction.closure_f(x, spec, SWAP2)
-    assert fx == make_element(Z2, 2, [((1, 2), (0, 1))], [])
+    x = _code(2, SWAP2, make_element(Z2, 2, [], [(1, 0), (2, 1)]))
+    fx = reduction.closure_f(x, spec, SWAP2, 2)
+    assert fx == _code(2, SWAP2, make_element(Z2, 2, [((1, 2), (0, 1))], []))
     # elements not using the orbit are fixed
-    y = make_element(Z2, 2, [((1, 2), (0, 1))], [])
-    assert reduction.closure_f(y, spec, SWAP2) == y
-    assert reduction.closure_f(top_element(2), spec, SWAP2).is_top
+    y = _code(2, SWAP2, make_element(Z2, 2, [((1, 2), (0, 1))], []))
+    assert reduction.closure_f(y, spec, SWAP2, 2) == y
 
 
 def test_closure_f_is_base_point_independent():
-    x = make_element(Z2, 3, [((3,), (0,))], [(1, 0), (2, 1)])
+    x = _code(3, SWAP2, make_element(Z2, 3, [((3,), (0,))], [(1, 0), (2, 1)]))
     out = {
-        reduction.closure_f(x, reduction.make_spec(SWAP2, [], 0, base=b), SWAP2)
+        reduction.closure_f(x, reduction.make_spec(SWAP2, [], 0, base=b), SWAP2, 3)
         for b in (0, 1)
     }
     assert len(out) == 1
+
+
+def _free_orbit_configs():
+    """(key, n, action, T, spec) for every point of the n <= 4 grid, every
+    invariant T and every free orbit outside T, with every base point."""
+    for key, n, action in catalog.dowling_grid(ns=(1, 2, 3, 4)):
+        colors = range(action.set_size)
+        for T in itertools.chain.from_iterable(
+                itertools.combinations(colors, k) for k in range(action.set_size + 1)):
+            if not groups.is_invariant(action, T):
+                continue
+            for orbit in groups.orbits(action):
+                if len(orbit) == action.group.order and not set(orbit) & set(T):
+                    for base in orbit:
+                        yield (f"{key},T={list(T)},base={base}", n, action, list(T),
+                               reduction.make_spec(action, T, orbit[0], base))
+
+
+def _closure_mismatches(closure):
+    """The keys and element indices, over `_free_orbit_configs`, where
+    `closure` on an element's code is not the code the build gives the
+    element-level closure of the element; and the number compared.  Codes
+    are compared, not decoded elements: decoding reads only which positions
+    share a block, not the minimum a block is written at."""
+    mismatches, compared = [], 0
+    for key, n, action, T, spec in _free_orbit_configs():
+        poset = build_subposet(n, action, T)
+        code_of = dict(zip(poset.elements, poset.codes.codes))
+        for i, (x, code) in enumerate(code_of.items()):
+            if closure(code, spec, action, n) != code_of.get(element_oracle.closure_f(x, spec, action)):
+                mismatches.append((key, i))
+        compared += len(poset)
+    return mismatches, compared
+
+
+def test_closure_on_codes_matches_the_element_closure():
+    assert _closure_mismatches(reduction.closure_f) == ([], 6208)
+
+
+def _untranslated(code, spec, action, n):
+    """closure_f without the translation by phi^-1(s_p0)^-1: every inverse
+    is read as the identity."""
+    group = dataclasses.replace(action.group, inverse=(0,) * action.group.order)
+    return reduction.closure_f(code, spec, dataclasses.replace(action, group=group), n)
+
+
+def _block_at_greatest(code, spec, action, n):
+    """closure_f with the new block kept at its greatest position, not its
+    least."""
+    fx = reduction.closure_f(code, spec, action, n)
+    moved = [p for p, (a, b) in enumerate(zip(code, fx)) if a != b]
+    shift = (moved[-1] - moved[0]) * action.group.order if moved else 0
+    return type(fx)(v + shift if p in moved else v for p, v in enumerate(fx))
+
+
+@pytest.mark.parametrize("mutant", [_untranslated, _block_at_greatest])
+def test_closure_oracle_rejects_a_wrong_code_closure(mutant):
+    mismatches, _ = _closure_mismatches(mutant)
+    assert mismatches
 
 
 @pytest.mark.parametrize("n,action,T", [
@@ -78,8 +146,9 @@ def test_edge_analysis_flags_every_edge_against_the_other_orbit(monkeypatch, n):
     two_orbits = groups.action_from_permutations(Z2, [[0, 1, 2, 3], [1, 0, 3, 2]])
     removed = reduction.make_spec(two_orbits, [], 0)
     closure_f = reduction.closure_f
-    monkeypatch.setattr(reduction, "closure_f", lambda x, _, action: closure_f(x, removed, action))
-    monkeypatch.setattr(reduction, "_relabel_zero", lambda element, *_: element)
+    monkeypatch.setattr(reduction, "closure_f",
+                        lambda code, _, action, n: closure_f(code, removed, action, n))
+    monkeypatch.setattr(reduction, "_relabel_zero", lambda *_: bytes(range(256)))
     poset, _, report = reduction.reduce_and_verify(n, two_orbits, [],
                                                    reduction.make_spec(two_orbits, [], 2))
     colors = [move.color for moves in poset.moves for move in moves]
@@ -91,13 +160,12 @@ def test_edge_analysis_flags_every_edge_against_the_other_orbit(monkeypatch, n):
 
 def _verify_with_images(monkeypatch, images):
     """reduce_and_verify on n=2, Z2 swap, T = [] with the closure map
-    replaced by `images`, from element index to element index (None for the
-    top, which the subposet lacks); indices it omits are fixed.  The
-    subposet is a tree: atoms 1 and 2 below 3, 4 and 5, 6."""
-    elements = build_subposet(2, SWAP2, []).elements
-    table = {elements[i]: top_element(2) if j is None else elements[j]
-             for i, j in images.items()}
-    monkeypatch.setattr(reduction, "closure_f", lambda x, spec, action: table.get(x, x))
+    replaced by `images`, from element index to element index (None for a
+    code that no element has); indices it omits are fixed.  The subposet
+    is a tree: atoms 1 and 2 below 3, 4 and 5, 6."""
+    codes = build_subposet(2, SWAP2, []).codes.codes
+    table = {codes[i]: bytes([255, 255]) if j is None else codes[j] for i, j in images.items()}
+    monkeypatch.setattr(reduction, "closure_f", lambda code, spec, action, n: table.get(code, code))
     _, _, report = reduction.reduce_and_verify(2, SWAP2, [], reduction.make_spec(SWAP2, [], 0))
     assert report.passed is False
     return report.violations
@@ -117,7 +185,7 @@ def test_wrong_closure_maps_are_reported(monkeypatch, images, message):
 def test_image_elements_with_a_removed_color_are_reported(monkeypatch):
     """The identity keeps the removed orbit's colors, which no element of
     the reduced poset has: each such element is a violation, not a crash."""
-    monkeypatch.setattr(reduction, "closure_f", lambda x, spec, action: x)
+    monkeypatch.setattr(reduction, "closure_f", lambda code, spec, action, n: code)
     poset, _, report = reduction.reduce_and_verify(2, SWAP3, [], reduction.make_spec(SWAP3, [], 0))
     assert report.passed is False
     stray = [i for i, el in enumerate(poset.elements) if any(s in (0, 1) for _, s in el.zero)]
@@ -168,7 +236,7 @@ def test_closure_failures_tell_an_empty_proper_part_from_a_contractible_one(monk
                                                                            empty_first):
     """The empty complex is one (-1)-sphere, not a contractible space."""
     empty = adjoin_top(build_dowling(1, groups.trivial_action(groups.trivial_group(), 0)))
-    chain = RankedPoset([0, 1, 2], [(0, 1), (1, 2)], [0, 1, 2], bottom=0)
+    chain = poset_from_edges([0, 1, 2], [(0, 1), (1, 2)], [0, 1, 2], bottom=0)
     pair = (empty, chain) if empty_first else (chain, empty)
     key, failures = _closure_failures_with(monkeypatch, *pair)
     betti = "[] -> [0, 0]" if empty_first else "[0, 0] -> []"
@@ -206,8 +274,9 @@ def test_reduce_poset_returns_restricted_subposet():
 def test_image_covers_match_transitive_reduction(n, action, T, orbit_min):
     spec = reduction.make_spec(action, T, orbit_min)
     poset, reduced, rep = reduction.reduce_and_verify(n, action, T, spec)
-    index = {el: i for i, el in enumerate(poset.elements)}
-    image = sorted({index[reduction.closure_f(el, spec, action)] for el in poset.elements})
+    codes = poset.codes.codes
+    index = {code: i for i, code in enumerate(codes)}
+    image = sorted({index[reduction.closure_f(code, spec, action, n)] for code in codes})
     # oracle: x < y in the image with no image element strictly between
     expected = {
         (x, y)
@@ -221,3 +290,17 @@ def test_image_covers_match_transitive_reduction(n, action, T, orbit_min):
     assert walked == expected
     assert rep.isomorphic and rep.image_size == len(image)
     assert len(expected) == len(list(reduced.cover_edges()))
+
+
+@pytest.mark.parametrize("m", [255, 256])
+def test_closure_across_the_byte_boundary(m):
+    """Z2 swapping colors 0 and 1 of m at n=1, with T the m - 2 fixed
+    colors: the full codes are tuples (width m + 2 > 256), the reduced ones
+    bytes (width m), and the image, the whole subposet as n=1 leaves no
+    element with an orbit color, still matches the reduced poset."""
+    swap = groups.action_from_permutations(Z2, [list(range(m)), [1, 0, *range(2, m)]])
+    T = list(range(2, m))
+    poset, reduced, report = reduction.reduce_and_verify(1, swap, T, reduction.make_spec(swap, T, 0))
+    assert (type(poset.codes.codes[0]), type(reduced.codes.codes[0])) == (tuple, bytes)
+    assert report.passed, report.violations[:5]
+    assert report.isomorphic and report.image_size == len(reduced) == len(poset)

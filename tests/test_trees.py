@@ -6,9 +6,10 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdowling import catalog, cli, dowling, groups, labeling, trees
+from element_oracle import bottom_element, make_element
+from sdowling import acceptance, catalog, cli, dowling, groups, labeling, trees
 from sdowling.dowling import adjoin_top, build_dowling
-from sdowling.elements import bottom_element, make_element, top_element
+from sdowling.elements import bracket_notation, top_element
 from sdowling.errors import MalformedTree, NotACover, NotDecreasing, NotMaximal, UnsupportedCase
 from sdowling.labeling import EdgeType
 
@@ -392,6 +393,8 @@ def test_worked_instance_round_trip():
     )
     assert trees.psi(chain, act) == expected
     assert trees.psi_inv(expected, 4, act) == chain
+    # criterion 5 states the chain as these strings
+    assert [bracket_notation(el, ascii_only=True) for el in chain] == acceptance.FIGURE_CHAIN
 
 
 def _apply_by_make_element(x, et, action):
