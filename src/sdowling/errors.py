@@ -74,5 +74,9 @@ class MalformedTree(SDowlingError):
     pass
 
 
+class MalformedLabeling(SDowlingError):
+    """A labeling's row for a node is not parallel to the node's covers."""
+
+
 class InvalidSpec(InputFormatError):
     pass

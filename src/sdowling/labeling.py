@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter, lt
+from operator import lt
 from typing import NamedTuple
 
 from .dowling import EdgeType
-from .errors import NotACover, NotBounded
+from .errors import MalformedLabeling, NotACover, NotBounded
 from .poset import bits, saturated_chains
 
 NO_THIRD = -1
@@ -103,12 +102,23 @@ class ELReport:
     decreasing_chain_count: int
 
 
+def _label_rows(poset, labeling):
+    """The labeling's row of each node, one call per node; MalformedLabeling
+    where a row is not parallel to the node's covers."""
+    rows = [labeling(poset, x) for x in range(len(poset))]
+    covers = list(map(len, poset.up))
+    if list(map(len, rows)) != covers:
+        x = next(x for x, row in enumerate(rows) if len(row) != covers[x])
+        raise MalformedLabeling(f"node {x} has {covers[x]} covers but {len(rows[x])} labels")
+    return rows
+
+
 def _ranked_labels(poset, labeling):
     """The cover labels of each node, parallel to `up`, as their ranks k among
     the distinct labels, and the width of a count vector over them: slot
     k + 1 counts chains ending in label k, slot 0 and the last slot the
     empty chain, below or above every label."""
-    rows = [labeling(poset, x) for x in range(len(poset))]
+    rows = _label_rows(poset, labeling)
     order = {lab: k for k, lab in enumerate(sorted(set(itertools.chain.from_iterable(rows))))}
     return len(order) + 2, [tuple(map(order.__getitem__, row)) for row in rows]
 
@@ -145,7 +155,7 @@ def decreasing_chains(poset, labeling):
     are checked at the call, not at the first step of the iteration."""
     if poset.bottom is None or poset.top is None:
         raise NotBounded("decreasing chains require a bounded poset")
-    rows = [labeling(poset, x) for x in range(len(poset))]
+    rows = _label_rows(poset, labeling)
     walk = saturated_chains(poset, poset.bottom, poset.top, rows, decreasing=True)
     return (chain for chain, _ in walk)
 
@@ -184,18 +194,21 @@ def verify_el(poset, labeling, with_witness_chains=False) -> ELReport:
     the labels >= l: `one`, the y reached by a strictly increasing chain
     that starts with such a label; `two`, those reached by two or more;
     `inc`, those whose least label word starts with such a label and
-    increases strictly. A cover b with label l adds b and b's masks past l.
-    Where two covers with the least label below y tie, their least words
-    decide, by a memoized recursion through `poset.leq`. [x, y] passes
-    exactly when y is in `one` and `inc` but not in `two` at x's least
-    label. Bit p is the p-th element processed, the top bit 0; an element
-    keeps only the masks its lower covers read, until they are all done,
-    and equal masks are one object. A failing interval's reason comes from
-    the masks: y not in `one` has no increasing chain, y in `two` more
-    than one, and otherwise the increasing chain is not the least word.
-    Only `with_witness_chains` walks it again, by `check_interval`, which
-    gives the reason and the witnesses; `poset.above` is built only for
-    that or for a tie.
+    increases strictly. x's covers are grouped by label in one pass; a
+    cover b with label l adds b and b's masks past l. A label on one cover
+    takes that cover's masks; where two covers with the least label below
+    y tie, their least words decide, by a memoized recursion through
+    `poset.leq`. [x, y] passes exactly when y is in `one` and `inc` but not
+    in `two` at x's least label. Bit p is the p-th element processed, the
+    top bit 0. A finished x keeps, in per-element lists, its strict up-set
+    and a dict from each label its lower covers carry to the masks past
+    that label, which a lower cover reads by its own label; both are freed
+    once its last lower cover is done, and equal masks are one object. A
+    failing interval's reason comes from the masks: y not in `one` has no
+    increasing chain, y in `two` more than one, and otherwise the
+    increasing chain is not the least word. Only `with_witness_chains`
+    walks it again, by `check_interval`, which gives the reason and the
+    witnesses; `poset.above` is built only for that or for a tie.
     """
     if poset.bottom is None or poset.top is None:
         raise NotBounded("EL verification requires a bounded poset")
@@ -203,7 +216,7 @@ def verify_el(poset, labeling, with_witness_chains=False) -> ELReport:
     up = poset.up
     order = sorted(range(len(up)), key=poset.rank.__getitem__, reverse=True)
     pos = sorted(range(len(up)), key=order.__getitem__)  # the inverse of order
-    waiting = [[] for _ in up]  # the labels of the covers into each node, not yet processed
+    waiting = [[] for _ in up]  # the labels of the covers into each node
     for a, ys in enumerate(up):
         for y, lab in zip(ys, ints[a]):
             waiting[y].append(lab)
@@ -213,20 +226,30 @@ def verify_el(poset, labeling, with_witness_chains=False) -> ELReport:
         return () if b == y else min(
             (lab,) + least_word(c, y) for c, lab in zip(up[b], ints[b]) if poset.leq(c, y))
 
-    # x -> (its cover labels, (one, two, inc) per label and past the last,
-    # None where no lower cover reads it, its strict up-set)
-    state = {}
+    # per element, once processed: label -> (one, two, inc) past it, for
+    # each label into it; its strict up-set; its lower covers not yet done
+    past, ups, left = [None] * len(up), [None] * len(up), [0] * len(up)
     failures = []
     for x in order:
+        groups = {}
+        for b, lab in zip(up[x], ints[x]):
+            groups.setdefault(lab, []).append(b)
         slots, reached = [], 0
-        for lab, group in itertools.groupby(sorted(zip(ints[x], up[x])), key=itemgetter(0)):
+        for lab in sorted(groups):
+            group = groups[lab]
+            if len(group) == 1:
+                b = group[0]
+                one, two, inc = past[b][lab]
+                bit = 1 << pos[b]
+                slots.append((lab, one | bit, two, (inc | bit) & ~reached))
+                reached |= ups[b] | bit
+                continue
             one = two = inc = reach = tie = 0
             covers = []
-            for _, b in group:
-                keys, rows, up_b = state[b]
-                one_b, two_b, inc_b = rows[bisect_right(keys, lab)]
+            for b in group:
+                one_b, two_b, inc_b = past[b][lab]
                 bit = 1 << pos[b]
-                one_b, inc_b, reach_b = one_b | bit, inc_b | bit, up_b | bit
+                one_b, inc_b, reach_b = one_b | bit, inc_b | bit, ups[b] | bit
                 two |= two_b | one & one_b
                 one |= one_b
                 inc |= inc_b
@@ -242,27 +265,31 @@ def verify_el(poset, labeling, with_witness_chains=False) -> ELReport:
                                   key=lambda c: least_word(c[0], y))
                 inc |= inc_b & 1 << p
             slots.append((lab, one, two, inc))
-        keys, rows = [s[0] for s in slots], [(0, 0, 0)]
+        # the suffix masks from the last label down, each handed to the
+        # labels into x that lie at or past its label
+        need = sorted(set(waiting[x]))
+        row, masks = {}, (0, 0, 0)
         one = two = inc = 0
-        for _, one_l, two_l, inc_l in reversed(slots):
+        for lab, one_l, two_l, inc_l in reversed(slots):
+            while need and need[-1] >= lab:
+                row[need.pop()] = masks
             two |= two_l | one & one_l
             one |= one_l
             inc |= inc_l
-            rows.append((one, two, one if inc == one else inc))
-        rows.reverse()
-        one, two, inc = rows[0]
+            masks = one, two, one if inc == one else inc
+        row.update(dict.fromkeys(need, masks))
+        one, two, inc = masks
         for p in bits(reached & ~(one & inc) | two):
             reason = ("NoIncreasing" if not one >> p & 1
                       else "MultipleIncreasing" if two >> p & 1 else "NotLexFirst")
             failures.append(check_interval(poset, ints, x, order[p]) if with_witness_chains
                             else IntervalFailure(x, order[p], reason))
-        kept = {bisect_right(keys, lab) for lab in waiting[x]}
-        rows = [row if k in kept else None for k, row in enumerate(rows)]
-        state[x] = keys, rows, one if reached == one else reached
+        past[x], ups[x], left[x] = row, one if reached == one else reached, len(waiting[x])
+        waiting[x] = None
         for b in up[x]:
-            waiting[b].pop()
-            if not waiting[b]:
-                del state[b]
+            left[b] -= 1
+            if not left[b]:
+                past[b] = ups[b] = None
     failures.sort(key=lambda f: (f.x, f.y))
     # least_word refers to itself through its closure cell, a cycle that
     # would keep the poset alive until the cyclic collector runs

@@ -15,7 +15,7 @@ from operator import ge, itemgetter
 
 from .dowling import TOP_MOVE, adjoin_top, build_dowling, cover_moves
 from .errors import MalformedTree, NotACover, NotDecreasing, NotMaximal, UnsupportedCase
-from .labeling import decreasing_chains, label_lambda, lambda_of_move, recorded_move
+from .labeling import decreasing_chains, label_lambda, lambda_of_move
 
 BLOOM = "*"
 DEFAULT_MAX_TREES = 1_000_000
@@ -134,11 +134,11 @@ def _tree_family(n, action):
 @lru_cache(maxsize=1)
 def _bounded(n, action):
     """The bounded poset on {1..n} that `psi` and `psi_inv` look chains up
-    in, and its element -> index map, of one (n, action) at a time; an
-    unsupported case raises before the build."""
-    _tree_family(n, action)
+    in, its element -> index map and its tree family, of one (n, action) at
+    a time; an unsupported case raises before the build."""
+    family = _tree_family(n, action)
     poset = adjoin_top(build_dowling(n, action))
-    return poset, {el: i for i, el in enumerate(poset.elements)}
+    return poset, {el: i for i, el in enumerate(poset.elements)}, family
 
 
 def psi(chain, action):
@@ -148,22 +148,29 @@ def psi(chain, action):
     if not chain:
         raise NotMaximal("the empty chain is not maximal")
     n = chain[0].n
-    poset, index = _bounded(n, action)
+    poset, index, family = _bounded(n, action)
     index_chain = [index.get(el) for el in chain]
     if None in index_chain:
         raise NotACover("an element of the chain is not in the poset")
     if index_chain[0] != poset.bottom:
         raise NotMaximal("the chain does not start at the bottom")
-    return _psi(poset, index_chain, n, action)
+    return _psi(poset, index_chain, n, action, family)
 
 
-def _psi(poset, chain, n, action):
+def _psi(poset, chain, n, action, family):
     """Blooming tree of an index chain of the bounded poset, from the moves
-    the build recorded on its covers.  Once the label word is known to
-    decrease, the moves hang children below parents in descending label
-    order, so a node's child tuple is built once, when the node is hung."""
-    moves = [recorded_move(poset, x, y) for x, y in zip(chain, chain[1:])]
-    q, r, labels = _tree_family(n, action)
+    the build recorded on its covers, in the tree family `_tree_family`
+    gives.  Once the label word is known to decrease, the moves hang
+    children below parents in descending label order, so a node's child
+    tuple is built once, when the node is hung."""
+    try:  # one scan of each Hasse row finds the cover and its move
+        moves = [poset.moves[x][poset.up[x].index(y)] for x, y in zip(chain, chain[1:])]
+    except ValueError:
+        moves = [None]
+    if None in moves:
+        x, y = next((x, y) for x, y in zip(chain, chain[1:]) if poset.move(x, y) is None)
+        raise NotACover(f"({x}, {y}) is not a single-move cover edge")
+    q, r, labels = family
     m = action.set_size
     k = action.group.order - 1  # size of G minus identity
     words = list(map(lambda_of_move, moves))
@@ -196,13 +203,14 @@ def _psi(poset, chain, n, action):
     return (root, tuple(children[root]) + (BLOOM,) * (q - bloomed[root]))
 
 
-def _psi_inv(poset, tree, n, action):
-    """Index chain of a blooming tree in the bounded poset.  The tree's
+def _psi_inv(poset, tree, n, action, family):
+    """Index chain of a blooming tree of the family `_tree_family` gives, in
+    the bounded poset.  The tree's
     couples, sorted by parent in descending label order by a stable sort
     that keeps each parent's children in order, are the chain's moves, the
     build's own objects, walked up the Hasse rows from the bottom to the
     top move; NotACover when a move has no cover."""
-    couples = validate_blooming(tree, *_tree_family(n, action))
+    couples = validate_blooming(tree, *family)
     couples.sort(key=itemgetter(0), reverse=True)
     m = action.set_size
     k = action.group.order - 1
@@ -232,8 +240,8 @@ def psi_inv(tree, n, action):
 
     Returns the element list from the bottom to the adjoined top.
     """
-    poset, _ = _bounded(n, action)
-    return [poset.elements[x] for x in _psi_inv(poset, tree, n, action)]
+    poset, _, family = _bounded(n, action)
+    return [poset.elements[x] for x in _psi_inv(poset, tree, n, action, family)]
 
 
 def bijection_failures(poset, n, action):
@@ -249,20 +257,22 @@ def bijection_failures(poset, n, action):
     Returns (chain_count, tree_count, messages); no messages means psi is a
     bijection and psi_inv its inverse.
     """
-    q, r, labels = _tree_family(n, action)
+    family = q, r, labels = _tree_family(n, action)
     chain_count, chains_trip = 0, True
     for chain in decreasing_chains(poset, label_lambda):
         chain_count += 1
         if chains_trip:
             try:
-                chains_trip = _psi_inv(poset, _psi(poset, chain, n, action), n, action) == list(chain)
+                tree = _psi(poset, chain, n, action, family)
+                chains_trip = _psi_inv(poset, tree, n, action, family) == list(chain)
             except (MalformedTree, NotACover):  # psi(chain) is no tree that walks back
                 chains_trip = False
     tree_count, walked, trees_trip = 0, True, True
     for t in enumerate_blooming(len(labels), q, r, labels=labels):
         tree_count += 1
         try:
-            trees_trip = trees_trip and _psi(poset, _psi_inv(poset, t, n, action), n, action) == t
+            trees_trip = trees_trip and _psi(poset, _psi_inv(poset, t, n, action, family),
+                                             n, action, family) == t
         except NotACover:
             walked = False
     checks = ((chains_trip, "psi_inv(psi(chain)) != chain"),

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cover_oracle import classify_cover
 from element_oracle import bottom_element, make_element, poset_from_edges
-from sdowling import acceptance, catalog, dowling, groups, reduction
+from sdowling import acceptance, catalog, dowling, groups, reduction, trees
 from sdowling.dowling import (
     EdgeType,
     adjoin_top,
@@ -316,6 +317,45 @@ def test_recorded_moves_match_classify_cover():
                 recorded.append(move)
         # equal moves are one shared object
         assert len({id(m) for m in recorded}) == len(set(recorded)), key
+
+
+def _moves_off_their_tables(poset, n, action):
+    """The covers (x, y) below the top whose recorded move, applied to x's
+    code through its `cover_moves` table, does not give y's code."""
+    merges, colorings, _, step = dowling.cover_moves(n, action)
+    tables = dict(entry for by_a in merges for by_b in by_a for entry in by_b)
+    tables.update(entry for by_a in colorings for entry in by_a)
+    codes = poset.codes.codes
+    return [(x, y) for x, (ys, moves) in enumerate(zip(poset.up, poset.moves))
+            for y, move in zip(ys, moves)
+            if move is not dowling.TOP_MOVE and step(codes[x], tables[move]) != codes[y]]
+
+
+def test_recorded_moves_make_their_covers_on_the_grid():
+    """On every full poset of the n <= 4 grid, each recorded move below the
+    top, applied to the lower code, gives the upper one."""
+    grid = list(catalog.dowling_grid(ns=(1, 2, 3, 4)))
+    for key, n, action in grid:
+        assert _moves_off_their_tables(adjoin_top(build_dowling(n, action)), n, action) == [], key
+    assert len(grid) == 108
+
+
+def test_swapped_recorded_moves_are_caught_by_their_tables():
+    """Swapping two moves in one Hasse row of n=2 Z2:2 leaves the rows
+    consistent, and the bijection check passes some such swaps, such as
+    the bottom's two merges; the tables report the two covers of every one."""
+    action = groups.trivial_action(Z2, 2)
+    missed = 0
+    for x, row in enumerate(adjoin_top(build_dowling(2, action)).moves):
+        for i, j in itertools.combinations(range(len(row)), 2):
+            phat = adjoin_top(build_dowling(2, action))
+            moves = list(row)
+            moves[i], moves[j] = moves[j], moves[i]
+            phat.moves[x] = tuple(moves)
+            assert _moves_off_their_tables(phat, 2, action) == \
+                [(x, phat.up[x][i]), (x, phat.up[x][j])], (x, i, j)
+            missed += trees.bijection_failures(phat, 2, action)[2] == []
+    assert missed == 15
 
 
 def test_induced_cover_that_is_no_single_move(monkeypatch):

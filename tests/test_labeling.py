@@ -13,7 +13,7 @@ from element_oracle import bottom_element, make_element, poset_from_edges
 from sdowling import catalog, groups, labeling
 from sdowling.dowling import adjoin_top, build_dowling, build_subposet
 from sdowling.elements import top_element
-from sdowling.errors import NotACover, NotBounded
+from sdowling.errors import MalformedLabeling, NotACover, NotBounded
 from sdowling.labeling import EdgeLabel, EdgeType
 from sdowling.poset import moebius, saturated_chains, sphere_product
 
@@ -213,6 +213,29 @@ def test_verify_el_requires_bounds():
         labeling.decreasing_chains(poset, labeling.label_lambda)
     with pytest.raises(NotBounded):
         labeling.count_decreasing_chains(poset, labeling.label_lambda)
+
+
+def _short_rows(poset, x):
+    """lambda's rows less their last label."""
+    return labeling.label_lambda(poset, x)[:-1]
+
+
+def _long_rows(poset, x):
+    """lambda's rows and one label more."""
+    return labeling.label_lambda(poset, x) + (EdgeLabel(0, 0),)
+
+
+@pytest.mark.parametrize("walker", [labeling.verify_el, labeling.decreasing_chains,
+                                    labeling.count_decreasing_chains])
+@pytest.mark.parametrize("fn, extra", [(_short_rows, -1), (_long_rows, 1)])
+def test_a_row_not_parallel_to_the_covers_raises(walker, fn, extra):
+    """A labeling whose row for a node has fewer or more labels than the node
+    has covers is refused at the call, naming the node and both lengths."""
+    phat = adjoin_top(build_dowling(3, groups.trivial_action(Z2, 2)))
+    covers = len(phat.up[phat.bottom])
+    with pytest.raises(MalformedLabeling,
+                       match=f"node {phat.bottom} has {covers} covers but {covers + extra} labels"):
+        walker(phat, fn)
 
 
 def test_verify_el_fails_on_counterexample_subposet():

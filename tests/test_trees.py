@@ -477,11 +477,12 @@ def test_psi_inv_applies_the_builds_own_moves():
     checked = 0
     for key, n, action, ts in _bijection_family_trees():
         phat = adjoin_top(build_dowling(n, action))
+        family = trees._tree_family(n, action)
         own = {id(move) for row in phat.moves for move in row}
         phat.moves = [_SpyRow(row) for row in phat.moves]
         for t in ts:
             _SpyRow.looked_up.clear()
-            assert trees._psi_inv(phat, t, n, action)[-1] == phat.top, key
+            assert trees._psi_inv(phat, t, n, action, family)[-1] == phat.top, key
             assert all(id(move) in own for move in _SpyRow.looked_up), key
             assert _SpyRow.looked_up[-1] is dowling.TOP_MOVE, key
             checked += len(_SpyRow.looked_up)
