@@ -1,5 +1,7 @@
-"""The two edge labelings, read off the moves the build records, and the
-exhaustive lexicographic-shellability verifier.
+"""The two edge labelings, one rule on the moves the build records, and the
+exhaustive lexicographic-shellability verifier.  λ labels the full poset and
+μ its invariant subposets; on a coloring cover μ ranks the lower element's
+zero-block colors first, so λ is μ with no color ranked first.
 
 A labeling `labeling(poset, x)` returns the labels of x's covers as a tuple
 parallel to `poset.up[x]`, and is called once per node."""
@@ -12,7 +14,6 @@ from dataclasses import dataclass, field
 from operator import lt
 from typing import NamedTuple
 
-from .dowling import EdgeType
 from .errors import MalformedLabeling, NotACover, NotBounded
 from .poset import bits, saturated_chains
 
@@ -27,40 +28,29 @@ class EdgeLabel(NamedTuple):
     b: int = NO_THIRD
 
 
+_label = functools.cache(EdgeLabel)  # one object per label; b is passed only when present
+
+
 @functools.cache
-def lambda_of_move(et) -> EdgeLabel:
-    """The label of the full bounded poset on a cover with move `et`; one
-    object per distinct move."""
+def move_label(et, first=frozenset()) -> EdgeLabel:
+    """The label of a cover with move `et` when the colors in `first` are
+    ranked before the others, each part in index order: λ ranks none first,
+    μ the zero-block colors of the cover's lower element.  Cached per
+    (move, first), and equal labels are one object."""
     if et.kind == "top":
-        return EdgeLabel(1, 2)
+        return _label(1, 2)
     if et.kind == "colored":
-        return EdgeLabel(1, et.color + 1)
+        s = et.color
+        if s in first:
+            return _label(1, sum(1 for r in first if r <= s))
+        return _label(1, (s + 1) + sum(1 for r in first if r > s))
     if et.alpha == 0:  # a coherent merge
-        return EdgeLabel(0, max(et.min_a, et.min_b))
+        return _label(0, max(et.min_a, et.min_b))
     # order on G \ {e} is the index order, so position == element index
-    return EdgeLabel(2, min(et.min_a, et.min_b), et.alpha)
+    return _label(2, min(et.min_a, et.min_b), et.alpha)
 
 
-def _mu_of_move(et, used) -> EdgeLabel:
-    """Subposet labeling: favors the zero-block colors `used` by the lower
-    element of the cover."""
-    if et.kind != "colored":
-        return lambda_of_move(et)
-    s = et.color
-    if s in used:
-        return EdgeLabel(1, sum(1 for r in used if r <= s))
-    return EdgeLabel(1, (s + 1) + sum(1 for r in used if r > s))
-
-
-def recorded_move(poset, xi, yi) -> EdgeType:
-    """The move the build recorded for the cover (xi, yi)."""
-    et = poset.move(xi, yi)
-    if et is None:
-        raise NotACover(f"({xi}, {yi}) is not a single-move cover edge")
-    return et
-
-
-def _recorded_row(poset, xi):
+def recorded_row(poset, xi):
     """The moves the build recorded for x's covers, parallel to `up[x]`;
     NotACover when a cover records none."""
     row = poset.moves[xi]
@@ -72,15 +62,15 @@ def _recorded_row(poset, xi):
 
 def label_lambda(poset, xi):
     """The labels of x's covers in the full bounded poset, parallel to `up[x]`."""
-    return tuple(map(lambda_of_move, _recorded_row(poset, xi)))
+    return tuple(map(move_label, recorded_row(poset, xi)))
 
 
 def label_mu(poset, xi):
     """The subposet labels of x's covers, parallel to `up[x]`; x's zero-block
     colors are read off its code, where a value v >= n*|G| has color v - n*|G|."""
     base = poset.codes.n * poset.codes.order
-    used = {v - base for v in set(poset.codes.codes[xi] or ()) if v >= base}
-    return tuple(_mu_of_move(et, used) for et in _recorded_row(poset, xi))
+    first = frozenset(v - base for v in poset.codes.codes[xi] or () if v >= base)
+    return tuple(move_label(et, first) for et in recorded_row(poset, xi))
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +93,11 @@ class ELReport:
 
 
 def _label_rows(poset, labeling):
-    """The labeling's row of each node, one call per node; MalformedLabeling
-    where a row is not parallel to the node's covers."""
+    """The labeling's row of each node, one call per node; NotBounded on a
+    poset without both bounds, MalformedLabeling where a row is not parallel
+    to the node's covers."""
+    if poset.bottom is None or poset.top is None:
+        raise NotBounded("decreasing chains and EL verification require a bounded poset")
     rows = [labeling(poset, x) for x in range(len(poset))]
     covers = list(map(len, poset.up))
     if list(map(len, rows)) != covers:
@@ -153,8 +146,6 @@ def decreasing_chains(poset, labeling):
     """Maximal bottom-to-top chains with weakly decreasing label words, as
     index tuples in lexicographic order, yielded one at a time.  The bounds
     are checked at the call, not at the first step of the iteration."""
-    if poset.bottom is None or poset.top is None:
-        raise NotBounded("decreasing chains require a bounded poset")
     rows = _label_rows(poset, labeling)
     walk = saturated_chains(poset, poset.bottom, poset.top, rows, decreasing=True)
     return (chain for chain, _ in walk)
@@ -162,8 +153,6 @@ def decreasing_chains(poset, labeling):
 
 def count_decreasing_chains(poset, labeling):
     """The number of chains `decreasing_chains` yields, without walking them."""
-    if poset.bottom is None or poset.top is None:
-        raise NotBounded("decreasing chains require a bounded poset")
     return _count_decreasing(poset, *_ranked_labels(poset, labeling))
 
 
@@ -210,8 +199,6 @@ def verify_el(poset, labeling, with_witness_chains=False) -> ELReport:
     walks it again, by `check_interval`, which gives the reason and the
     witnesses; `poset.above` is built only for that or for a tie.
     """
-    if poset.bottom is None or poset.top is None:
-        raise NotBounded("EL verification requires a bounded poset")
     width, ints = _ranked_labels(poset, labeling)
     up = poset.up
     order = sorted(range(len(up)), key=poset.rank.__getitem__, reverse=True)

@@ -64,9 +64,12 @@ class RankedPoset:
         return bool(self.above[x] >> y & 1)
 
     def move(self, x, y):
-        """The move of the cover (x, y); None when y does not cover x."""
-        ys = self.up[x]
-        return self.moves[x][ys.index(y)] if y in ys else None
+        """The move of the cover (x, y), by one scan of x's row; None when y
+        does not cover x."""
+        try:
+            return self.moves[x][self.up[x].index(y)]
+        except ValueError:
+            return None
 
 
 def is_graded(poset):

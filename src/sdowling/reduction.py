@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from . import groups
 from .dowling import DEFAULT_MAX_ELEMENTS, build_subposet, cover_moves
 from .errors import InvalidSpec
-from .labeling import recorded_move
+from .labeling import recorded_row
 from .poset import subposet_rows
 
 
@@ -123,20 +123,20 @@ def reduce_and_verify(n, action, T, spec, max_elements=DEFAULT_MAX_ELEMENTS):
 
     # edge-by-edge case analysis from the orbit-reduction argument
     orbit = set(spec.orbit)
-    for x, y in poset.cover_edges():
-        fx, fy = f_of[x], f_of[y]
-        et = recorded_move(poset, x, y)
-        f_et = poset.move(fx, fy)
-        image_kind = f_et.kind if f_et else None
-        if et.kind == "colored" and et.color in orbit:
-            if fx != fy and image_kind != "merge":
+    for x in range(len(poset)):
+        for y, et in zip(poset.up[x], recorded_row(poset, x)):
+            fx, fy = f_of[x], f_of[y]
+            f_et = poset.move(fx, fy)
+            image_kind = f_et.kind if f_et else None
+            if et.kind == "colored" and et.color in orbit:
+                if fx != fy and image_kind != "merge":
+                    violations.append(
+                        f"orbit-colored edge ({x},{y}) maps to neither a fixed pair nor a merge"
+                    )
+            elif image_kind != et.kind:
                 violations.append(
-                    f"orbit-colored edge ({x},{y}) maps to neither a fixed pair nor a merge"
+                    f"edge ({x},{y}) of kind {et.kind} does not map to an edge of the same kind"
                 )
-        elif image_kind != et.kind:
-            violations.append(
-                f"edge ({x},{y}) of kind {et.kind} does not map to an edge of the same kind"
-            )
 
     # independent reconstruction on the surviving colors
     keep = [s for s in range(action.set_size) if s not in orbit]

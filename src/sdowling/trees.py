@@ -15,7 +15,7 @@ from operator import ge, itemgetter
 
 from .dowling import TOP_MOVE, adjoin_top, build_dowling, cover_moves
 from .errors import MalformedTree, NotACover, NotDecreasing, NotMaximal, UnsupportedCase
-from .labeling import decreasing_chains, label_lambda, lambda_of_move
+from .labeling import decreasing_chains, label_lambda, move_label
 
 BLOOM = "*"
 DEFAULT_MAX_TREES = 1_000_000
@@ -163,17 +163,14 @@ def _psi(poset, chain, n, action, family):
     gives.  Once the label word is known to decrease, the moves hang
     children below parents in descending label order, so a node's child
     tuple is built once, when the node is hung."""
-    try:  # one scan of each Hasse row finds the cover and its move
-        moves = [poset.moves[x][poset.up[x].index(y)] for x, y in zip(chain, chain[1:])]
-    except ValueError:
-        moves = [None]
+    moves = list(map(poset.move, chain, chain[1:]))
     if None in moves:
-        x, y = next((x, y) for x, y in zip(chain, chain[1:]) if poset.move(x, y) is None)
-        raise NotACover(f"({x}, {y}) is not a single-move cover edge")
+        i = moves.index(None)
+        raise NotACover(f"({chain[i]}, {chain[i + 1]}) is not a single-move cover edge")
     q, r, labels = family
     m = action.set_size
     k = action.group.order - 1  # size of G minus identity
-    words = list(map(lambda_of_move, moves))
+    words = list(map(move_label, moves))
     if not all(map(ge, words, words[1:])):
         raise NotDecreasing("label word is not weakly decreasing")
     # every cover below the top attaches one label; a chain from the bottom
@@ -184,14 +181,15 @@ def _psi(poset, chain, n, action, family):
     children = [[] for _ in range(n + 1)]  # by label
     bloomed = [0] * (n + 1)  # the blooms among each node's children
     # each edge hangs a child below a parent after as many of the parent's
-    # blooms as its label leaves: a coloring hangs the block minimum below
-    # the root, a non-coherent merge the larger minimum below the smaller;
-    # the label checks keep each count within q and r, which pad the rest
-    for et, lab in zip(moves[:-1], words):
+    # blooms as its move leaves: a coloring hangs the block minimum below
+    # the root after m - 1 - (its color), a non-coherent merge the larger
+    # minimum below the smaller after k - (its twist); the word check keeps
+    # each count within q and r, which pad the rest
+    for et in moves[:-1]:
         if et.kind == "colored":
-            u, blooms = root, m - lab.a
+            u, blooms = root, m - 1 - et.color
         elif et.kind == "merge" and et.alpha:
-            u, blooms = et.min_a, k - lab.b
+            u, blooms = et.min_a, k - et.alpha
         else:
             raise NotDecreasing("decreasing chains contain no coherent merges")
         if blooms < bloomed[u]:

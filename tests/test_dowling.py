@@ -23,7 +23,7 @@ from sdowling.labeling import (
     count_decreasing_chains,
     label_lambda,
     label_mu,
-    recorded_move,
+    recorded_row,
     verify_el,
 )
 from sdowling.poset import (
@@ -368,8 +368,9 @@ def test_induced_cover_that_is_no_single_move(monkeypatch):
     y = p.up[p.bottom][0]
     with pytest.raises(NotACover):
         classify_cover(p.elements[p.bottom], p.elements[y])
+    assert p.move(p.bottom, y) is None
     with pytest.raises(NotACover):
-        recorded_move(p, p.bottom, y)
+        recorded_row(p, p.bottom)
     for fn in (label_lambda, label_mu):
         with pytest.raises(NotACover):
             fn(p, p.bottom)

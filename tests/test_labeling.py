@@ -11,10 +11,10 @@ import cover_oracle
 from cover_oracle import classify_cover
 from element_oracle import bottom_element, make_element, poset_from_edges
 from sdowling import catalog, groups, labeling
-from sdowling.dowling import adjoin_top, build_dowling, build_subposet
+from sdowling.dowling import EdgeType, adjoin_top, build_dowling, build_subposet, cut_subposet
 from sdowling.elements import top_element
 from sdowling.errors import MalformedLabeling, NotACover, NotBounded
-from sdowling.labeling import EdgeLabel, EdgeType
+from sdowling.labeling import EdgeLabel
 from sdowling.poset import moebius, saturated_chains, sphere_product
 
 Z2 = groups.cyclic_group(2)
@@ -173,10 +173,67 @@ def test_mu_labels_favor_present_colors():
 
 
 def test_label_wrappers_check_covers():
+    """A pair that is no cover has no move, and a row that records no move
+    for one of its covers is refused by the row accessor and both labelings."""
     action = groups.trivial_action(Z2, 1)
     phat = adjoin_top(build_dowling(2, action))
-    with pytest.raises(NotACover):
-        labeling.recorded_move(phat, phat.bottom, phat.top)
+    assert phat.move(phat.bottom, phat.top) is None
+    phat.moves[phat.bottom] = (None,) + phat.moves[phat.bottom][1:]
+    y = phat.up[phat.bottom][0]
+    for fn in (labeling.recorded_row, labeling.label_lambda, labeling.label_mu):
+        with pytest.raises(NotACover, match=rf"\({phat.bottom}, {y}\) is not a single-move"):
+            fn(phat, phat.bottom)
+
+
+def _lambda_oracle(et):
+    """lambda's table as first written, one case per kind of move."""
+    if et.kind == "top":
+        return EdgeLabel(1, 2)
+    if et.kind == "colored":
+        return EdgeLabel(1, et.color + 1)
+    if et.alpha == 0:
+        return EdgeLabel(0, max(et.min_a, et.min_b))
+    return EdgeLabel(2, min(et.min_a, et.min_b), et.alpha)
+
+
+def _mu_oracle(et, used):
+    """mu as first written: lambda off the colorings; a coloring with color s
+    counts the colors `used` by the lower element up to s if s is one of
+    them, and else s + 1 plus those past s."""
+    if et.kind != "colored":
+        return _lambda_oracle(et)
+    s = et.color
+    if s in used:
+        return EdgeLabel(1, sum(1 for r in used if r <= s))
+    return EdgeLabel(1, (s + 1) + sum(1 for r in used if r > s))
+
+
+def _n4_grid_posets():
+    """The 108 bounded full posets of the n <= 4 grid, then each one's
+    invariant subposets, cut from its build."""
+    for key, n, action in catalog.dowling_grid(ns=(1, 2, 3, 4)):
+        full = build_dowling(n, action)
+        yield key, adjoin_top(full)
+        for T in catalog.invariant_subsets(action):
+            yield f"{key},T={list(T)}", adjoin_top(cut_subposet(full, action, list(T)))
+
+
+def test_labels_match_the_first_written_rules_on_the_n4_grid():
+    """Every cover of the n <= 4 grid posets and their invariant subposets
+    gets the oracles' lambda and mu labels, mu with the zero-block colors of
+    the decoded lower element, and equal labels in a poset are one object."""
+    posets = 0
+    for key, phat in _n4_grid_posets():
+        posets += 1
+        labels = []
+        for x, (moves, element) in enumerate(zip(phat.moves, phat.elements)):
+            used = {s for _, s in element.zero}
+            lam, mu = labeling.label_lambda(phat, x), labeling.label_mu(phat, x)
+            assert lam == tuple(map(_lambda_oracle, moves)), (key, x)
+            assert mu == tuple(_mu_oracle(et, used) for et in moves), (key, x)
+            labels += lam + mu
+        assert len(set(map(id, labels))) == len(set(labels)), key
+    assert posets == 108 + 220
 
 
 def test_verify_el_passes_small_full_poset():

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -246,6 +247,13 @@ def test_sphere_count_formula_values():
     assert sphere_product(1, 1, 0) == 1
     with pytest.raises(ValueError):
         sphere_product(0, 1, 1)
+
+
+def test_sphere_product_with_the_trivial_group_is_the_direct_count():
+    """With |G| = 1 and m >= 2 colors the product is n! C(n + m - 2, n)."""
+    for n in range(1, 9):
+        for m in range(2, 9):
+            assert sphere_product(n, 1, m) == math.factorial(n) * math.comb(n + m - 2, n), (n, m)
 
 
 @given(st.integers(min_value=0, max_value=1 << 1500))

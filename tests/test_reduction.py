@@ -5,9 +5,9 @@ import pytest
 
 import element_oracle
 from element_oracle import make_element, poset_from_edges
-from sdowling import acceptance, catalog, groups, reduction, topology
+from sdowling import acceptance, catalog, dowling, groups, reduction, topology
 from sdowling.dowling import adjoin_top, build_dowling, build_subposet
-from sdowling.errors import InvalidSpec
+from sdowling.errors import InvalidSpec, NotACover
 from sdowling.poset import subposet_rows
 from subposet_oracle import induced_covers
 
@@ -134,6 +134,17 @@ def test_closure_properties_and_isomorphism(n, action, T):
     assert report.isomorphic
     assert report.image_size == len(reduced.elements)
     assert len(reduced.elements) < len(poset.elements)
+
+
+def test_edge_analysis_refuses_a_cover_that_records_no_move(monkeypatch):
+    """With the rank-1 elements filtered out, the bottom of the subposet is
+    covered by rank-2 elements, covers that record no move: the edge
+    analysis reads the bottom's row through the row accessor, which raises."""
+    monkeypatch.setattr(dowling, "_passes_filter",
+                        lambda code, *_: dowling._decode(code, 2, 2, {}).rank != 1)
+    with pytest.raises(NotACover, match="is not a single-move cover edge") as raised:
+        reduction.reduce_and_verify(2, SWAP2, [], reduction.make_spec(SWAP2, [], 0))
+    assert raised.traceback[-1].name == "recorded_row"
 
 
 @pytest.mark.parametrize("n", [2, 3])

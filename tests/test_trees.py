@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from element_oracle import bottom_element, make_element
 from sdowling import acceptance, catalog, cli, dowling, groups, labeling, trees
-from sdowling.dowling import adjoin_top, build_dowling
+from sdowling.dowling import EdgeType, adjoin_top, build_dowling
 from sdowling.elements import bracket_notation, top_element
 from sdowling.errors import MalformedTree, NotACover, NotDecreasing, NotMaximal, UnsupportedCase
-from sdowling.labeling import EdgeType
 
 Z2 = groups.cyclic_group(2)
 Z3 = groups.cyclic_group(3)
