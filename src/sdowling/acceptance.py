@@ -160,6 +160,7 @@ def criterion_6():
     for key, n, action in catalog.dowling_grid():
         rep = _el_lambda(n, action)
         if not rep.passed:
+            yield [f"{key}: lambda is not EL; no sphere count is predicted"]
             continue
         eps = 1 if action.set_size == 0 else 0
         dim = n - 1 - eps
@@ -234,6 +235,7 @@ def criterion_10():
     for key, n, action in catalog.dowling_grid():
         rep = _el_lambda(n, action)
         if not rep.passed:
+            yield [f"{key}: lambda is not EL; no sphere count is predicted"]
             continue
         dhat = _dhat(n, action)
         mu = moebius(dhat, dhat.bottom, dhat.top)

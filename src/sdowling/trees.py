@@ -15,7 +15,7 @@ from operator import ge, itemgetter
 
 from .dowling import TOP_MOVE, adjoin_top, build_dowling, cover_moves
 from .errors import MalformedTree, NotACover, NotDecreasing, NotMaximal, UnsupportedCase
-from .labeling import decreasing_chains, label_lambda, move_label
+from .labeling import count_decreasing_chains, label_lambda, move_label
 
 BLOOM = "*"
 DEFAULT_MAX_TREES = 1_000_000
@@ -183,17 +183,16 @@ def _psi(poset, chain, n, action, family):
     # each edge hangs a child below a parent after as many of the parent's
     # blooms as its move leaves: a coloring hangs the block minimum below
     # the root after m - 1 - (its color), a non-coherent merge the larger
-    # minimum below the smaller after k - (its twist); the word check keeps
-    # each count within q and r, which pad the rest
+    # minimum below the smaller after k - (its twist).  The word check keeps
+    # each count within q and r, which pad the rest, and keeps it from
+    # falling: coloring labels (1, s+1) and merge labels (2, u, α) of one u
+    # do not increase, and a coherent merge's tag-0 label cannot precede the
+    # top's (1, 2)
     for et in moves[:-1]:
         if et.kind == "colored":
             u, blooms = root, m - 1 - et.color
-        elif et.kind == "merge" and et.alpha:
-            u, blooms = et.min_a, k - et.alpha
         else:
-            raise NotDecreasing("decreasing chains contain no coherent merges")
-        if blooms < bloomed[u]:
-            raise NotDecreasing("bloom requirement decreased along the chain")
+            u, blooms = et.min_a, k - et.alpha
         v = et.min_b
         children[u] += [BLOOM] * (blooms - bloomed[u])
         children[u].append((v, tuple(children[v]) + (BLOOM,) * (r - bloomed[v])))
@@ -243,28 +242,20 @@ def psi_inv(tree, n, action):
 
 
 def bijection_failures(poset, n, action):
-    """Round-trip psi and psi_inv both ways between the decreasing maximal
-    chains of the bounded poset, taken from the bottom to the adjoined top
-    as index chains, and the blooming trees they should biject with; no
-    element is read, nothing is stored, and a tree whose moves leave the
-    poset's covers is reported.  psi_inv(psi(chain)) == chain makes psi
-    injective, and psi_inv accepts only blooming trees, so psi's images are
-    the blooming trees, each once, when the chains and the duplicate-free
-    enumeration of the trees count the same.
+    """Check psi against the blooming trees of the family `_tree_family`
+    gives: the decreasing maximal chains of the bounded poset, bottom to
+    adjoined top, are counted by the forward pass, and every tree walks
+    down by psi_inv and back by psi as an index chain; no element is read,
+    nothing is stored, and a tree whose moves leave the covers is reported.
+    psi(psi_inv(tree)) == tree makes psi_inv injective on the trees, and psi
+    accepts only decreasing maximal chains, so psi_inv lands in them; equal
+    counts make psi_inv onto, so psi_inv(psi(chain)) == chain on every chain.
 
     Returns (chain_count, tree_count, messages); no messages means psi is a
     bijection and psi_inv its inverse.
     """
     family = q, r, labels = _tree_family(n, action)
-    chain_count, chains_trip = 0, True
-    for chain in decreasing_chains(poset, label_lambda):
-        chain_count += 1
-        if chains_trip:
-            try:
-                tree = _psi(poset, chain, n, action, family)
-                chains_trip = _psi_inv(poset, tree, n, action, family) == list(chain)
-            except (MalformedTree, NotACover):  # psi(chain) is no tree that walks back
-                chains_trip = False
+    chain_count = count_decreasing_chains(poset, label_lambda)
     tree_count, walked, trees_trip = 0, True, True
     for t in enumerate_blooming(len(labels), q, r, labels=labels):
         tree_count += 1
@@ -273,8 +264,9 @@ def bijection_failures(poset, n, action):
                                              n, action, family) == t
         except NotACover:
             walked = False
-    checks = ((chains_trip, "psi_inv(psi(chain)) != chain"),
-              (chain_count == tree_count, "psi's images are not the blooming trees, each once"),
+        except (NotDecreasing, NotMaximal):  # psi rejects the chain psi_inv walked
+            trees_trip = False
+    checks = ((chain_count == tree_count, "psi's images are not the blooming trees, each once"),
               (walked, "a move of psi_inv(tree) has no cover in the poset"),
               (trees_trip, "psi(psi_inv(tree)) != tree"))
     return chain_count, tree_count, [message for ok, message in checks if not ok]

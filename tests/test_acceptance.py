@@ -8,6 +8,7 @@ is not an EL-labeling there; see tests/test_labeling.py for the focused
 counterexample.  The criterion is asserted as stated rather than weakened.
 """
 
+import dataclasses
 import functools
 
 from sdowling import acceptance, catalog
@@ -78,3 +79,20 @@ def test_criteria_9_and_10_build_no_up_sets(monkeypatch):
     for _, n, action in catalog.dowling_grid():
         assert "above" not in acceptance._d(n, action).__dict__
         assert "above" not in acceptance._dhat(n, action).__dict__
+
+
+def test_criteria_6_and_10_report_a_point_where_lambda_is_not_el(monkeypatch):
+    """Where lambda is not EL its decreasing chains predict no sphere count:
+    criteria 6 and 10 report the point by its key instead of passing it by."""
+    key, n, action = next(p for p in catalog.dowling_grid() if p[0] == "n=3,G=Z3,m=3,act=cycle")
+    el_lambda = acceptance._el_lambda
+
+    def failing_at_key(m, act):
+        rep = el_lambda(m, act)
+        return dataclasses.replace(rep, passed=False) if (m, act) == (n, action) else rep
+
+    monkeypatch.setattr(acceptance, "_el_lambda", failing_at_key)
+    for criterion in (acceptance.criterion_6, acceptance.criterion_10):
+        result = criterion()
+        assert (result.checked, result.failures) == (
+            81, [f"{key}: lambda is not EL; no sphere count is predicted"]), criterion.__name__

@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import tracemalloc
+from operator import ge
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from sdowling import acceptance, catalog, cli, dowling, groups, labeling, trees
 from sdowling.dowling import EdgeType, adjoin_top, build_dowling
 from sdowling.elements import bracket_notation, top_element
 from sdowling.errors import MalformedTree, NotACover, NotDecreasing, NotMaximal, UnsupportedCase
+from sdowling.poset import saturated_chains
 
 Z2 = groups.cyclic_group(2)
 Z3 = groups.cyclic_group(3)
@@ -340,8 +342,9 @@ def test_bijection_failures_reports_each_failed_direction_once():
     and block 2 with s2.  Every chain through either cover reads one block
     colored twice, which no blooming tree holds, and the tree that colors
     block 1, then block 2, walks to the element with block 2 colored, where
-    coloring block 2 has no cover.  Each failure is reported once, and
-    nothing is raised."""
+    coloring block 2 has no cover.  The tree side reports that once, and
+    nothing is raised; the chain side's own failure is the same fault seen
+    from the chains (see `_chain_side_check`)."""
     action = groups.trivial_action(Z2, 2)
     phat = adjoin_top(build_dowling(2, action))
     moves = list(phat.moves[phat.bottom])
@@ -349,14 +352,14 @@ def test_bijection_failures_reports_each_failed_direction_once():
     j = moves.index(EdgeType("colored", min_b=2, color=1))
     moves[i], moves[j] = moves[j], moves[i]
     phat.moves[phat.bottom] = tuple(moves)
-    assert trees.bijection_failures(phat, 2, action) == (
-        3, 3, ["psi_inv(psi(chain)) != chain", NO_COVER])
+    assert trees.bijection_failures(phat, 2, action) == (3, 3, [NO_COVER])
+    assert _chain_side_check(phat, 2, action) == (3, 3, False)
 
 
 def test_bijection_failures_reports_each_dropped_cover():
     """Dropping any cover that lies on a decreasing chain loses the chains
     through it, and some tree's moves then leave the poset's covers: the
-    check reports both, and raises nothing."""
+    check reports both, and raises nothing, and the chain side fails too."""
     action = groups.trivial_action(Z2, 2)
     chains = list(labeling.decreasing_chains(adjoin_top(build_dowling(3, action)), labeling.label_lambda))
     covers = {(x, y) for c in chains for x, y in zip(c, c[1:])}
@@ -368,7 +371,111 @@ def test_bijection_failures_reports_each_dropped_cover():
         kept = sum(1 for c in chains if (x, y) not in zip(c, c[1:]))
         assert trees.bijection_failures(phat, 3, action) == (
             kept, 15, ["psi's images are not the blooming trees, each once", NO_COVER]), (x, y)
+        assert _chain_side_check(phat, 3, action) == (kept, 15, False), (x, y)
     assert len(covers) == 30
+
+
+def _chain_side_check(poset, n, action):
+    """The chain side of the bijection check, the oracle for the tree side
+    `bijection_failures` runs: every decreasing chain walks through psi and
+    back through psi_inv, which makes psi injective into the blooming
+    trees, and the chains and trees count the same.  Returns (chain_count,
+    tree_count, passed)."""
+    family = q, r, labels = trees._tree_family(n, action)
+    chain_count, chains_trip = 0, True
+    for chain in labeling.decreasing_chains(poset, labeling.label_lambda):
+        chain_count += 1
+        if chains_trip:
+            try:
+                tree = trees._psi(poset, chain, n, action, family)
+                chains_trip = trees._psi_inv(poset, tree, n, action, family) == list(chain)
+            except (MalformedTree, NotACover):  # psi(chain) is no tree that walks back
+                chains_trip = False
+    tree_count = sum(1 for _ in trees.enumerate_blooming(len(labels), q, r, labels=labels))
+    return chain_count, tree_count, chains_trip and chain_count == tree_count
+
+
+def _tree_side_check(poset, n, action):
+    chain_count, tree_count, messages = trees.bijection_failures(poset, n, action)
+    return chain_count, tree_count, not messages
+
+
+def _supported_grid(ns):
+    """The grid points the bijection covers: |G| >= 2 and |S| != 1."""
+    for key, n, action in catalog.dowling_grid(ns=ns):
+        if action.group.order >= 2 and action.set_size != 1:
+            yield key, n, action
+
+
+def test_tree_side_agrees_with_the_chain_side_on_the_grid():
+    """Both sides pass on every supported point of the n <= 4 grid, at the
+    forward pass's chain count."""
+    points = list(_supported_grid((1, 2, 3, 4)))
+    for key, n, action in points:
+        phat = adjoin_top(build_dowling(n, action))
+        chains = labeling.count_decreasing_chains(phat, labeling.label_lambda)
+        assert _tree_side_check(phat, n, action) == _chain_side_check(phat, n, action) \
+            == (chains, chains, True), key
+    assert len(points) == 76
+
+
+def test_tree_side_agrees_with_the_chain_side_on_swapped_moves():
+    """Each of the 21 single-row swaps of two recorded moves in bounded n=2
+    Z2:2 passes or fails both sides alike; 15 pass both (the recorded moves
+    are checked against their tables in tests/test_dowling.py)."""
+    action = groups.trivial_action(Z2, 2)
+    verdicts = []
+    for x, row in enumerate(adjoin_top(build_dowling(2, action)).moves):
+        for i, j in itertools.combinations(range(len(row)), 2):
+            phat = adjoin_top(build_dowling(2, action))
+            moves = list(row)
+            moves[i], moves[j] = moves[j], moves[i]
+            phat.moves[x] = tuple(moves)
+            tree_side = _tree_side_check(phat, 2, action)
+            assert tree_side == _chain_side_check(phat, 2, action), (x, i, j)
+            verdicts.append(tree_side[2])
+    assert (len(verdicts), sum(verdicts)) == (21, 15)
+
+
+@pytest.mark.parametrize("cut", [None, 2])
+def test_bijection_failures_reports_a_psi_inv_image_psi_rejects(monkeypatch, cut):
+    """A psi_inv that walks a maximal chain whose word rises, or that chain
+    cut short of the top, fails the tree round trip: psi's NotDecreasing or
+    NotMaximal is reported as such, and nothing is raised."""
+    action = groups.trivial_action(Z2, 2)
+    phat = adjoin_top(build_dowling(2, action))
+    family = trees._tree_family(2, action)
+    rows = [labeling.label_lambda(phat, x) for x in range(len(phat))]
+    rising = next(list(chain) for chain, word in saturated_chains(phat, phat.bottom, phat.top, rows)
+                  if not all(map(ge, word, word[1:])))
+    walked = rising[:cut]
+    with pytest.raises(NotDecreasing if cut is None else NotMaximal):
+        trees._psi(phat, walked, 2, action, family)
+    monkeypatch.setattr(trees, "_psi_inv", lambda *args: walked)
+    assert trees.bijection_failures(phat, 2, action) == (3, 3, ["psi(psi_inv(tree)) != tree"])
+
+
+def test_psi_accepts_exactly_the_decreasing_maximal_chains():
+    """Over every maximal chain of every supported point of the n <= 3 grid,
+    _psi returns exactly when the label word weakly decreases, and each tree
+    it returns is a blooming tree of its family that _psi_inv walks back to
+    the same chain."""
+    walked = accepted = 0
+    for key, n, action in _supported_grid((1, 2, 3)):
+        phat = adjoin_top(build_dowling(n, action))
+        family = trees._tree_family(n, action)
+        rows = [labeling.label_lambda(phat, x) for x in range(len(phat))]
+        for chain, word in saturated_chains(phat, phat.bottom, phat.top, rows):
+            walked += 1
+            if not all(map(ge, word, word[1:])):
+                with pytest.raises(NotDecreasing):
+                    trees._psi(phat, chain, n, action, family)
+                continue
+            tree = trees._psi(phat, chain, n, action, family)
+            trees.validate_blooming(tree, *family)
+            assert trees._psi_inv(phat, tree, n, action, family) == list(chain), key
+            accepted += 1
+    assert (walked, accepted) == (6_376, 1_179)
 
 
 def test_bijection_empty_color_set():
