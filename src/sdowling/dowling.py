@@ -115,6 +115,22 @@ class Codes(NamedTuple):
                 for code in self.codes]
 
 
+class _CodeIndex(dict):
+    """Code -> index: a code looked up first is appended to `codes` and gets
+    the next index, and one past `cap` codes raises."""
+
+    def __init__(self, codes, cap):
+        super().__init__(zip(codes, range(len(codes))))
+        self.codes, self.cap = codes, cap
+
+    def __missing__(self, code):
+        if len(self.codes) >= self.cap:
+            raise SizeLimitExceeded(f"element count exceeded the cap of {self.cap}")
+        i = self[code] = len(self.codes)
+        self.codes.append(code)
+        return i
+
+
 def build_dowling(n, action, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     """Full poset on {1..n} for the given action, generated breadth-first
     from the bottom element and deduplicated by canonical element.
@@ -134,7 +150,8 @@ def build_dowling(n, action, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:
         raise ValueError("n must be >= 1")
     order = action.group.order
     merges, colorings, bottom, step = cover_moves(n, action)
-    codes, index = [bottom], {bottom: 0}
+    codes = [bottom]
+    index = _CodeIndex(codes, max_elements)
     up, moves, ranks, by_minima = [], [], [], {}
     for x in codes:  # codes grows behind the cursor: a FIFO queue
         key = tuple(map(operator.eq, x, bottom))  # which positions are block minima
@@ -146,14 +163,7 @@ def build_dowling(n, action, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:
             row = by_minima[key] = ([t for _, t in entries], [m for m, _ in entries], n - len(minima))
         tables, row_moves, rank = row
         ranks.append(rank)
-        ys = list(map(step, itertools.repeat(x), tables))
-        new = list(itertools.filterfalse(index.__contains__, ys))
-        if new:
-            if len(codes) + len(new) > max_elements:
-                raise SizeLimitExceeded(f"element count exceeded the cap of {max_elements}")
-            index.update(zip(new, range(len(codes), len(codes) + len(new))))
-            codes += new
-        yis = list(map(index.__getitem__, ys))
+        yis = list(map(index.__getitem__, map(step, itertools.repeat(x), tables)))
         by_index = sorted(range(len(yis)), key=yis.__getitem__)
         up.append(tuple(map(yis.__getitem__, by_index)))
         moves.append(tuple(map(row_moves.__getitem__, by_index)))

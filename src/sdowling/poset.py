@@ -168,7 +168,8 @@ def moebius_row(poset, x):
     down-sets of elements not yet swept stay alive: two adjacent ranks in
     a graded poset, more where a cover skips a rank.  With one mask per
     distinct nonzero value v holding the elements w with mu(x, w) = v,
-    mu(x, z) = -sum of v * |strict down(z) & mask_v|.
+    mu(x, z) = -sum of v * |strict down(z) & mask_v|, over the masks as
+    they stand when z's layer starts: z's strict down-set lies lower.
     """
     up, rank = poset.up, poset.rank
     layers = [[] for _ in range(poset.max_rank + 1)]
@@ -176,10 +177,11 @@ def moebius_row(poset, x):
     down = {x: 0}  # the strict down-set of each reached element, so far
     row, masks = {}, {}
     for layer in layers[rank[x]:]:
+        values, below = list(masks), list(masks.values())
         for z in layer:
             strict = down.pop(z)
-            counts = map(int.bit_count, map(strict.__and__, masks.values()))
-            mu = row[z] = 1 if z == x else -sum(map(operator.mul, masks, counts))
+            counts = map(int.bit_count, map(strict.__and__, below))
+            mu = row[z] = 1 if z == x else -sum(map(operator.mul, values, counts))
             bit = 1 << len(row) - 1
             if mu:
                 masks[mu] = masks.get(mu, 0) | bit

@@ -6,8 +6,9 @@ vertices, numbered 0, 1, ... in lexicographic order of their index
 sequences, and a level stores for each d-face its last vertex and its d+1
 facet columns: column i holds the number of the (d-1)-face left when the
 i-th vertex is dropped.  `order_complex` fills the columns by arithmetic on
-child ranges, and the coreduction and the Morse boundary maps read only
-the columns.
+child ranges.  The Morse boundary maps read only the columns, and so does
+the coreduction: it keeps no facet-id sums and no row for a top cell, and
+finds a cell's one remaining facet by scanning its columns.
 
 `homology` runs a greedy coreduction of the complex, an acyclic (discrete
 Morse) matching, and takes the Smith normal forms of the boundary maps of
@@ -22,9 +23,9 @@ from __future__ import annotations
 
 import gc
 from array import array
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial, reduce
 from itertools import accumulate, chain, compress, repeat
 from math import gcd
 from operator import add, is_
@@ -32,7 +33,7 @@ from operator import add, is_
 from .errors import SizeLimitExceeded
 from .poset import bits
 
-DEFAULT_MAX_FACES = 2_000_000
+DEFAULT_MAX_FACES = 5_200_000
 
 
 @dataclass
@@ -247,6 +248,17 @@ class HomologyProfile:
                 "faceCounts": self.face_counts}
 
 
+def _remaining_facet(facets, first, count, c):
+    """The one facet of cell c that is not removed, found by scanning c's
+    facet columns (ids and `count` as in `coreduction`)."""
+    level = bisect_right(first, c) - 1  # c is a (level - 1)-face
+    j, base = c - first[level], first[level - 1]
+    for col in facets[level - 1]:
+        f = col[j] + base
+        if count[f] >= 0:
+            return f
+
+
 def coreduction(complex_):
     """Greedy coreduction of a non-empty simplicial complex: an acyclic
     matching.
@@ -254,14 +266,16 @@ def coreduction(complex_):
     Cells have int ids: 0 is the empty face, then the 0-faces, the 1-faces,
     ... each dimension in its own order.  The empty face is paired with the
     first vertex.  Then a FIFO queue pops any cell with exactly one
-    remaining facet and removes it together with that facet; when the queue
-    is empty, the lowest remaining id, which has no remaining facet, is
-    removed as a critical cell.  A cell's other facets are all gone when it
-    is paired, so each down-step of a gradient path goes to an earlier pair
-    and the matching is acyclic (Mrozek & Batko, "Coreduction homology
-    algorithm", 2009).  Returns `mate`, where mate[id] is the id of the cell
-    paired with it or None for a critical cell, and the lower cell of each
-    pair, in pairing order.
+    remaining facet, found by a scan of its facet columns, and removes it
+    together with that facet; when the queue is empty, the lowest remaining
+    id, which has no remaining facet, is removed as a critical cell.  Per
+    cell there is a count of remaining facets and a tuple of cofaces in id
+    order, one empty tuple shared by the top cells.  A cell's other facets
+    are all gone when it is paired, so each down-step of a gradient path
+    goes to an earlier pair and the matching is acyclic (Mrozek & Batko,
+    "Coreduction homology algorithm", 2009).  Returns `mate`, where mate[id]
+    is the id of the cell paired with it or None for a critical cell, and
+    the lower cell of each pair, in pairing order.
     """
     # first[d + 1] is the id of the first d-face; first[0] the empty face's
     first = [0, *accumulate(complex_.face_counts(), initial=1)]
@@ -270,23 +284,23 @@ def coreduction(complex_):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        # remaining facets per cell, and the sum of their ids, which is the
-        # facet itself once one is left; -1 marks a removed cell
+        # remaining facets per cell; -1 marks a removed cell
         count = [0]
-        rest = [0]
-        cofaces = [[] for _ in range(total)]
+        cofaces = []
         for d, cols in enumerate(complex_.facets):
-            # one int object per cell, shared by the coface lists it joins
+            # one int object per cell, shared by the coface rows it joins
             ids = list(range(first[d + 1], first[d + 2]))
             count += repeat(d + 1, len(ids))
-            # the columns summed elementwise, with each id shifted by first[d]
-            rest += reduce(partial(map, add), cols, repeat((d + 1) * first[d], len(ids)))
-            # each facet column appends one ascending run to the coface lists
+            # each facet column appends one ascending run to the coface rows
             # of the (d-1)-faces; sorting merges the runs into id order
-            lower = cofaces[first[d] : first[d + 1]]
+            lower = [[] for _ in range(first[d], first[d + 1])]
             for col in cols:
                 deque(map(list.append, map(lower.__getitem__, col), ids), maxlen=0)
             deque(map(list.sort, lower), maxlen=0)
+            # popped from the reversed level, each list is freed once its tuple is made
+            lower.reverse()
+            cofaces += map(tuple, map(lower.pop, repeat(-1, len(lower))))
+        cofaces += repeat((), total - first[-2])
         mate = [None] * total
         lowers = []
         queue = deque()
@@ -297,7 +311,6 @@ def coreduction(complex_):
                 k = count[b]
                 if k > 0:
                     count[b] = k - 1
-                    rest[b] -= c
                     if k == 2:
                         queue.append(b)
 
@@ -313,7 +326,7 @@ def coreduction(complex_):
             while queue:
                 c = queue.popleft()
                 if count[c] == 1:
-                    pair(rest[c], c)
+                    pair(_remaining_facet(complex_.facets, first, count, c), c)
             while low < total and count[low] < 0:
                 low += 1
             if low == total:
