@@ -7,8 +7,7 @@ bijection, computes integer homology of order complexes, and verifies the
 orbit-reduction closure operator.
 """
 
-from .dowling import adjoin_top, build_dowling, build_subposet
-from .elements import bracket_notation, top_element
+from .dowling import adjoin_top, bracket_notation, build_dowling, build_subposet
 from .groups import (
     cyclic_group,
     klein_four_group,
@@ -49,7 +48,6 @@ __all__ = [
     "psi_inv",
     "reduce_and_verify",
     "sphere_product",
-    "top_element",
     "trivial_action",
     "trivial_group",
     "validate_action",

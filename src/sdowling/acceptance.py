@@ -8,8 +8,7 @@ import functools
 from dataclasses import dataclass
 
 from . import catalog, labeling, reduction, topology, trees
-from .dowling import adjoin_top, build_dowling, build_subposet, cut_subposet
-from .elements import bracket_notation
+from .dowling import adjoin_top, bracket_notation, build_dowling, build_subposet, cut_subposet
 from .poset import characteristic_polynomial, moebius, Polynomial, sphere_product
 
 
@@ -150,8 +149,8 @@ def criterion_5():
         ("*", "*", (3, ("*",)), "*", (1, ((2, ("*",)), "*", (4, ("*",))))),
     )
     chain = trees.psi_inv(figure_tree, 4, act)
-    yield _unless([bracket_notation(el, ascii_only=True) for el in chain] == FIGURE_CHAIN
-                  and trees.psi(chain, act) == figure_tree,
+    rendered = [bracket_notation(code, act.group.order, ascii_only=True) for code in chain]
+    yield _unless(rendered == FIGURE_CHAIN and trees.psi(chain, act) == figure_tree,
                   "worked figure instance does not round-trip")
 
 

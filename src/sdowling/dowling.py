@@ -9,12 +9,6 @@ import operator
 from typing import NamedTuple
 
 from . import groups
-from .elements import (
-    DowlingElement,
-    bracket_notation,
-    element_to_json,
-    top_element,
-)
 from .errors import AlreadyBounded, NonInvariantT, SizeLimitExceeded
 from .poset import RankedPoset, subposet_rows
 
@@ -84,35 +78,13 @@ def cover_moves(n, action) -> CoverMoves:
     return CoverMoves(merges, colorings, pack(range(0, n * order, order)), step)
 
 
-def _decode(code, n, order, shared):
-    """The canonical element of a code: positions are read in increasing
-    order, so each block first shows up at its minimum and the blocks come
-    out sorted by minimum.  Blocks and zero blocks equal to one in `shared`
-    reuse its tuples."""
-    blocks, zero = {}, ()
-    for p, v in enumerate(code, 1):
-        if v < n * order:
-            a, c = divmod(v, order)
-            b = blocks.get(a)
-            blocks[a] = ((p,), (c,)) if b is None else (b[0] + (p,), b[1] + (c,))
-        else:
-            zero += ((p, v - n * order),)
-    blocks = tuple([shared.setdefault(b, b) for b in blocks.values()])
-    return DowlingElement(n, blocks, shared.setdefault(zero, zero))
-
-
 class Codes(NamedTuple):
     """A poset's element codes by index (see `build_dowling`), None for an
-    adjoined top, and the n and |G| that decode them."""
+    adjoined top, and the n and |G| that lay them out."""
 
     n: int
     order: int
     codes: list
-
-    def decode(self):
-        shared = {}
-        return [top_element(self.n) if code is None else _decode(code, self.n, self.order, shared)
-                for code in self.codes]
 
 
 class _CodeIndex(dict):
@@ -144,8 +116,8 @@ def build_dowling(n, action, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     merges of its block minima a < b by twist, then colorings by minimum
     and color; the tables and moves of each set of minima are listed once.
     Each code's covers become one Hasse row, sorted by index with its moves
-    parallel, and its rank is n minus its number of block minima; the poset
-    keeps the codes and decodes them when its `elements` are first read."""
+    parallel, and its rank is n minus its number of block minima; the codes
+    are the poset's `elements`."""
     if n < 1:
         raise ValueError("n must be >= 1")
     order = action.group.order
@@ -220,7 +192,45 @@ def build_subposet(n, action, T, max_elements=DEFAULT_MAX_ELEMENTS) -> RankedPos
 # Dumps.
 
 
+def _blocks_and_zero(code, order):
+    """A code's blocks, each its (position, color) pairs, in order of their
+    minima (a block first shows up at its minimum), and the (position,
+    color) pairs of its zero block."""
+    base, blocks, zero = len(code) * order, {}, []
+    for p, v in enumerate(code, 1):
+        if v < base:
+            blocks.setdefault(v // order, []).append((p, v % order))
+        else:
+            zero.append((p, v - base))
+    return blocks.values(), zero
+
+
+def _group_name(g):
+    return "e" if g == 0 else f"g{g}" if g > 1 else "g"
+
+
+def bracket_notation(code, order, ascii_only=False):
+    """Render an element's code, for a group of the given order, in the
+    bracket syntax, e.g. ``[1_e 2_g ∥ ∅]``; None, the adjoined top, is 1^."""
+    if code is None:
+        return "1^"
+    empty = "0" if ascii_only else "∅"
+    blocks, zero = _blocks_and_zero(code, order)
+    left = " | ".join(" ".join(f"{p}_{_group_name(c)}" for p, c in b) for b in blocks)
+    right = " ".join(f"{p}_s{s + 1}" for p, s in zero)
+    return f"[{left or empty} {'||' if ascii_only else '∥'} {right or empty}]"
+
+
+def element_to_json(code, order):
+    if code is None:
+        return {"top": True}
+    blocks, zero = _blocks_and_zero(code, order)
+    return {"blocks": [{"support": [p for p, _ in b], "colors": [c for _, c in b]} for b in blocks],
+            "zero": {str(p): s for p, s in zero}}
+
+
 def poset_to_json(poset, ascii_only=False):
+    order = poset.codes.order
     return {
         "size": len(poset),
         "bottom": poset.bottom,
@@ -229,10 +239,10 @@ def poset_to_json(poset, ascii_only=False):
             {
                 "index": i,
                 "rank": poset.rank[i],
-                "label": bracket_notation(el, ascii_only=ascii_only),
-                **element_to_json(el),
+                "label": bracket_notation(code, order, ascii_only=ascii_only),
+                **element_to_json(code, order),
             }
-            for i, el in enumerate(poset.elements)
+            for i, code in enumerate(poset.elements)
         ],
         "covers": sorted(poset.cover_edges()),
     }
@@ -241,8 +251,8 @@ def poset_to_json(poset, ascii_only=False):
 def poset_to_dot(poset, ascii_only=True):
     """DOT rendering of the Hasse diagram with rank-based layers."""
     lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=box];"]
-    for i, el in enumerate(poset.elements):
-        text = bracket_notation(el, ascii_only=ascii_only).replace('"', '\\"')
+    for i, code in enumerate(poset.elements):
+        text = bracket_notation(code, poset.codes.order, ascii_only=ascii_only).replace('"', '\\"')
         lines.append(f'  n{i} [label="{text}"];')
     for r in sorted(set(poset.rank)):
         same = " ".join(f"n{i};" for i, ri in enumerate(poset.rank) if ri == r)

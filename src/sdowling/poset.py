@@ -16,9 +16,8 @@ class RankedPoset:
     in increasing order, and `moves[i]`, parallel to it, the move that
     makes each cover (None where it is no single move); a cover raises the
     rank.  The rows are written once and kept as given, not copied, with
-    `codes`, whose `decode()` gives `elements` on their first read (Möbius
-    values, χ, chain counts, EL, the closure check and the order complex
-    never read them).  The order is stored once, as up-sets: bit y of
+    `codes` (`dowling.Codes`), whose list of codes is `elements` itself,
+    None for an adjoined top.  The order is stored once, as up-sets: bit y of
     `above[x]` is set iff x <= y, built lazily on first use.  Möbius values
     and the characteristic polynomial never build it.  Its readers are
     `topology.order_complex`, `saturated_chains` to a bound other than the
@@ -35,9 +34,9 @@ class RankedPoset:
     def __len__(self):
         return len(self.up)
 
-    @functools.cached_property
+    @property
     def elements(self):
-        return self.codes.decode()
+        return self.codes.codes
 
     def cover_edges(self):
         for x, ys in enumerate(self.up):

@@ -134,22 +134,23 @@ def _tree_family(n, action):
 @lru_cache(maxsize=1)
 def _bounded(n, action):
     """The bounded poset on {1..n} that `psi` and `psi_inv` look chains up
-    in, its element -> index map and its tree family, of one (n, action) at
-    a time; an unsupported case raises before the build."""
+    in, its code -> index map (None -> the top) and its tree family, of one
+    (n, action) at a time; an unsupported case raises before the build."""
     family = _tree_family(n, action)
     poset = adjoin_top(build_dowling(n, action))
-    return poset, {el: i for i, el in enumerate(poset.elements)}, family
+    return poset, {code: i for i, code in enumerate(poset.elements)}, family
 
 
 def psi(chain, action):
     """Blooming tree of a decreasing maximal chain (bottom to adjoined top),
-    a list of canonical elements looked up in the bounded poset; NotACover
-    where one is not there or does not cover the one before."""
-    if not chain:
-        raise NotMaximal("the empty chain is not maximal")
-    n = chain[0].n
+    a list of codes (None for the top) looked up in the bounded poset on
+    {1..n}, n = len(chain[0]); NotACover where one is not there or does not
+    cover the one before."""
+    if not chain or chain[0] is None:
+        raise NotMaximal("the chain does not start at the bottom")
+    n = len(chain[0])
     poset, index, family = _bounded(n, action)
-    index_chain = [index.get(el) for el in chain]
+    index_chain = [index.get(code) for code in chain]
     if None in index_chain:
         raise NotACover("an element of the chain is not in the poset")
     if index_chain[0] != poset.bottom:
@@ -235,10 +236,11 @@ def _psi_inv(poset, tree, n, action, family):
 def psi_inv(tree, n, action):
     """Decreasing chain of a blooming tree; inverse of psi.
 
-    Returns the element list from the bottom to the adjoined top.
+    Returns the bounded poset's own codes from the bottom to the adjoined
+    top, None.
     """
     poset, _, family = _bounded(n, action)
-    return [poset.elements[x] for x in _psi_inv(poset, tree, n, action, family)]
+    return list(map(poset.elements.__getitem__, _psi_inv(poset, tree, n, action, family)))
 
 
 def bijection_failures(poset, n, action):

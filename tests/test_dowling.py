@@ -1,23 +1,26 @@
 import functools
 import itertools
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cover_oracle import classify_cover
-from element_oracle import bottom_element, make_element, poset_from_edges
-from sdowling import acceptance, catalog, dowling, groups, reduction, trees
+import element_oracle
+from element_oracle import bottom_element, decode, elements_of, make_element, poset_from_edges, top_element
+from sdowling import acceptance, catalog, dowling, groups, reduction, topology, trees
 from sdowling.dowling import (
     EdgeType,
     adjoin_top,
+    bracket_notation,
     build_dowling,
     build_subposet,
     cut_subposet,
+    element_to_json,
     poset_to_dot,
     poset_to_json,
 )
-from sdowling.elements import bracket_notation, element_to_json, top_element
 from sdowling.errors import AlreadyBounded, NonInvariantT, NotACover, SizeLimitExceeded
 from sdowling.labeling import (
     count_decreasing_chains,
@@ -107,19 +110,25 @@ def test_bottom_and_top_elements():
 
 
 def test_bracket_notation():
-    el = make_element(Z2, 2, [((1, 2), (0, 1))], [])
-    assert bracket_notation(el) == "[1_e 2_g ∥ ∅]"
-    assert bracket_notation(el, ascii_only=True) == "[1_e 2_g || 0]"
-    assert bracket_notation(top_element(2)) == "1^"
+    """The renderer reads a code: 1 and 2 in the block at minimum 1, colored
+    e and g, are the code values 0 and 1 for Z2."""
+    code = bytes([0, 1])
+    assert decode(code, 2) == make_element(Z2, 2, [((1, 2), (0, 1))], [])
+    assert bracket_notation(code, 2) == "[1_e 2_g ∥ ∅]"
+    assert bracket_notation(code, 2, ascii_only=True) == "[1_e 2_g || 0]"
+    assert bracket_notation(None, 2) == "1^"
 
 
 def test_element_json_round_trip():
-    el = make_element(Z4, 4, [((1, 3), (0, 2)), ((2,), (0,))], [(4, 1)])
-    assert element_to_json(el) == {
+    """At n=4 with Z4 a block at minimum m has the code values 4(m-1) + its
+    colors, and the zero block 16 + its colors."""
+    code = bytes([0, 4, 2, 17])
+    assert decode(code, 4) == make_element(Z4, 4, [((1, 3), (0, 2)), ((2,), (0,))], [(4, 1)])
+    assert element_to_json(code, 4) == {
         "blocks": [{"support": [1, 3], "colors": [0, 2]}, {"support": [2], "colors": [0]}],
         "zero": {"4": 1},
     }
-    assert element_to_json(top_element(4)) == {"top": True}
+    assert element_to_json(None, 4) == {"top": True}
 
 
 def test_bottom_cover_counts():
@@ -133,13 +142,14 @@ def _after(x, move, action):
     after the entries that make x from the bottom: each block's positions
     merged into its minimum with their colors as twists, then the zero
     block's positions colored one by one.  The code runs through the
-    entries' tables by `step` and is decoded once, at the end."""
+    entries' tables by `step` and is decoded once, at the end, by the
+    oracle."""
     merges, colorings, code, step = dowling.cover_moves(x.n, action)
     path = [merges[s[0] - 1][p - 1][c] for s, cs in x.blocks for p, c in zip(s[1:], cs[1:])]
     path += [colorings[p - 1][s] for p, s in x.zero]
     for _, table in path + [move]:
         code = step(code, table)
-    return dowling._decode(code, x.n, action.group.order, {})
+    return decode(code, action.group.order)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -150,7 +160,7 @@ def test_moves_and_classify_cover_invert_each_other(n):
         group = action.group
         poset = build_dowling(n, action)
         merges, colorings, _, _ = dowling.cover_moves(n, action)
-        for x, ys in zip(poset.elements, poset.up):
+        for x, ys in zip(elements_of(poset), poset.up):
             minima = [support[0] for support, _ in x.blocks]
             covers = []
             for j, b in enumerate(minima):
@@ -241,7 +251,7 @@ def test_build_matches_element_level_reference():
     n = 4 with Z2 and Z4, and on both sides of the byte boundary."""
     for key, n, action in _oracle_configs():
         poset, ref = build_dowling(n, action), _reference_build(n, action)
-        assert poset.elements == ref.elements, key
+        assert elements_of(poset) == ref.elements, key
         assert poset.rank == ref.rank, key
         assert poset.up == ref.up, key
         assert poset.moves == ref.moves, key
@@ -257,7 +267,7 @@ def test_direct_moves_match_make_element():
     for key, n, action in _oracle_configs():
         group = action.group
         merges, colorings, _, _ = dowling.cover_moves(n, action)
-        for x in build_dowling(n, action).elements:
+        for x in elements_of(build_dowling(n, action)):
             minima = [support[0] for support, _ in x.blocks]
             for i, a in enumerate(minima):
                 for j in range(i + 1, len(minima)):
@@ -297,7 +307,7 @@ def test_adjoin_top_shares_rows_and_leaves_its_input():
         assert (p.up, p.moves, p.rank, p.elements, p.top) == before, key
         ti = len(p)
         maximal = [x for x, ys in enumerate(p.up) if not ys]
-        ref = poset_from_edges(p.elements + [top_element(p.elements[0].n)],
+        ref = poset_from_edges(p.elements + [None],
                                list(p.cover_edges()) + [(x, ti) for x in maximal],
                                p.rank + [p.max_rank + 1], bottom=p.bottom, top=ti,
                                moves=[m for row in p.moves for m in row] + [EdgeType("top")] * len(maximal))
@@ -309,11 +319,11 @@ def test_adjoin_top_shares_rows_and_leaves_its_input():
 
 def test_recorded_moves_match_classify_cover():
     for key, phat in _bounded_posets_with_moves():
-        recorded = []
+        recorded, elements = [], elements_of(phat)
         for x, (ys, moves) in enumerate(zip(phat.up, phat.moves)):
             assert len(moves) == len(ys), key
             for y, move in zip(ys, moves):
-                assert move == classify_cover(phat.elements[x], phat.elements[y]), (key, x, y)
+                assert move == classify_cover(elements[x], elements[y]), (key, x, y)
                 recorded.append(move)
         # equal moves are one shared object
         assert len({id(m) for m in recorded}) == len(set(recorded)), key
@@ -362,12 +372,12 @@ def test_induced_cover_that_is_no_single_move(monkeypatch):
     """With the rank-1 elements filtered out, the bottom is covered by rank-2
     elements: those covers record no move, and only labeling them raises."""
     monkeypatch.setattr(dowling, "_passes_filter",
-                        lambda code, *_: dowling._decode(code, 2, 2, {}).rank != 1)
+                        lambda code, *_: decode(code, 2).rank != 1)
     p = build_subposet(2, groups.trivial_action(Z2, 1), [])
     assert p.up[p.bottom] and set(p.moves[p.bottom]) == {None}
     y = p.up[p.bottom][0]
     with pytest.raises(NotACover):
-        classify_cover(p.elements[p.bottom], p.elements[y])
+        classify_cover(decode(p.elements[p.bottom], 2), decode(p.elements[y], 2))
     assert p.move(p.bottom, y) is None
     with pytest.raises(NotACover):
         recorded_row(p, p.bottom)
@@ -478,10 +488,11 @@ def test_subposet_filter_predicate():
     code = full.codes.codes
     assert cut_subposet(full, SWAP2, []).codes.codes == \
         [c for c in code if dowling._passes_filter(c, [[4, 5]])]
+    elements = elements_of(full)
     assert [dowling._passes_filter(c, [[4, 5]]) for c in code] == \
-        [passes_subposet_filter(x, [orbit]) for x in full.elements]
-    assert code[full.elements.index(el)] == bytes([4, 2])
-    assert code[full.elements.index(both)] == bytes([4, 5])
+        [passes_subposet_filter(x, [orbit]) for x in elements]
+    assert code[elements.index(el)] == bytes([4, 2])
+    assert code[elements.index(both)] == bytes([4, 5])
 
 
 def test_subposet_requires_invariant_T():
@@ -522,7 +533,7 @@ def _oracle_cut(ambient, action, T):
     filter, and their induced rows by the up-set table."""
     tset = set(T)
     free = [orbit for orbit in groups.orbits(action) if orbit[0] not in tset]
-    kept = [i for i, el in enumerate(ambient.elements) if passes_subposet_filter(el, free)]
+    kept = [i for i, el in enumerate(elements_of(ambient)) if passes_subposet_filter(el, free)]
     return kept, induced_rows(ambient, kept)
 
 
@@ -559,16 +570,18 @@ def test_walked_rows_match_the_table_oracle_on_closure_images():
         assert subposet_rows(poset, image) == induced_rows(poset, image), key
 
 
-def _raise(*args):
-    raise AssertionError("an element was decoded")
+def _raise(*args, **kwargs):
+    raise AssertionError("an element was rendered")
 
 
 def test_counts_moebius_chi_and_el_decode_no_element(monkeypatch):
     """The chain count, the Möbius function, the characteristic polynomial,
-    both EL checks and the closure check read codes, ranks and moves only."""
+    both EL checks, the closure check and the order complex read codes,
+    ranks and moves only: none of them calls a renderer."""
     z4 = dict(catalog.actions_for("Z4", 3))["trivial"]
     swap = dict(catalog.actions_for("Z2", 2))["swap"]
-    monkeypatch.setattr(dowling, "_decode", _raise)
+    for name in ("bracket_notation", "element_to_json", "_blocks_and_zero"):
+        monkeypatch.setattr(dowling, name, _raise)
     d = build_dowling(4, z4)
     dhat = adjoin_top(d)
     assert count_decreasing_chains(dhat, label_lambda) == 1680  # 2 * 6 * 10 * 14
@@ -580,21 +593,47 @@ def test_counts_moebius_chi_and_el_decode_no_element(monkeypatch):
     for key, n, action, T, orbit_min, _ in acceptance._closure_configs():
         spec = reduction.make_spec(action, T, orbit_min)
         assert reduction.reduce_and_verify(n, action, T, spec)[2].passed, key
-    with pytest.raises(AssertionError, match="decoded"):
-        dhat.elements
+    bhat = adjoin_top(build_dowling(3, swap))
+    assert topology.homology(topology.order_complex(bhat)).reduced_betti[-1] == \
+        abs(moebius(bhat, bhat.bottom, bhat.top)) == 15  # 1 * 3 * 5
+    with pytest.raises(AssertionError, match="rendered"):
+        poset_to_json(dhat)
 
 
-def test_decoded_elements_equal_an_eager_decode():
-    """`elements` read from the codes of a full poset, its bounded extension
-    and its invariant subposets equal each code decoded on its own."""
+def test_elements_are_the_codes_themselves():
+    """The `elements` of a full poset, of its bounded extension and of its
+    invariant subposets are the build's own code objects, None for the top,
+    with no copy and nothing decoded; a subposet keeps the codes the
+    element-level filter keeps."""
     for key, n, action in catalog.dowling_grid():
         d = build_dowling(n, action)
-        eager = [dowling._decode(c, n, action.group.order, {}) for c in d.codes.codes]
-        assert d.elements == eager, key
-        assert adjoin_top(d).elements == eager + [top_element(n)], key
+        assert d.elements is d.codes.codes, key
+        dhat = adjoin_top(d)
+        assert dhat.elements[-1] is None and all(map(operator.is_, dhat.elements, d.elements)), key
         for T in catalog.invariant_subsets(action):
             kept, _ = _oracle_cut(d, action, T)
-            assert build_subposet(n, action, list(T)).elements == [eager[i] for i in kept], key
+            sub = cut_subposet(d, action, list(T))
+            assert len(sub) == len(kept), key
+            assert all(map(operator.is_, sub.elements, map(d.elements.__getitem__, kept))), key
+
+
+def test_dumps_render_each_code_as_its_decoded_element():
+    """On every bounded poset of the n <= 3 grid, of n = 4 with Z2 and Z4
+    and of the wide alphabets (tuple codes past a byte), each label and
+    JSON entry of `poset_to_json`, and each DOT label, is the oracle's
+    rendering of the decoded element."""
+    for key, n, action in _oracle_configs():
+        phat = adjoin_top(build_dowling(n, action))
+        elements = elements_of(phat)
+        for ascii_only in (False, True):
+            data = poset_to_json(phat, ascii_only=ascii_only)["elements"]
+            assert [e.pop("label") for e in data] == \
+                [element_oracle.bracket_notation(el, ascii_only=ascii_only) for el in elements], key
+            assert data == [{"index": i, "rank": phat.rank[i], **element_oracle.element_to_json(el)}
+                            for i, el in enumerate(elements)], key
+        dot = poset_to_dot(phat).splitlines()[3 : 3 + len(phat)]
+        assert dot == [f'  n{i} [label="{element_oracle.bracket_notation(el, ascii_only=True)}"];'
+                       for i, el in enumerate(elements)], key
 
 
 def test_poset_json_and_dot_shapes():

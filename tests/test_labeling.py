@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import cover_oracle
 from cover_oracle import classify_cover
-from element_oracle import bottom_element, make_element, poset_from_edges
+from element_oracle import bottom_element, elements_of, make_element, poset_from_edges, top_element
 from sdowling import catalog, groups, labeling
 from sdowling.dowling import EdgeType, adjoin_top, build_dowling, build_subposet, cut_subposet
-from sdowling.elements import top_element
 from sdowling.errors import MalformedLabeling, NotACover, NotBounded
 from sdowling.labeling import EdgeLabel
 from sdowling.poset import moebius, saturated_chains, sphere_product
@@ -90,10 +89,11 @@ def _classify_cover_disagreements(tally):
         by_rank = {}
         for z, r in enumerate(phat.rank):
             by_rank.setdefault(r, []).append(z)
-        for xi, x in enumerate(phat.elements):
+        elements = elements_of(phat)
+        for xi, x in enumerate(elements):
             recorded = dict(zip(phat.up[xi], phat.moves[xi]))
             for yi in by_rank.get(phat.rank[xi] + 1, ()):
-                y = phat.elements[yi]
+                y = elements[yi]
                 if yi in recorded:
                     tally["covers"] += 1
                     if classify_cover(x, y) != recorded[yi]:
@@ -142,8 +142,9 @@ def test_an_off_by_one_first_difference_is_caught(monkeypatch, scan):
 def _label(fn, phat, x, y):
     """The label `fn` gives the cover (x, y) of the built poset, named by its
     elements: the entry for y in x's row."""
-    xi = phat.elements.index(x)
-    return fn(phat, xi)[phat.up[xi].index(phat.elements.index(y))]
+    elements = elements_of(phat)
+    xi = elements.index(x)
+    return fn(phat, xi)[phat.up[xi].index(elements.index(y))]
 
 
 def test_lambda_labels():
@@ -226,7 +227,7 @@ def test_labels_match_the_first_written_rules_on_the_n4_grid():
     for key, phat in _n4_grid_posets():
         posets += 1
         labels = []
-        for x, (moves, element) in enumerate(zip(phat.moves, phat.elements)):
+        for x, (moves, element) in enumerate(zip(phat.moves, elements_of(phat))):
             used = {s for _, s in element.zero}
             lam, mu = labeling.label_lambda(phat, x), labeling.label_mu(phat, x)
             assert lam == tuple(map(_lambda_oracle, moves)), (key, x)

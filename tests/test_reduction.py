@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 import element_oracle
-from element_oracle import make_element, poset_from_edges
+from element_oracle import decode, elements_of, make_element, poset_from_edges
 from sdowling import acceptance, catalog, dowling, groups, reduction, topology
 from sdowling.dowling import adjoin_top, build_dowling, build_subposet
 from sdowling.errors import InvalidSpec, NotACover
@@ -38,7 +38,7 @@ def test_make_spec_requires_free_orbit_outside_T():
 def _code(n, action, element):
     """The code the build gives the element."""
     full = build_dowling(n, action)
-    return full.codes.codes[full.elements.index(element)]
+    return full.elements[elements_of(full).index(element)]
 
 
 def test_closure_f_reattaches_orbit_colors():
@@ -85,7 +85,7 @@ def _closure_mismatches(closure):
     mismatches, compared = [], 0
     for key, n, action, T, spec in _free_orbit_configs():
         poset = build_subposet(n, action, T)
-        code_of = dict(zip(poset.elements, poset.codes.codes))
+        code_of = dict(zip(elements_of(poset), poset.elements))
         for i, (x, code) in enumerate(code_of.items()):
             if closure(code, spec, action, n) != code_of.get(element_oracle.closure_f(x, spec, action)):
                 mismatches.append((key, i))
@@ -141,7 +141,7 @@ def test_edge_analysis_refuses_a_cover_that_records_no_move(monkeypatch):
     covered by rank-2 elements, covers that record no move: the edge
     analysis reads the bottom's row through the row accessor, which raises."""
     monkeypatch.setattr(dowling, "_passes_filter",
-                        lambda code, *_: dowling._decode(code, 2, 2, {}).rank != 1)
+                        lambda code, *_: decode(code, 2).rank != 1)
     with pytest.raises(NotACover, match="is not a single-move cover edge") as raised:
         reduction.reduce_and_verify(2, SWAP2, [], reduction.make_spec(SWAP2, [], 0))
     assert raised.traceback[-1].name == "recorded_row"
@@ -199,7 +199,7 @@ def test_image_elements_with_a_removed_color_are_reported(monkeypatch):
     monkeypatch.setattr(reduction, "closure_f", lambda code, spec, action, n: code)
     poset, _, report = reduction.reduce_and_verify(2, SWAP3, [], reduction.make_spec(SWAP3, [], 0))
     assert report.passed is False
-    stray = [i for i, el in enumerate(poset.elements) if any(s in (0, 1) for _, s in el.zero)]
+    stray = [i for i, el in enumerate(elements_of(poset)) if any(s in (0, 1) for _, s in el.zero)]
     assert stray
     assert [v for v in report.violations if "no counterpart" in v] == [
         f"image element {i} has no counterpart in the reduced poset" for i in stray]

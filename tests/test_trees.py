@@ -1,16 +1,17 @@
 import gc
 import itertools
 import json
+import operator
 import tracemalloc
 from operator import ge
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from element_oracle import bottom_element, make_element
+import element_oracle
+from element_oracle import bottom_element, decode_all, elements_of, make_element, top_element
 from sdowling import acceptance, catalog, cli, dowling, groups, labeling, trees
-from sdowling.dowling import EdgeType, adjoin_top, build_dowling
-from sdowling.elements import bracket_notation, top_element
+from sdowling.dowling import EdgeType, adjoin_top, bracket_notation, build_dowling
 from sdowling.errors import MalformedTree, NotACover, NotDecreasing, NotMaximal, UnsupportedCase
 from sdowling.poset import saturated_chains
 
@@ -183,11 +184,18 @@ def test_tree_json_round_trip():
     assert len({json.dumps(t) for t in ts}) == len(ts)
 
 
+def _codes(chain, action):
+    """The codes of a list of elements on {1..n} in the bounded poset, found
+    through the oracle's decoding; the top's is None."""
+    phat = adjoin_top(build_dowling(chain[0].n, action))
+    return list(map(phat.elements.__getitem__, map(elements_of(phat).index, chain)))
+
+
 def test_bijection_unsupported_parameters():
     one_color = groups.trivial_action(Z2, 1)
     trivial_group_action = groups.trivial_action(groups.trivial_group(), 2)
     with pytest.raises(UnsupportedCase):
-        trees.psi([bottom_element(1), top_element(1)], one_color)
+        trees.psi([bytes([0]), None], one_color)
     with pytest.raises(UnsupportedCase):
         trees.psi_inv((0, ()), 1, trivial_group_action)
 
@@ -207,17 +215,30 @@ def test_psi_rejects_non_decreasing_chains():
 
 
 def test_psi_rejects_chains_that_are_not_maximal():
-    """The empty chain and the bottom alone are not maximal; below a
-    non-maximal x the step x -> 1^ is no cover of the bounded poset."""
+    """The empty chain, the bottom alone and a chain that starts at the top,
+    None, are not maximal; below a non-maximal x the step x -> 1^ is no
+    cover of the bounded poset."""
     action = groups.trivial_action(Z2, 2)
     # colors block 1 with s2: its label ties the top's, so the word decreases
-    x = make_element(Z2, 2, [((2,), (0,))], [(1, 1)])
-    for chain in ([], [bottom_element(2)]):
+    chain = _codes([bottom_element(2), make_element(Z2, 2, [((2,), (0,))], [(1, 1)]),
+                    top_element(2)], action)
+    for short in ([], chain[:1], [None], [None] + chain):
         with pytest.raises(NotMaximal):
-            trees.psi(chain, action)
+            trees.psi(short, action)
     with pytest.raises(NotACover) as raised:
-        trees.psi([bottom_element(2), x, top_element(2)], action)
+        trees.psi(chain, action)
     assert raised.type is NotACover
+
+
+def test_psi_rejects_a_code_the_poset_lacks():
+    """A code that is no element of the bounded poset, of the right length or
+    not, is NotACover, wherever it stands in the chain."""
+    action = groups.trivial_action(Z2, 2)
+    bottom = adjoin_top(build_dowling(2, action)).elements[0]
+    for stray in (bytes([9, 9]), bytes([0, 2, 9]), (0, 1)):
+        for chain in ([stray, None], [bottom, stray, None]):
+            with pytest.raises(NotACover):
+                trees.psi(chain, action)
 
 
 def test_psi_rejects_a_list_that_is_not_a_chain():
@@ -228,7 +249,7 @@ def test_psi_rejects_a_list_that_is_not_a_chain():
     chain = [bottom_element(2), make_element(Z2, 2, [((2,), (0,))], [(1, 1)]),
              make_element(Z2, 2, [], [(1, 0), (2, 1)]), top_element(2)]
     with pytest.raises(NotACover):
-        trees.psi(chain, action)
+        trees.psi(_codes(chain, action), action)
 
 
 def test_psi_rejects_a_step_that_differs_from_a_cover_in_its_colors():
@@ -241,7 +262,7 @@ def test_psi_rejects_a_step_that_differs_from_a_cover_in_its_colors():
     chain = [bottom_element(2), make_element(Z2, 2, [((1, 2), (0, 1))], []),
              make_element(Z2, 2, [], [(1, 1), (2, 0)]), top_element(2)]
     with pytest.raises(NotACover):
-        trees.psi(chain, action)
+        trees.psi(_codes(chain, action), action)
 
 
 def test_validate_blooming_walks_a_deep_path():
@@ -294,7 +315,7 @@ def test_bijection_failures_reads_no_element():
     """The check runs on index chains and recorded moves alone."""
     action = groups.trivial_action(Z2, 2)
     phat = adjoin_top(build_dowling(3, action))
-    phat.elements = [None] * len(phat)
+    phat.codes = phat.codes._replace(codes=[None] * len(phat))
     assert trees.bijection_failures(phat, 3, action) == (15, 15, [])
 
 
@@ -485,7 +506,7 @@ def test_bijection_empty_color_set():
 
 def test_worked_instance_round_trip():
     act = groups.trivial_action(Z3, 5)
-    chain = [
+    elements = [
         bottom_element(4),
         make_element(Z3, 4, [((1, 2), (0, 2)), ((3,), (0,)), ((4,), (0,))], []),
         make_element(Z3, 4, [((1, 2, 4), (0, 2, 1)), ((3,), (0,))], []),
@@ -497,10 +518,14 @@ def test_worked_instance_round_trip():
         0,
         ("*", "*", (3, ("*",)), "*", (1, ((2, ("*",)), "*", (4, ("*",))))),
     )
+    chain = _codes(elements, act)
     assert trees.psi(chain, act) == expected
     assert trees.psi_inv(expected, 4, act) == chain
-    # criterion 5 states the chain as these strings
-    assert [bracket_notation(el, ascii_only=True) for el in chain] == acceptance.FIGURE_CHAIN
+    # criterion 5 states the chain as these strings, rendered from the codes
+    # and from the oracle's elements
+    assert [bracket_notation(code, 3, ascii_only=True) for code in chain] == acceptance.FIGURE_CHAIN
+    assert [element_oracle.bracket_notation(el, ascii_only=True) for el in elements] == \
+        acceptance.FIGURE_CHAIN
 
 
 def _apply_by_make_element(x, et, action):
@@ -562,9 +587,23 @@ def test_psi_inv_matches_make_element_reference():
     for start in range(0, max(len(ts) for *_, ts in points), 50):
         for key, n, action, ts in points:
             for t in ts[start : start + 50]:
-                assert trees.psi_inv(t, n, action) == _psi_inv_by_make_element(t, n, action), key
+                assert decode_all(n, action.group.order, trees.psi_inv(t, n, action)) == \
+                    _psi_inv_by_make_element(t, n, action), key
                 checked += 1
     assert checked == sum(len(ts) for *_, ts in points) == 3_502
+
+
+def test_psi_inv_returns_the_posets_own_codes():
+    """psi_inv's chain is the bounded poset's own code objects, not copies
+    or decodings: the `elements` entry at each index the walk reaches,
+    ending in the top's None."""
+    for key, n, action, ts in _bijection_family_trees():
+        for t in ts:
+            chain = trees.psi_inv(t, n, action)
+            poset, _, family = trees._bounded(n, action)
+            walked = list(map(poset.elements.__getitem__, trees._psi_inv(poset, t, n, action, family)))
+            assert len(chain) == len(walked) and chain[-1] is None, key
+            assert all(map(operator.is_, chain, walked)), key
 
 
 class _SpyRow(tuple):
